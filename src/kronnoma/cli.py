@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -58,9 +59,15 @@ class RunConfig:
     csv_out: str | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.ref_snr_db):
+            raise ValueError("--ref-snr-db must be finite")
+        if self.top is not None and self.top < 1:
+            raise ValueError("--top must be at least 1")
         if self.subcommand in ("rate", "simulate"):
             if not self.snr_db_grid:
                 raise ValueError("SNR grid must be nonempty")
+            if not all(math.isfinite(v) for v in self.snr_db_grid):
+                raise ValueError("SNR values must be finite")
             if any(b >= a for a, b in zip(self.snr_db_grid[1:], self.snr_db_grid)):
                 raise ValueError("SNR grid must be strictly ascending")
         if self.trials < 0:
@@ -170,18 +177,6 @@ def _detection_config(cfg: RunConfig, chain: FactorChain, design: CombinerDesign
     )
 
 
-def _ops_summary(chain: FactorChain, dc) -> tuple:
-    from .detector import final_stage_costs, op_count_bounds
-
-    costs = final_stage_costs(
-        chain.F,
-        dc.constellation.size,
-        uniform_priors=dc.constellation.uniform_priors,
-        cancel_classes=(chain.m_p - 1) if dc.sic_symbols else 0,
-    )
-    return costs, op_count_bounds(chain, *costs)
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     chain = load_chain(cfg.chain_path)
     design = _design_for(cfg.design_path, chain)
@@ -219,7 +214,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         for db, pt in zip(cfg.snr_db_grid, points)
     ]
     _write_text(cfg.csv_out, _csv_text(header, rows))
-    _costs, bounds = _ops_summary(chain, dc)
+    bounds = dc.op_bounds()
     summary = (
         f"ops summary: combining_adds_bound={bounds.combining_adds}"
         f" total_adds_bound={bounds.total_adds}"
@@ -236,14 +231,14 @@ def cmd_count_ops(cfg: RunConfig) -> int:
     chain = load_chain(cfg.chain_path)
     design = find_combiners(chain.P)
     dc = _detection_config(cfg, chain, design)
-    (n_add_reg, n_mul_reg), bounds = _ops_summary(chain, dc)
+    bounds = dc.op_bounds()
     for name, value in (
         ("m_f", chain.m_f),
         ("k_f", chain.k_f),
         ("m_p", chain.m_p),
         ("r", chain.r),
-        ("n_add_reg", n_add_reg),
-        ("n_mul_reg", n_mul_reg),
+        ("n_add_reg", bounds.final_stage_adds),
+        ("n_mul_reg", bounds.final_stage_muls),
         ("combining_adds_bound", bounds.combining_adds),
         ("total_adds_bound", bounds.total_adds),
         ("total_muls_bound", bounds.total_muls),
@@ -312,6 +307,8 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _range_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError("--snr-db-min, --snr-db-max and --snr-db-step must be finite")
     if step <= 0:
         raise ValueError("--snr-db-step must be positive")
     if hi < lo:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -335,6 +334,9 @@ def run_algorithm1(
     if use_spec and nworkers > 1:
         chunk = -(-n // nworkers)
         spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+        # imported here: the pool's modules add ~30 ms to every start of the CLI
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             futures = [pool.submit(_evaluate_span, m_p, lo, hi, spec) for lo, hi in spans]
             for fut in futures:

@@ -1,13 +1,24 @@
 """Low-complexity recursive multiuser detection on factorized pattern chains.
 
-The receiver never inverts the full pattern matrix.  Each recursion level
-reshapes the current equation sets into consecutive groups matching the last
-remaining inner factor, applies the per-class combining vectors, and routes
-each combined equation into its own super-group.  After r recursions only
-small regular sets over the outer factor remain; those are solved by an
-exhaustive MAP sweep.  Every arithmetic operation of the combining cascade
-and the final stage is counted and checked against closed-form bounds on
-every run.
+The receiver never inverts the full pattern matrix G = F (x) P^(x)r.  Its
+combining stage is the linear map L = (x) alpha, applied as a Kronecker mode
+product without forming L: a batch of received vectors Y (T, M) is viewed as
+(T, m_f, m_p, ..., m_p), and recursion level l contracts the innermost
+remaining m_p axis with every class's coefficient vector (signed sums, since
+alpha has entries in {-1, 0, +1}), routing class j's outputs to branch j.
+After r levels each trial holds m_p^r small regular sets over the outer
+factor F, one per branch path, and one vectorised exhaustive MAP sweep over
+(trials, paths, hypotheses) decides them all.  With final_mode 'sic' the
+designated classes skip the last level's combining and are decided, batched
+over trials and parents, by cancelling the siblings' decided unit
+predictions out of the raw group equations.
+
+detect_batch is that kernel and the only implementation of the receiver:
+recursive_detect runs it on a batch of one and builds the full trace from
+its intermediate arrays, and final_stage_map and sic_enhanced_final are
+single-set entry points into the same sweep and cancellation code.  Every
+arithmetic operation is counted by the code that performs it and checked
+against closed-form bounds on every run.
 
 Scalar-operation accounting model (documented contract):
 
@@ -30,6 +41,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +52,10 @@ from .simkit import Constellation
 
 DEFAULT_HYPOTHESIS_CAP = 4096
 DEFAULT_ORACLE_CAP = 1 << 20
+
+# values per temporary array of the hypothesis sweep: larger batches are
+# swept a slice of trials at a time, so memory stays bounded
+_SWEEP_VALUES = 1 << 17
 
 
 class DetectionError(ValueError):
@@ -70,6 +87,16 @@ class OpCountBounds:
     total_adds: int
     total_muls: int
     final_sets: int
+
+    @property
+    def final_stage_adds(self) -> int:
+        """Additions budgeted per final-stage invocation."""
+        return (self.total_adds - self.combining_adds) // self.final_sets
+
+    @property
+    def final_stage_muls(self) -> int:
+        """Multiplications budgeted per final-stage invocation."""
+        return self.total_muls // self.final_sets
 
 
 def final_stage_costs(
@@ -167,8 +194,8 @@ class DetectionConfig:
             raise DetectionError("final_mode must be 'map' or 'sic'")
         offs = self.power_offsets
         offs = np.ones(self.chain.K) if offs is None else np.asarray(offs, dtype=float)
-        if offs.shape != (self.chain.K,) or np.any(offs <= 0):
-            raise DetectionError("power offsets must be positive, one per user")
+        if offs.shape != (self.chain.K,) or not np.all(np.isfinite(offs) & (offs > 0)):
+            raise DetectionError("power offsets must be positive and finite, one per user")
         offs = offs.copy()
         offs.setflags(write=False)
         object.__setattr__(self, "power_offsets", offs)
@@ -180,6 +207,23 @@ class DetectionConfig:
         object.__setattr__(self, "sic_symbols", sic)
         if self.hypothesis_cap < 1:
             raise DetectionError("hypothesis cap must be positive")
+
+    def op_bounds(self) -> OpCountBounds:
+        """Closed-form per-detection operation bounds of this configuration;
+        a nonempty sic_symbols budgets the cancellation final stage."""
+        costs = final_stage_costs(
+            self.chain.F,
+            self.constellation.size,
+            uniform_priors=self.constellation.uniform_priors,
+            cancel_classes=(self.chain.m_p - 1) if self.sic_symbols else 0,
+        )
+        return op_count_bounds(self.chain, *costs)
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        # built on first detection, so configuration errors of the cascade
+        # (a cancellation without predecessors, a hypothesis cap) surface there
+        return _build_plan(self)
 
 
 @dataclass(frozen=True)
@@ -229,6 +273,22 @@ class DetectionResult:
     ambiguous: bool
 
 
+class BatchDetection(NamedTuple):
+    """One detection pass over T received vectors.
+
+    Final sets are indexed in branch-lexicographic path order (m_p^r of
+    them); op counts in the report are per detection."""
+
+    symbols: np.ndarray  # (T, K) decided symbols
+    ambiguous: np.ndarray  # (T,) some final set had tied hypotheses
+    report: OpCountReport
+    combined: tuple[np.ndarray, ...]  # per level: (T, paths, equations per path)
+    level_ops: tuple[tuple[int, int], ...]  # per level: (adds, muls) so far
+    final_values: np.ndarray  # (T, m_p^r, m_f) final-set inputs, before any sign flip
+    unit_predictions: np.ndarray  # (T, m_p^r, m_f) winners' F (offs . x), before the weight
+    tie_counts: np.ndarray  # (T, m_p^r)
+
+
 def path_users(chain: FactorChain, path: tuple[int, ...]) -> tuple[int, ...]:
     """Users (pattern columns) solved by the final set reached along `path`.
 
@@ -245,10 +305,18 @@ def coupled_sums(symbols, groups, power_offsets) -> np.ndarray:
     """Offset-weighted symbol sum per duplicate-column user group.
 
     Users sharing a pattern column are only jointly observable; their
-    offset-weighted sum is the quantity a detector can actually decide."""
-    symbols = np.asarray(symbols)
-    offs = np.asarray(power_offsets)
-    return np.array([(offs[list(g)] * symbols[list(g)]).sum() for g in groups])
+    offset-weighted sum is the quantity a detector can actually decide.
+    symbols may hold one trial (K,) or a batch (T, K); the group axis is
+    last."""
+    weighted = np.asarray(power_offsets) * np.asarray(symbols)
+    out = np.empty(weighted.shape[:-1] + (len(groups),), dtype=weighted.dtype)
+    by_size: dict[int, list[int]] = {}
+    for gi, g in enumerate(groups):
+        by_size.setdefault(len(g), []).append(gi)
+    for gis in by_size.values():
+        members = np.array([groups[gi] for gi in gis])
+        out[..., gis] = weighted[..., members].sum(axis=-1)
+    return out
 
 
 _HYP_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -260,6 +328,318 @@ def _hypothesis_indices(q: int, k: int) -> np.ndarray:
     if key not in _HYP_CACHE:
         _HYP_CACHE[key] = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
     return _HYP_CACHE[key]
+
+
+class _Sweep(NamedTuple):
+    """Exhaustive MAP hypotheses of S regular sets w_s * F (offs_s . x) that
+    share the outer factor F and the constellation."""
+
+    hyp: np.ndarray  # (H, k_f) symbol indices, first position most significant
+    unit: np.ndarray  # (S, H, m_f) noiseless F (offs_s . x) per hypothesis
+    wunit: np.ndarray  # (S, H, m_f) the same times the set's |weight|
+    negative: np.ndarray  # (S,) w_s < 0: the set's equations are negated first
+    log_prior: np.ndarray | None  # (H,) summed log priors, None when uniform
+    adds: int  # per invocation, by the accounting model
+    muls: int
+
+
+def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights, cap: int) -> _Sweep:
+    """Hypothesis tables for sets with per-set user offsets (S, k_f) and
+    nonzero weights (S,)."""
+    q, k_f = constellation.size, F.cols
+    n_hyp = q**k_f
+    if n_hyp > cap:
+        raise HypothesisCapExceeded(
+            f"final stage needs {q}^{k_f} = {n_hyp} hypotheses, above the cap ({cap})"
+        )
+    hyp = _hypothesis_indices(q, k_f)
+    X = constellation.symbols[hyp]  # (H, k_f)
+    Ft = F.entries.T.astype(float)
+    unit = np.array([(X * offs) @ Ft for offs in offsets]).reshape(len(offsets), n_hyp, F.rows)
+    weights = np.asarray(weights, dtype=float)
+    wunit = np.abs(weights)[:, None, None] * unit
+    log_prior = None
+    n_add = n_hyp * (int(F.entries.sum()) + F.rows - 1)
+    if not constellation.uniform_priors:
+        log_prior = np.log(constellation.priors)[hyp].sum(axis=1)
+        n_add += n_hyp
+    return _Sweep(hyp, unit, wunit, weights < 0, log_prior, n_add, n_hyp * (k_f + 2 * F.rows))
+
+
+def _decide(sweep: _Sweep, z, noise_variances, counters: OpCounters):
+    """Winning hypothesis and tie count per (trial, set) for inputs
+    z (T, S, m_f) and per-set noise variances (S,).
+
+    A set with a negative weight is decided on its negated equations (the
+    same equations, with a positive weight).  argmin takes the first
+    occurrence, so the lowest hypothesis index wins ties; the tie count is
+    the number of hypotheses sharing the best score."""
+    T, S = z.shape[:2]
+    z = np.where(sweep.negative[:, None], -z, z)
+    best = np.empty((T, S), dtype=np.intp)
+    ties = np.empty((T, S), dtype=np.intp)
+    prior_scale = None
+    if sweep.log_prior is not None:
+        noisy = noise_variances > 0  # the noiseless metric has no prior term
+        prior_scale = 2.0 * np.where(noisy, noise_variances, 1.0)
+    step = max(1, _SWEEP_VALUES // max(1, sweep.wunit.size))
+    for lo in range(0, T, step):
+        score = (np.abs(z[lo : lo + step, :, None, :] - sweep.wunit) ** 2).sum(axis=-1)
+        if prior_scale is not None:
+            with_prior = score / prior_scale[:, None] - sweep.log_prior
+            score = np.where(noisy[:, None], with_prior, score)
+        b = score.argmin(axis=-1)
+        best[lo : lo + step] = b
+        ties[lo : lo + step] = (score == np.take_along_axis(score, b[..., None], -1)).sum(axis=-1)
+    counters.adds += T * S * sweep.adds
+    counters.muls += T * S * sweep.muls
+    counters.final_invocations += T * S
+    return best, ties
+
+
+def _cascade(Y, alpha: np.ndarray, level_classes, counters: OpCounters):
+    """Yield each recursion level's outputs for a batch Y (T, M).
+
+    A level maps (T, P, E) to (T, P * C, E / m_p) for its C combined classes:
+    each consecutive m_p-group of a path's equations becomes one signed sum
+    per class, summed left to right, and class j's sums form child path
+    (parent, j).  The first level contracts the innermost Kronecker axis."""
+    m_p = alpha.shape[1]
+    state = Y.reshape(Y.shape[0], 1, -1)
+    for classes in level_classes:
+        T, P, E = state.shape
+        blocks = state.reshape(T, P, E // m_p, m_p)
+        out = np.empty((T, P, len(classes), E // m_p), dtype=state.dtype)
+        for c, j in enumerate(classes):
+            nonzero = np.flatnonzero(alpha[j])
+            acc = None
+            for i in nonzero:
+                col = blocks[..., i]
+                if acc is None:
+                    acc = col if alpha[j, i] > 0 else -col
+                else:
+                    acc = acc + col if alpha[j, i] > 0 else acc - col
+            out[:, :, c] = acc
+            counters.adds += col.size * (nonzero.size - 1)
+        state = out.reshape(T, P * len(classes), E // m_p)
+        yield state
+
+
+def _cancel(blocks, rows, cancel, units, parent_weights, counters: OpCounters):
+    """Cancellation input of one class for every (trial, parent).
+
+    blocks (T, Pp, m_f, m_p) are the parents' raw group equations: the rows
+    carrying the class are summed and each overlapping decided class jp,
+    sharing `shared` of those rows, is reconstructed from its unit
+    prediction units[jp] (T, Pp, m_f) and subtracted."""
+    zeta = blocks[..., rows].sum(axis=-1)
+    counters.adds += zeta.size * (len(rows) - 1)
+    for jp, shared in cancel:
+        zeta = zeta - (parent_weights * shared)[:, None] * units[jp]
+        counters.adds += zeta.size
+        counters.muls += zeta.size
+    return zeta
+
+
+def _sic_schedule(P: PatternMatrix, sic_symbols, decided):
+    """(class, rows, cancel list) per designated class, in decision order.
+
+    Raises SicPredecessorError when an overlapping class has no decision
+    to cancel with."""
+    decided = set(decided)
+    steps = []
+    for j in sic_symbols:
+        rows = np.flatnonzero(P.entries[:, j])
+        if rows.size == 0:
+            raise DetectionError(f"class {j} touches no equation")
+        cancel = tuple(
+            (jp, int(P.entries[rows, jp].sum()))
+            for jp in range(P.cols)
+            if jp != j and P.entries[rows, jp].any()
+        )
+        missing = [jp for jp, _ in cancel if jp not in decided]
+        if missing:
+            raise SicPredecessorError(f"class {j} needs decided classes {missing} to cancel")
+        decided.add(j)
+        steps.append((j, rows, cancel))
+    return tuple(steps)
+
+
+class _SetInfo(NamedTuple):
+    path: tuple[int, ...]
+    weight: int
+    gain: Fraction
+    mult: int
+
+
+class _Level(NamedTuple):
+    classes: tuple[int, ...]  # classes combined at this level
+    sets: tuple[_SetInfo, ...]  # its outputs, in the kernel's order
+
+
+class _SicStep(NamedTuple):
+    j: int
+    rows: np.ndarray
+    cancel: tuple[tuple[int, int], ...]
+    d: int  # equations summed: the class's column weight
+    sweep: _Sweep  # over the last level's parents
+    positions: np.ndarray  # index of each decided set in path order
+
+
+class _Plan(NamedTuple):
+    """Static structure of a configuration's detection pass."""
+
+    levels: tuple[_Level, ...]
+    plain: _Sweep  # the sets reached by combining at every level
+    plain_positions: np.ndarray  # their indexes in path order
+    plain_mults: np.ndarray  # and their noise multipliers
+    parent_weights: np.ndarray  # weights of the last level's parents (SIC)
+    parent_mults: np.ndarray  # and their noise multipliers
+    sic: tuple[_SicStep, ...]
+    sets: tuple[tuple[_SetInfo, bool], ...]  # (set, used_sic) in path order
+    users: np.ndarray  # (m_p^r, k_f) users of each set in path order
+    bounds: OpCountBounds
+
+
+def _build_plan(cfg: DetectionConfig) -> _Plan:
+    chain, design = cfg.chain, cfg.design
+    m_p, r = chain.m_p, chain.r
+    if cfg.sic_symbols and r == 0:
+        raise SicPredecessorError("cancellation needs at least one recursion level")
+    norms = [int(a @ a) for a in design.alpha]
+    sets = (_SetInfo((), 1, Fraction(1), 1),)
+    parents = sets
+    levels = []
+    for level in range(1, r + 1):
+        classes = tuple(j for j in range(m_p) if level < r or j not in cfg.sic_symbols)
+        parents = sets
+        sets = tuple(
+            _SetInfo(s.path + (j,), s.weight * design.weights[j], s.gain * design.gains[j], s.mult * norms[j])
+            for s in parents
+            for j in classes
+        )
+        levels.append(_Level(classes, sets))
+    sic_steps = _sic_schedule(chain.P, cfg.sic_symbols, levels[-1].classes if levels else ())
+
+    def sweep(infos):
+        offsets = [cfg.power_offsets[list(path_users(chain, s.path))] for s in infos]
+        return _sweep(chain.F, cfg.constellation, offsets, [s.weight for s in infos], cfg.hypothesis_cap)
+
+    def positions(infos):
+        # branch-lexicographic index: the first branch is the most significant digit
+        return np.array([sum(j * m_p ** (r - 1 - t) for t, j in enumerate(s.path)) for s in infos], dtype=np.intp)
+
+    by_path = {s.path: (s, False) for s in sets}
+    steps = []
+    for j, rows, cancel in sic_steps:
+        d = rows.size
+        infos = [_SetInfo(p.path + (j,), p.weight * d, p.gain * d, p.mult * d) for p in parents]
+        by_path.update((s.path, (s, True)) for s in infos)
+        steps.append(_SicStep(j, rows, cancel, d, sweep(infos), positions(infos)))
+    paths = list(itertools.product(range(m_p), repeat=r))
+    return _Plan(
+        levels=tuple(levels),
+        plain=sweep(sets),
+        plain_positions=positions(sets),
+        plain_mults=np.array([s.mult for s in sets], dtype=np.int64),
+        parent_weights=np.array([p.weight for p in parents], dtype=np.int64),
+        parent_mults=np.array([p.mult for p in parents], dtype=np.int64),
+        sic=tuple(steps),
+        sets=tuple(by_path[p] for p in paths),
+        users=np.array([path_users(chain, p) for p in paths], dtype=np.intp),
+        bounds=cfg.op_bounds(),
+    )
+
+
+def detect_batch(Y, cfg: DetectionConfig, noise_variance: float) -> BatchDetection:
+    """Detect all K users of every row of Y (T, M) in one pass.
+
+    Recursion level l combines every path's consecutive m_p-equation groups
+    with each class's coefficient vector (child paths in branch-lexicographic
+    order), then one exhaustive MAP sweep decides all m_p^r final sets of
+    all trials.  With final_mode 'sic', the designated classes of each
+    last-level parent are decided by cancellation against the sibling
+    decisions instead.  Op counts are tallied over the batch as the work is
+    done and reported per detection."""
+    chain = cfg.chain
+    Y = np.asarray(Y)
+    if Y.ndim != 2 or Y.shape[1] != chain.M:
+        raise ValueError("Y must hold one row of M resource-element values per trial")
+    T = Y.shape[0]
+    if T == 0:
+        raise ValueError("the batch must hold at least one trial")
+    if noise_variance < 0:
+        raise ValueError("noise variance must be nonnegative")
+    plan = cfg._plan
+    Y = Y.astype(np.result_type(Y.dtype, np.float64), copy=False)
+    counters = OpCounters()
+    combined, level_ops = [], []
+    for out in _cascade(Y, cfg.design.alpha, [lv.classes for lv in plan.levels], counters):
+        combined.append(out)
+        level_ops.append((counters.adds // T, counters.muls // T))
+    raw = [Y.reshape(T, 1, -1)] + combined  # raw[-2]: the last level's parents
+
+    S = len(plan.sets)
+    dtype = np.result_type(Y.dtype, plan.plain.unit.dtype)
+    values = np.empty((T, S, chain.m_f), dtype=dtype)
+    units = np.empty((T, S, chain.m_f), dtype=plan.plain.unit.dtype)
+    best = np.empty((T, S), dtype=np.intp)
+    ties = np.empty((T, S), dtype=np.intp)
+
+    def solve(sweep: _Sweep, positions, z, noise_variances):
+        values[:, positions] = z
+        best[:, positions], ties[:, positions] = _decide(sweep, z, noise_variances, counters)
+        u = sweep.unit[np.arange(len(positions)), best[:, positions]]
+        units[:, positions] = u
+        return u
+
+    plain = solve(plan.plain, plan.plain_positions, raw[-1], noise_variance * plan.plain_mults)
+    if plan.sic:
+        n_parents = len(plan.parent_weights)
+        blocks = raw[-2].reshape(T, n_parents, chain.m_f, chain.m_p)
+        decided = plain.reshape(T, n_parents, -1, chain.m_f)
+        known = {j: decided[:, :, c] for c, j in enumerate(plan.levels[-1].classes)}
+        for step in plan.sic:
+            zeta = _cancel(blocks, step.rows, step.cancel, known, plan.parent_weights, counters)
+            # (sigma^2 * parent multiplier) * d, in the order of a single-set call
+            known[step.j] = solve(
+                step.sweep, step.positions, zeta, noise_variance * plan.parent_mults * step.d
+            )
+
+    symbols = np.empty((T, chain.K), dtype=cfg.constellation.symbols.dtype)
+    symbols[:, plan.users.reshape(-1)] = cfg.constellation.symbols[plan.plain.hyp[best]].reshape(T, -1)
+    symbols.setflags(write=False)
+    report = OpCountReport(
+        measured_adds=counters.adds // T,
+        measured_muls=counters.muls // T,
+        final_invocations=counters.final_invocations // T,
+        bounds=plan.bounds,
+    )
+    return BatchDetection(
+        symbols=symbols,
+        ambiguous=(ties > 1).any(axis=1),
+        report=report,
+        combined=tuple(combined),
+        level_ops=tuple(level_ops),
+        final_values=values,
+        unit_predictions=units,
+        tie_counts=ties,
+    )
+
+
+def combine_paths(Y, chain: FactorChain, design: CombinerDesign) -> np.ndarray:
+    """Apply the combining map L = (x) alpha to every row of Y (T, M)
+    without forming L: the final-set inputs (T, m_p^r, m_f), paths in
+    branch-lexicographic order (the rows of combining_matrix, reshaped)."""
+    if design.P != chain.P:
+        raise DetectionError("combiner design was built for a different inner factor")
+    Y = np.asarray(Y)
+    if Y.ndim != 2 or Y.shape[1] != chain.M:
+        raise ValueError("Y must hold one row of M resource-element values per trial")
+    out = Y.reshape(Y.shape[0], 1, -1)
+    for out in _cascade(Y, design.alpha, [tuple(range(chain.m_p))] * chain.r, OpCounters()):
+        pass
+    return out
 
 
 def final_stage_map(
@@ -288,74 +668,13 @@ def final_stage_map(
         raise ValueError("combined weight must be positive")
     if noise_variance < 0:
         raise ValueError("noise variance must be nonnegative")
-    q, k_f = constellation.size, F.cols
-    n_hyp = q**k_f
-    if n_hyp > hypothesis_cap:
-        raise HypothesisCapExceeded(
-            f"final stage needs {q}^{k_f} = {n_hyp} hypotheses, above the cap ({hypothesis_cap})"
-        )
-    offs = np.ones(k_f) if power_offsets is None else np.asarray(power_offsets, dtype=float)
-    if offs.shape != (k_f,):
+    offs = np.ones(F.cols) if power_offsets is None else np.asarray(power_offsets, dtype=float)
+    if offs.shape != (F.cols,):
         raise ValueError("power offsets must have one entry per set user")
-    idx = _hypothesis_indices(q, k_f)
-    X = constellation.symbols[idx]  # (H, k_f)
-    unit = (X * offs) @ F.entries.T.astype(float)  # (H, m_f)
-    metric = np.abs(z - float(weight) * unit) ** 2
-    metric = metric.sum(axis=1)
-    if constellation.uniform_priors or noise_variance == 0.0:
-        score = metric
-    else:
-        score = metric / (2.0 * noise_variance) - np.log(constellation.priors)[idx].sum(axis=1)
-    best = int(np.argmin(score))  # argmin takes the first occurrence: lowest index wins ties
-    ties = int((score == score[best]).sum())
-    if counters is not None:
-        nnz = int(F.entries.sum())
-        counters.adds += n_hyp * (nnz + F.rows - 1)
-        counters.muls += n_hyp * (k_f + 2 * F.rows)
-        if not constellation.uniform_priors:
-            counters.adds += n_hyp
-        counters.final_invocations += 1
-    return tuple(X[best]), ties, unit[best]
-
-
-class _SuperGroup:
-    __slots__ = ("values", "weight", "mult", "gain", "path")
-
-    def __init__(self, values, weight, mult, gain, path):
-        self.values = values
-        self.weight = weight
-        self.mult = mult
-        self.gain = gain
-        self.path = path
-
-
-def _solve_set(sg: _SuperGroup, cfg: DetectionConfig, noise_variance: float, counters: OpCounters) -> FinalSet:
-    users = path_users(cfg.chain, sg.path)
-    weight, values = sg.weight, sg.values
-    if weight < 0:  # equivalent equations; sign flips are free
-        weight, values = -weight, -values
-    decided, ties, unit = final_stage_map(
-        values,
-        cfg.chain.F,
-        weight,
-        cfg.constellation,
-        power_offsets=cfg.power_offsets[list(users)],
-        noise_variance=noise_variance * sg.mult,
-        hypothesis_cap=cfg.hypothesis_cap,
-        counters=counters,
-    )
-    return FinalSet(
-        path=sg.path,
-        users=users,
-        values=sg.values,
-        weight=sg.weight,
-        gain=sg.gain,
-        noise_multiplier=sg.mult,
-        used_sic=False,
-        decided=decided,
-        unit_prediction=unit,
-        tie_count=ties,
-    )
+    sweep = _sweep(F, constellation, [offs], [weight], hypothesis_cap)
+    best, ties = _decide(sweep, z[None, None], np.array([noise_variance]), counters or OpCounters())
+    b = int(best[0, 0])
+    return tuple(constellation.symbols[sweep.hyp[b]]), int(ties[0, 0]), sweep.unit[0, b]
 
 
 def sic_enhanced_final(
@@ -379,176 +698,98 @@ def sic_enhanced_final(
     overlapping, already-decided class is reconstructed from its final-set
     decision and subtracted.  Raises SicPredecessorError when an overlapping
     class has no decision to cancel with."""
-    P = cfg.chain.P
-    m_p, m_f = cfg.chain.m_p, cfg.chain.m_f
+    chain = cfg.chain
     raw = np.asarray(raw_values)
-    if raw.shape != (m_f * m_p,):
+    if raw.shape != (chain.m_f * chain.m_p,):
         raise ValueError("raw_values must hold the full super-group")
     counters = OpCounters() if counters is None else counters
-    decided = dict(decided)
+    steps = _sic_schedule(chain.P, cfg.sic_symbols, decided)
+    known = {jp: np.asarray(fs.unit_prediction)[None, None] for jp, fs in decided.items()}
+    blocks = raw.reshape(1, 1, chain.m_f, chain.m_p)
     out: list[FinalSet] = []
-    blocks = raw.reshape(m_f, m_p)
-    for j in cfg.sic_symbols:
-        rows = np.flatnonzero(P.entries[:, j])
+    for j, rows, cancel in steps:
+        zeta = _cancel(blocks, rows, cancel, known, np.array([parent_weight]), counters)
         d_j = rows.size
-        if d_j == 0:
-            raise DetectionError(f"class {j} touches no equation")
-        overlaps = {
-            jp: int(P.entries[rows, jp].sum()) for jp in range(m_p) if jp != j
-        }
-        needed = [jp for jp, ov in overlaps.items() if ov > 0]
-        missing = [jp for jp in needed if jp not in decided]
-        if missing:
-            raise SicPredecessorError(
-                f"class {j} needs decided classes {missing} to cancel"
-            )
-        zeta = blocks[:, rows].sum(axis=1)
-        counters.adds += m_f * (d_j - 1)
-        for jp in needed:
-            scale = parent_weight * overlaps[jp]
-            zeta = zeta - scale * decided[jp].unit_prediction
-            counters.adds += m_f
-            counters.muls += m_f
         weight = parent_weight * d_j
-        flip_w, flip_z = (weight, zeta) if weight > 0 else (-weight, -zeta)
-        users = path_users(cfg.chain, parent_path + (j,))
-        dec, ties, unit = final_stage_map(
-            flip_z,
-            cfg.chain.F,
-            flip_w,
-            cfg.constellation,
-            power_offsets=cfg.power_offsets[list(users)],
-            noise_variance=noise_variance * parent_noise_mult * d_j,
-            hypothesis_cap=cfg.hypothesis_cap,
-            counters=counters,
+        path = parent_path + (j,)
+        users = path_users(chain, path)
+        sweep = _sweep(chain.F, cfg.constellation, [cfg.power_offsets[list(users)]], [weight], cfg.hypothesis_cap)
+        best, ties = _decide(sweep, zeta, np.array([noise_variance * parent_noise_mult * d_j]), counters)
+        b = int(best[0, 0])
+        known[j] = sweep.unit[:, b][None]
+        out.append(
+            FinalSet(
+                path=path,
+                users=users,
+                values=zeta[0, 0],
+                weight=weight,
+                gain=parent_gain * d_j,
+                noise_multiplier=parent_noise_mult * d_j,
+                used_sic=True,
+                decided=tuple(cfg.constellation.symbols[sweep.hyp[b]]),
+                unit_prediction=sweep.unit[0, b],
+                tie_count=int(ties[0, 0]),
+            )
         )
-        fs = FinalSet(
-            path=parent_path + (j,),
-            users=users,
-            values=zeta,
-            weight=weight,
-            gain=parent_gain * d_j,
-            noise_multiplier=parent_noise_mult * d_j,
-            used_sic=True,
-            decided=dec,
-            unit_prediction=unit,
-            tie_count=ties,
-        )
-        decided[j] = fs
-        out.append(fs)
     return out
 
 
 def recursive_detect(y, cfg: DetectionConfig, noise_variance: float) -> DetectionResult:
     """Detect all K users from y by recursive combining plus small MAP sets.
 
-    Recursion level l reshapes each super-group into consecutive groups of
-    m_p equations, combines every group with each class's coefficient vector,
-    and routes class j's outputs to child super-group j; level l starts from
-    m_p^(l-1) super-groups of m_f * m_p^(r-l+1) equations.  Children are
-    visited in branch-lexicographic order, so final sets come out sorted by
-    path.  With final_mode 'sic', the designated classes of each last-level
-    super-group are decided by cancellation against the sibling decisions."""
+    The batched kernel on a batch of one, with the full trace: level l
+    starts from m_p^(l-1) super-groups of m_f * m_p^(r-l+1) equations, and
+    final sets come out sorted by path.  With final_mode 'sic', the
+    designated classes of each last-level super-group are decided by
+    cancellation against the sibling decisions."""
     chain = cfg.chain
-    m_p, m_f, r = chain.m_p, chain.m_f, chain.r
     y = np.asarray(y)
     if y.shape != (chain.M,):
         raise ValueError("y must have one value per resource element")
-    if noise_variance < 0:
-        raise ValueError("noise variance must be nonnegative")
-    sic_set = set(cfg.sic_symbols)
-    if sic_set and r == 0:
-        raise SicPredecessorError("cancellation needs at least one recursion level")
-
-    alpha = cfg.design.alpha
-    nnz = [int(np.count_nonzero(alpha[j])) for j in range(m_p)] if r else []
-    counters = OpCounters()
-    groups = [_SuperGroup(y, 1, 1, Fraction(1), ())]
-    records: list[RecursionRecord] = []
-    last_raw: list[_SuperGroup] = []
-
-    for level in range(1, r + 1):
-        skip = sic_set if level == r else set()
-        if level == r:
-            last_raw = groups
-        eqs_per_group = groups[0].values.size
-        children: list[_SuperGroup] = []
-        for sg in groups:
-            blocks = sg.values.reshape(-1, m_p)
-            for j in range(m_p):
-                if j in skip:
-                    continue
-                vals = blocks @ alpha[j]
-                counters.adds += blocks.shape[0] * (nnz[j] - 1)
-                children.append(
-                    _SuperGroup(
-                        vals,
-                        sg.weight * cfg.design.weights[j],
-                        sg.mult * int(alpha[j] @ alpha[j]),
-                        sg.gain * cfg.design.gains[j],
-                        sg.path + (j,),
-                    )
-                )
+    batch = detect_batch(y[None], cfg, noise_variance)
+    plan = cfg._plan
+    records = []
+    groups_in, eqs = 1, chain.M
+    for level, (lv, out, (adds, muls)) in enumerate(
+        zip(plan.levels, batch.combined, batch.level_ops), start=1
+    ):
         records.append(
             RecursionRecord(
                 level=level,
-                super_groups_in=len(groups),
-                equations_per_group=eqs_per_group,
-                group_size=m_p,
-                paths=tuple(c.path for c in children),
-                combined=tuple(c.values for c in children),
-                weights=tuple(c.weight for c in children),
-                gain_products=tuple(c.gain for c in children),
-                noise_multipliers=tuple(c.mult for c in children),
-                adds_so_far=counters.adds,
-                muls_so_far=counters.muls,
+                super_groups_in=groups_in,
+                equations_per_group=eqs,
+                group_size=chain.m_p,
+                paths=tuple(s.path for s in lv.sets),
+                combined=tuple(out[0]),
+                weights=tuple(s.weight for s in lv.sets),
+                gain_products=tuple(s.gain for s in lv.sets),
+                noise_multipliers=tuple(s.mult for s in lv.sets),
+                adds_so_far=adds,
+                muls_so_far=muls,
             )
         )
-        groups = children
-
-    final_sets = [_solve_set(sg, cfg, noise_variance, counters) for sg in groups]
-    if sic_set:
-        per_parent = m_p - len(sic_set)
-        for pi, parent in enumerate(last_raw):
-            siblings = final_sets[pi * per_parent : (pi + 1) * per_parent]
-            final_sets.extend(
-                sic_enhanced_final(
-                    parent.values,
-                    {fs.path[-1]: fs for fs in siblings},
-                    cfg,
-                    noise_variance=noise_variance,
-                    parent_path=parent.path,
-                    parent_weight=parent.weight,
-                    parent_noise_mult=parent.mult,
-                    parent_gain=parent.gain,
-                    counters=counters,
-                )
-            )
-        final_sets.sort(key=lambda fs: fs.path)
-
-    symbols = np.empty(chain.K, dtype=cfg.constellation.symbols.dtype)
-    for fs in final_sets:
-        symbols[list(fs.users)] = fs.decided
-    symbols.setflags(write=False)
-
-    costs = final_stage_costs(
-        chain.F,
-        cfg.constellation.size,
-        uniform_priors=cfg.constellation.uniform_priors,
-        cancel_classes=(m_p - 1) if sic_set else 0,
+        groups_in, eqs = out.shape[1], out.shape[2]
+    symbols = batch.symbols[0]
+    final_sets = tuple(
+        FinalSet(
+            path=s.path,
+            users=tuple(users.tolist()),
+            values=batch.final_values[0, p],
+            weight=s.weight,
+            gain=s.gain,
+            noise_multiplier=s.mult,
+            used_sic=used_sic,
+            decided=tuple(symbols[users]),
+            unit_prediction=batch.unit_predictions[0, p],
+            tie_count=int(batch.tie_counts[0, p]),
+        )
+        for p, ((s, used_sic), users) in enumerate(zip(plan.sets, plan.users))
     )
-    report = OpCountReport(
-        measured_adds=counters.adds,
-        measured_muls=counters.muls,
-        final_invocations=counters.final_invocations,
-        bounds=op_count_bounds(chain, *costs),
-    )
-    trace = DetectionTrace(recursions=tuple(records), final_sets=tuple(final_sets))
     return DetectionResult(
         symbols=symbols,
-        trace=trace,
-        report=report,
-        ambiguous=any(fs.tie_count > 1 for fs in final_sets),
+        trace=DetectionTrace(recursions=tuple(records), final_sets=final_sets),
+        report=batch.report,
+        ambiguous=bool(batch.ambiguous[0]),
     )
 
 
@@ -558,7 +799,8 @@ def combining_matrix(chain: FactorChain, design: CombinerDesign) -> np.ndarray:
 
     Row (path, d_f) is e_{d_f} (x) alpha^(j_r) (x) ... (x) alpha^(j_1):
     later recursion levels peel later positions of the path, so their
-    coefficient vectors sit on the slower-varying (outer) Kronecker axes."""
+    coefficient vectors sit on the slower-varying (outer) Kronecker axes.
+    Dense reference for tests; detection applies L through combine_paths."""
     if design.P != chain.P:
         raise DetectionError("combiner design was built for a different inner factor")
     alpha = design.alpha

@@ -2,8 +2,9 @@
 
 Randomness policy: everything is driven by a counter-based generator
 (numpy Philox) keyed with an explicit 64-bit seed.  Monte Carlo trials draw
-from per-trial streams derived with Philox.jumped(trial_index), so results
+from per-trial streams, the stream of Philox.jumped(trial_index), so results
 are bit-reproducible and independent of batching or parallel scheduling.
+Trials are drawn one stream at a time and detected in batches.
 SNR is linear throughout and means P_x / sigma^2 with P_x the mean squared
 symbol magnitude of the constellation; dB conversion is a CLI-boundary
 concern.
@@ -11,7 +12,9 @@ concern.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -70,9 +73,22 @@ BPSK = Constellation(np.array([-1.0, 1.0]))
 QPSK = Constellation(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0))
 
 
+_WORD = (1 << 64) - 1
+# received values gathered per detection call of run_monte_carlo; bounds memory
+_CHUNK_VALUES = 1 << 16
+
+
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-trial stream: Philox keyed by `seed`, jumped by index."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    """Independent per-trial stream: Philox keyed by `seed`, jumped by index.
+
+    Philox.jumped(i) advances the 256-bit counter by i * 2^128, so the
+    stream starts at counter words (0, 0, lo64(i), hi64(i)); building it
+    there directly gives the same bits without the jump."""
+    index = operator.index(index)
+    if index < 0:
+        raise ValueError("trial index must be nonnegative")
+    counter = [0, 0, index & _WORD, (index >> 64) & _WORD]
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def _noise(rng: np.random.Generator, n: int, variance: float, complex_valued: bool):
@@ -153,41 +169,32 @@ def estimate_gain(
 ) -> list[PathGain]:
     """Measure per-path combining SNR gains on pure noise.
 
-    Runs the recursive combining map on noise-only inputs and compares
+    Runs the detector's combining cascade on noise-only inputs and compares
     (weight product)^2 * sigma^2 / measured variance against the exact
     rational gain product along each branch path.  Uses one seeded bulk
     stream (single pass, no per-trial parallelism to preserve)."""
-    from .detector import combining_matrix  # deferred: detector imports simkit
+    from .detector import combine_paths  # deferred: detector imports simkit
 
     if trials < 3:
         raise ValueError("need at least 3 trials to estimate a variance")
     if not noise_variance > 0:
         raise ValueError("noise variance must be positive")
-    L = combining_matrix(chain, design)
     rng = trial_rng(seed, 0)
     noise = math.sqrt(noise_variance) * rng.standard_normal((trials, chain.M))
-    combined = noise @ L.T.astype(float)  # (trials, m_p^r * m_f)
-    m_f = chain.m_f
+    combined = combine_paths(noise, chain, design)  # (trials, m_p^r, m_f)
     out = []
-    paths = [()] if chain.r == 0 else list(_iter_paths(chain.m_p, chain.r))
-    for pi, path in enumerate(paths):
+    for pi, path in enumerate(itertools.product(range(chain.m_p), repeat=chain.r)):
         weight = 1
         gain = Fraction(1)
         for j in path:
             weight *= design.weights[j]
             gain *= design.gains[j]
         # the m_f equations of one path share the same combining row norm
-        samples = combined[:, pi * m_f : (pi + 1) * m_f].reshape(-1)
+        samples = combined[:, pi].reshape(-1)
         var = float(samples.var(ddof=1))
         measured = weight * weight * noise_variance / var
         out.append(PathGain(path, gain, measured, samples.size))
     return out
-
-
-def _iter_paths(m_p: int, r: int):
-    import itertools
-
-    return itertools.product(range(m_p), repeat=r)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -236,7 +243,9 @@ def run_monte_carlo(
     SIC final stage per cfg); "oracle" uses the brute-force MAP detector as
     the primary.  with_oracle additionally scores agreement of the primary's
     coupled-sum decisions against the oracle; if the hypothesis count exceeds
-    the oracle cap the run proceeds with agreement marked unavailable."""
+    the oracle cap the run proceeds with agreement marked unavailable.
+    Trials are drawn from their own streams and detected a chunk at a time,
+    so results do not depend on the chunking."""
     from . import detector as det  # deferred: detector imports simkit
 
     if detector not in ("recursive", "oracle"):
@@ -258,16 +267,8 @@ def run_monte_carlo(
         raise det.HypothesisCapExceeded(
             f"oracle needs {q}^{G.cols} hypotheses, above the cap ({cap})"
         )
-
-    bounds = det.op_count_bounds(
-        cfg.chain,
-        *det.final_stage_costs(
-            cfg.chain.F,
-            q,
-            uniform_priors=con.uniform_priors,
-            cancel_classes=(cfg.chain.m_p - 1) if cfg.sic_symbols else 0,
-        ),
-    )
+    bounds = cfg.op_bounds()
+    chunk = max(1, _CHUNK_VALUES // G.rows)
 
     points = []
     if trials == 0:
@@ -280,60 +281,66 @@ def run_monte_carlo(
         agree = 0
         measured = None
         records = []
-        for t in range(trials):
-            rng = trial_rng(seed, si * trials + t)
-            idx = rng.integers(0, q, size=G.cols)
-            x = con.symbols[idx]
-            tx = cfg.power_offsets * x
-            y = synthesize_rx(tx, G, noise_variance, rng=rng)
+        for start in range(si * trials, (si + 1) * trials, chunk):
+            index = range(start, min(start + chunk, (si + 1) * trials))
+            xs, ys = [], []
+            for i in index:
+                rng = trial_rng(seed, i)
+                x = con.symbols[rng.integers(0, q, size=G.cols)]
+                xs.append(x)
+                ys.append(synthesize_rx(cfg.power_offsets * x, G, noise_variance, rng=rng))
+            X, Y = np.array(xs), np.array(ys)
 
             decisions: dict[str, np.ndarray] = {}
-            amb: dict[str, bool] = {}
+            amb: dict[str, np.ndarray] = {}
             if detector == "recursive":
-                res = det.recursive_detect(y, cfg, noise_variance)
-                decisions["recursive"] = res.symbols
-                amb["recursive"] = res.ambiguous
-                measured = (res.report.measured_adds, res.report.measured_muls)
+                batch = det.detect_batch(Y, cfg, noise_variance)
+                decisions["recursive"] = batch.symbols
+                amb["recursive"] = batch.ambiguous
+                measured = (batch.report.measured_adds, batch.report.measured_muls)
                 primary = "recursive"
             if need_oracle and oracle_feasible:
-                osym, oties = det.brute_force_map_oracle(
-                    y,
-                    G,
-                    con,
-                    power_offsets=cfg.power_offsets,
-                    noise_variance=noise_variance,
-                    hypothesis_cap=cap,
-                )
-                decisions["oracle"] = osym
-                amb["oracle"] = oties > 1
+                found = [
+                    det.brute_force_map_oracle(
+                        y,
+                        G,
+                        con,
+                        power_offsets=cfg.power_offsets,
+                        noise_variance=noise_variance,
+                        hypothesis_cap=cap,
+                    )
+                    for y in Y
+                ]
+                decisions["oracle"] = np.array([osym for osym, _ in found])
+                amb["oracle"] = np.array([oties > 1 for _, oties in found])
             if detector == "oracle":
                 primary = "oracle"
                 measured = (0, 0)  # the oracle is not part of the op budget
 
             got = decisions[primary]
-            true_coupled = det.coupled_sums(x, groups, cfg.power_offsets)
             got_coupled = det.coupled_sums(got, groups, cfg.power_offsets)
-            sym_ok = got == x
-            coup_ok = got_coupled == true_coupled
+            sym_ok = got == X
+            coup_ok = got_coupled == det.coupled_sums(X, groups, cfg.power_offsets)
             sym_err += int((~sym_ok).sum())
             coup_err += int((~coup_ok).sum())
-            ambiguous += int(amb[primary])
+            ambiguous += int(amb[primary].sum())
             if with_oracle and oracle_feasible and primary != "oracle":
                 oc = det.coupled_sums(decisions["oracle"], groups, cfg.power_offsets)
-                agree += int(bool((got_coupled == oc).all()))
+                agree += int((got_coupled == oc).all(axis=1).sum())
             if keep_records:
-                records.append(
+                records.extend(
                     TrialRecord(
                         seed=seed,
-                        index=si * trials + t,
+                        index=i,
                         snr=snr,
-                        transmitted=x,
-                        received=y,
-                        decisions=decisions,
-                        symbol_correct={primary: sym_ok},
-                        coupled_correct={primary: coup_ok},
-                        ambiguous=amb,
+                        transmitted=X[row],
+                        received=Y[row],
+                        decisions={name: d[row] for name, d in decisions.items()},
+                        symbol_correct={primary: sym_ok[row]},
+                        coupled_correct={primary: coup_ok[row]},
+                        ambiguous={name: bool(a[row]) for name, a in amb.items()},
                     )
+                    for row, i in enumerate(index)
                 )
         n_coup = trials * len(groups)
         agreement = None

@@ -1,5 +1,6 @@
 """CLI subcommands: JSON/CSV contracts, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from kronnoma import CombinerDesign, PatternMatrix, dump_chain
+from kronnoma import CombinerDesign, FactorChain, PatternMatrix, dump_chain
 from kronnoma.cli import main
 
 
@@ -60,6 +61,17 @@ class TestSearch:
         out = tmp_path / "top.json"
         assert main(["search", "--mp", "3", "--top", "2", "--json-out", str(out)]) == 0
         assert len(json.loads(out.read_text())) == 2
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exit_2(self, tmp_path, capsys, top):
+        out = tmp_path / "top.json"
+        assert main(["search", "--mp", "3", "--top", top, "--json-out", str(out)]) == 2
+        assert "--top" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_ref_snr_exit_2(self, capsys):
+        assert main(["search", "--mp", "3", "--ref-snr-db", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestDesign:
@@ -152,6 +164,16 @@ class TestRate:
     def test_unknown_baseline_exit_2(self, chain_file):
         assert main(["rate", "--chain", chain_file, "--baselines", "tdma"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--snr-db-min", "--snr-db-max"])
+    def test_nan_grid_end_exit_2(self, chain_file, capsys, flag):
+        assert main(["rate", "--chain", chain_file, flag, "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_grid_end_exit_2(self, chain_file, capsys):
+        # int() of an infinite point count would raise OverflowError
+        assert main(["rate", "--chain", chain_file, "--snr-db-max", "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_byte_deterministic(self, tmp_path, chain_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["rate", "--chain", chain_file, "--snr-db-max", "10"]
@@ -243,6 +265,40 @@ class TestSimulate:
         assert code == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[2]) == 0.0  # individual SER vanishes at high SNR
+
+    @pytest.mark.parametrize("snr_db", ["nan", "inf", "0,nan", "-inf,0"])
+    def test_non_finite_snr_exit_2(self, tmp_path, chain_file, capsys, snr_db):
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--chain", chain_file, f"--snr-db={snr_db}",
+                     "--trials", "20", "--seed", "1", "--csv-out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_power_offset_exit_2(self, chain1_file, capsys):
+        offs = ",".join(["1"] * 5 + ["nan"])
+        assert main(["simulate", "--chain", chain1_file, "--snr-db", "10", "--trials", "5",
+                     "--power-offsets", offs]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "detector, digest",
+        [
+            ("recursive", "128b660365ed6c87a85cb15b0b70b78f2c3a817f301a49500a5cb10de99041eb"),
+            ("sic", "2cb9d75c0d80bb42210e5e2933c2f0111149e12ae9471681258968a461e7f818"),
+        ],
+    )
+    def test_golden_27x54_csv(self, tmp_path, F12, P3, detector, digest):
+        # fixed-seed output of the depth-3 receiver, pinned byte for byte:
+        # 378/432 (plain) and 387/450 (SIC) measured adds/muls per detection
+        chain_file = tmp_path / "chain27.json"
+        dump_chain(FactorChain(F12, P3, 3), str(chain_file))
+        out = tmp_path / f"{detector}.csv"
+        code = main(["simulate", "--chain", str(chain_file), "--snr-db", "0,2,4",
+                     "--trials", "100", "--seed", "20261018", "--detector", detector,
+                     "--csv-out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_descending_grid_exit_2(self, chain_file):
         assert main(["simulate", "--chain", chain_file, "--snr-db", "10,0",

@@ -24,6 +24,7 @@ from kronnoma import (
     build_chain,
     combining_matrix,
     coupled_sums,
+    detect_batch,
     final_stage_costs,
     final_stage_map,
     find_combiners,
@@ -344,6 +345,104 @@ class TestCombiningMatrix:
             combining_matrix(chain_9x18, find_combiners(P4))
 
 
+def _reference_plain(y, cfg, noise_variance):
+    """Plain detection from first principles: the dense combining matrix,
+    then an exhaustive sweep per path over all hypotheses (lowest index wins
+    ties).  Returns (symbols, ambiguous)."""
+    chain, design, con = cfg.chain, cfg.design, cfg.constellation
+    z = (combining_matrix(chain, design) @ y).reshape(-1, chain.m_f)
+    symbols = np.empty(chain.K, dtype=con.symbols.dtype)
+    ambiguous = False
+    hyps = list(itertools.product(range(con.size), repeat=chain.k_f))
+    for p, path in enumerate(itertools.product(range(chain.m_p), repeat=chain.r)):
+        w = math.prod(design.weights[j] for j in path)
+        users = list(path_users(chain, path))
+        scores = []
+        for h in hyps:
+            unit = chain.F.entries @ (cfg.power_offsets[users] * con.symbols[list(h)])
+            scores.append(float((np.abs(z[p] - w * unit) ** 2).sum()))
+        best = scores.index(min(scores))
+        ambiguous |= scores.count(scores[best]) > 1
+        symbols[users] = con.symbols[list(hyps[best])]
+    return symbols, ambiguous
+
+
+class TestBatchedKernel:
+    """detect_batch on a block of trials against per-trial recursive_detect
+    (decisions, ambiguity and op counts) and, for the plain final stage,
+    against the dense first-principles reference."""
+
+    @pytest.mark.parametrize("mode", ["map", "sic"])
+    @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("square", ["P3", "P4"])
+    def test_matches_per_trial_detection(self, request, F12, square, r, con, mode):
+        P = request.getfixturevalue(square)
+        chain = FactorChain(F12, P, r)
+        design = find_combiners(P)
+        G = build_chain(chain)
+        rng = np.random.default_rng([r, P.rows, con.size, mode == "sic"])
+        sic = dict(final_mode="sic", sic_symbols=(P.rows - 1,)) if mode == "sic" else {}
+        for offs in (np.ones(chain.K), rng.uniform(0.5, 1.5, size=chain.K)):
+            cfg = DetectionConfig(chain, design, con, power_offsets=offs, **sic)
+            for nv in (0.0, 0.3, 2.0):
+                X = con.symbols[rng.integers(0, con.size, size=(6, chain.K))]
+                noise = rng.standard_normal((6, chain.M))
+                if con.is_complex:
+                    noise = (noise + 1j * rng.standard_normal((6, chain.M))) / math.sqrt(2.0)
+                Y = (X * offs) @ G.entries.T + math.sqrt(nv) * noise
+                if mode == "sic" and r == 0:
+                    with pytest.raises(SicPredecessorError):
+                        detect_batch(Y, cfg, nv)
+                    continue
+                batch = detect_batch(Y, cfg, nv)
+                for t, y in enumerate(Y):
+                    one = recursive_detect(y, cfg, nv)
+                    assert np.array_equal(batch.symbols[t], one.symbols)
+                    assert bool(batch.ambiguous[t]) == one.ambiguous
+                    assert batch.report == one.report
+                    if mode == "map":
+                        symbols, ambiguous = _reference_plain(y, cfg, nv)
+                        assert np.array_equal(one.symbols, symbols)
+                        assert one.ambiguous == ambiguous
+
+    def test_noiseless_ties_are_counted(self, cfg2, chain_9x18):
+        # equal powers on F = [1 1]: x_k = -x_k' makes (-1, +1) and (+1, -1)
+        # tie exactly; the lower hypothesis index (-1, +1) is decided
+        G = build_chain(chain_9x18)
+        X = np.ones((2, 18))
+        X[0, 9:] = -1.0  # every coupled pair cancels
+        batch = detect_batch(X @ G.entries.T, cfg2, 0.0)
+        assert batch.ambiguous.tolist() == [True, False]
+        assert batch.tie_counts[0].tolist() == [2] * 9
+        assert batch.tie_counts[1].tolist() == [1] * 9
+        assert batch.symbols[0].tolist() == [-1.0] * 9 + [1.0] * 9
+        assert batch.symbols[1].tolist() == [1.0] * 18
+        assert (batch.report.measured_adds, batch.report.measured_muls) == (108, 144)
+
+    def test_sweep_slicing_does_not_change_results(self, chain_9x18, design3, monkeypatch):
+        from kronnoma import detector
+
+        cfg = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(2,))
+        G = build_chain(chain_9x18)
+        rng = np.random.default_rng(9)
+        Y = rng.choice([-1.0, 1.0], size=(7, 18)) @ G.entries.T + rng.standard_normal((7, 9))
+        whole = detect_batch(Y, cfg, 1.0)
+        monkeypatch.setattr(detector, "_SWEEP_VALUES", 30)  # a trial or two per slice
+        sliced = detect_batch(Y, cfg, 1.0)
+        assert np.array_equal(whole.symbols, sliced.symbols)
+        assert np.array_equal(whole.tie_counts, sliced.tie_counts)
+        assert np.array_equal(whole.unit_predictions, sliced.unit_predictions)
+
+    def test_validation(self, cfg2):
+        with pytest.raises(ValueError):
+            detect_batch(np.zeros(9), cfg2, 0.0)
+        with pytest.raises(ValueError):
+            detect_batch(np.zeros((0, 9)), cfg2, 0.0)
+        with pytest.raises(ValueError):
+            detect_batch(np.zeros((2, 9)), cfg2, -1.0)
+
+
 class TestBruteForceOracle:
     def test_noiseless_exact_on_distinct_columns(self, P3):
         # P3 itself is a 3x3 pattern with distinct columns: x recovered exactly
@@ -410,6 +509,23 @@ class TestSic:
         for seed in range(30):
             x = np.random.default_rng(seed).choice([-1.0, 1.0], size=18)
             y = G.entries @ x
+            assert np.array_equal(
+                recursive_detect(y, plain, 0.0).symbols,
+                recursive_detect(y, sic, 0.0).symbols,
+            )
+
+    def test_noiseless_equals_plain_when_classes_share_two_equations(self, F12):
+        # class 2 of this factor shares two equations with class 3, so class
+        # 3's reconstruction is subtracted twice from class 2's sum
+        P = PatternMatrix(np.array([[1, 0, 1, 1], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]))
+        design = find_combiners(P)
+        chain = FactorChain(F12, P, 2)
+        plain = _cfg(chain, design)
+        sic = _cfg(chain, design, final_mode="sic", sic_symbols=(2,))
+        G = build_chain(chain)
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            y = G.entries @ rng.choice([-1.0, 1.0], size=G.cols)
             assert np.array_equal(
                 recursive_detect(y, plain, 0.0).symbols,
                 recursive_detect(y, sic, 0.0).symbols,
@@ -495,6 +611,11 @@ class TestDetectionConfig:
             _cfg(chain_9x18, design3, power_offsets=np.ones(5))
         with pytest.raises(DetectionError):
             _cfg(chain_9x18, design3, power_offsets=np.zeros(18))
+        for bad in (np.nan, np.inf):
+            offs = np.ones(18)
+            offs[3] = bad
+            with pytest.raises(DetectionError):
+                _cfg(chain_9x18, design3, power_offsets=offs)
 
     def test_mode_validated(self, chain_9x18, design3):
         with pytest.raises(DetectionError):

@@ -59,6 +59,23 @@ class TestTrialRng:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
+    @pytest.mark.parametrize("seed", [0, 1, 123456789, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 7, 1000, 2**40, 2**64, 2**64 + 5, 2**100 + 3])
+    def test_same_bits_as_jumped_stream(self, seed, index):
+        # the stream is defined as Philox(key=seed).jumped(index)
+        ref = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        got = trial_rng(seed, index)
+        assert np.array_equal(got.integers(0, 4, size=54), ref.integers(0, 4, size=54))
+        assert np.array_equal(got.standard_normal(27), ref.standard_normal(27))
+        for word in ("counter", "key"):
+            assert np.array_equal(
+                got.bit_generator.state["state"][word], ref.bit_generator.state["state"][word]
+            )
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            trial_rng(0, -1)
+
 
 class TestSynthesizeRx:
     def test_noiseless_is_exact(self, chain_9x18):
@@ -209,6 +226,22 @@ class TestRunMonteCarlo:
             run_monte_carlo(
                 mc_cfg, [1.0], 10, seed=0, detector="oracle", oracle_hypothesis_cap=10
             )
+
+    def test_chunking_does_not_change_results(self, mc_cfg, chain_9x18, design3, monkeypatch):
+        from kronnoma import simkit
+
+        sic = DetectionConfig(
+            chain=chain_9x18, design=design3, constellation=QPSK,
+            final_mode="sic", sic_symbols=(2,),
+        )
+        runs = []
+        for values in (simkit._CHUNK_VALUES, 7, 20):  # one chunk, then chunks of 1 to 6 trials
+            monkeypatch.setattr(simkit, "_CHUNK_VALUES", values)
+            runs.append((
+                run_monte_carlo(mc_cfg, [1.0, 10.0], 23, seed=3, with_oracle=True),
+                run_monte_carlo(sic, [2.0], 19, seed=4),
+            ))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_zero_trials_empty(self, mc_cfg):
         assert run_monte_carlo(mc_cfg, [1.0], 0, seed=0) == []
