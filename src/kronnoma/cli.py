@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -348,9 +349,27 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(**kw)
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads a value that starts with '-' as an option unless it is a
+    plain number, so `--snr-db -3,0,5` fails; rewrite it as `--snr-db=-3,0,5`.
+    No option name starts with a digit, so this never swallows a flag."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser().parse_args(_attach_negative_values(argv))
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
         return int(exc.code or 0)
     try:

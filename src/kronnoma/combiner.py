@@ -22,15 +22,13 @@ column (the suite pins the resulting 3x3 and 4x4 reference designs).
 from __future__ import annotations
 
 import itertools
-import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .pattern import FactorChain, PatternMatrix, search_space_size
+from .pattern import FactorChain, PatternMatrix
 from .rate import sum_rate_recursive
 
 # full enumeration is practical up to here; the hard cap bounds what the
@@ -39,9 +37,6 @@ DEFAULT_ENUMERATION_CAP = 5
 HARD_ENUMERATION_CAP = 8
 
 DEFAULT_REFERENCE_SNR = 10.0  # linear; equals 10 dB
-
-ENV_WORKERS = "KRONNOMA_THREADS"
-_PARALLEL_THRESHOLD = 20_000  # below this many candidates, serial is faster
 
 
 class CapExceeded(RuntimeError):
@@ -244,24 +239,17 @@ def _matrix_from_column_values(m_p: int, values: Sequence[int]) -> PatternMatrix
     return PatternMatrix(ent)
 
 
-@dataclass(frozen=True)
-class ScorerSpec:
-    """Parameters of the default rate-based scorer (picklable for workers)."""
+def _default_scorer(snr: float) -> Callable[[CombinerDesign], float]:
+    """Closed-form sum rate of a design under a [1 1] seed with one recursion."""
+    F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
 
-    F_data: tuple[tuple[int, ...], ...] = ((1, 1),)
-    r: int = 1
-    snr: float = DEFAULT_REFERENCE_SNR
+    def score(design: CombinerDesign) -> float:
+        chain = FactorChain(F, design.P, 1)
+        # sorted gains: the rate is permutation-symmetric, and sorting
+        # makes equal gain multisets produce bit-identical floats
+        return sum_rate_recursive(chain, sorted(design.gains, reverse=True), snr)
 
-    def build(self) -> Callable[[CombinerDesign], float]:
-        F = PatternMatrix(np.asarray(self.F_data, dtype=np.int64))
-
-        def score(design: CombinerDesign) -> float:
-            chain = FactorChain(F, design.P, self.r)
-            # sorted gains: the rate is permutation-symmetric, and sorting
-            # makes equal gain multisets produce bit-identical floats
-            return sum_rate_recursive(chain, sorted(design.gains, reverse=True), self.snr)
-
-        return score
+    return score
 
 
 @dataclass(frozen=True)
@@ -274,37 +262,6 @@ def _rank_key(item: ScoredDesign) -> tuple:
     return (-item.score, item.design.P.column_values())
 
 
-def _evaluate_span(m_p: int, lo: int, hi: int, spec: ScorerSpec) -> list[tuple[float, tuple]]:
-    """Worker body: score candidates lo..hi (by enumeration index)."""
-    scorer = spec.build()
-    out = []
-    span = itertools.islice(itertools.combinations(range(1, 2**m_p), m_p), lo, hi)
-    for cols in span:
-        P = _matrix_from_column_values(m_p, cols)
-        try:
-            design = find_combiners(P)
-        except CombinerInfeasible:
-            continue
-        out.append((scorer(design), cols))
-    return out
-
-
-def _resolve_workers(workers: int | None, n_candidates: int) -> int:
-    if workers is None:
-        raw = os.environ.get(ENV_WORKERS, "0")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from exc
-    if workers < 0:
-        raise ValueError("worker count must be >= 0")
-    if workers == 0:  # auto
-        if n_candidates < _PARALLEL_THRESHOLD:
-            return 1
-        return min(os.cpu_count() or 1, 8)
-    return workers
-
-
 def run_algorithm1(
     m_p: int,
     scorer: Callable[[CombinerDesign], float] | None = None,
@@ -312,47 +269,21 @@ def run_algorithm1(
     ref_snr: float = DEFAULT_REFERENCE_SNR,
     max_mp: int = DEFAULT_ENUMERATION_CAP,
     top: int | None = None,
-    workers: int | None = None,
 ) -> list[ScoredDesign]:
     """Enumerate every candidate square factor, solve its combiners, and rank
     feasible designs by score (descending), ties broken by canonical column
     encoding ascending.
 
     The default scorer is the closed-form sum rate for a [1 1] seed with one
-    recursion at reference SNR `ref_snr` (linear).  Candidate evaluation is
-    side-effect free, so spans can be scored in parallel worker processes and
-    merged deterministically; KRONNOMA_THREADS (0 = auto) sets the default
-    worker count.
+    recursion at reference SNR `ref_snr` (linear).
     """
-    _check_cap(m_p, max_mp)
-    n = search_space_size(m_p, m_p)
-    spec = ScorerSpec(snr=float(ref_snr))
-    use_spec = scorer is None
-
-    scored: list[tuple[float, tuple]] = []
-    nworkers = _resolve_workers(workers, n) if use_spec else 1
-    if use_spec and nworkers > 1:
-        chunk = -(-n // nworkers)
-        spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        # imported here: the pool's modules add ~30 ms to every start of the CLI
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(_evaluate_span, m_p, lo, hi, spec) for lo, hi in spans]
-            for fut in futures:
-                scored.extend(fut.result())
-        results = [
-            ScoredDesign(find_combiners(_matrix_from_column_values(m_p, cols)), s)
-            for s, cols in scored
-        ]
-    else:
-        score_fn = spec.build() if use_spec else scorer
-        results = []
-        for P in enumerate_square_candidates(m_p, max_mp=max_mp):
-            try:
-                design = find_combiners(P)
-            except CombinerInfeasible:
-                continue
-            results.append(ScoredDesign(design, float(score_fn(design))))
+    score_fn = scorer if scorer is not None else _default_scorer(float(ref_snr))
+    results = []
+    for P in enumerate_square_candidates(m_p, max_mp=max_mp):
+        try:
+            design = find_combiners(P)
+        except CombinerInfeasible:
+            continue
+        results.append(ScoredDesign(design, float(score_fn(design))))
     results.sort(key=_rank_key)
     return results[:top] if top is not None else results

@@ -167,35 +167,6 @@ class FactorChain:
         )
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-user channel vectors h_k (length M each) plus the noise variance.
-
-    Only the equalized AWGN model y = G x + n is exercised by this package;
-    fading synthesis and CSI estimation are out of scope, this container just
-    keeps realizations well-formed for callers that carry them around.
-    """
-
-    gains: np.ndarray  # (K, M), one row per user
-    noise_variance: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.gains)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("channel gains must be a nonempty (K, M) array")
-        if not self.noise_variance >= 0:
-            raise ValueError("noise variance must be nonnegative")
-        object.__setattr__(self, "gains", arr)
-
-    @property
-    def n_users(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_resources(self) -> int:
-        return self.gains.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------

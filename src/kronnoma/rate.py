@@ -84,13 +84,20 @@ def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float) -> float
     gram = F @ F.T
     eye = np.eye(chain.m_f)
     total = 0.0
-    for comp in compositions(chain.r, chain.m_p):
-        boost = Fraction(1)
-        for g, e in zip(gains, comp):
-            boost *= g**e
-        coeff = snr * float(boost)
-        total += multinomial(comp) * _log2_det_posdef(eye + coeff * gram)
-    return total / (2 * chain.M)
+    try:
+        for comp in compositions(chain.r, chain.m_p):
+            boost = Fraction(1)
+            for g, e in zip(gains, comp):
+                boost *= g**e
+            coeff = snr * float(boost)
+            total += multinomial(comp) * _log2_det_posdef(eye + coeff * gram)
+            if not math.isfinite(total):
+                raise OverflowError("a log-det term is not finite")
+        return total / (2 * chain.M)
+    except OverflowError as exc:
+        raise ValueError(
+            f"the rate of a depth-{chain.r} chain at snr={snr:.6g} exceeds the float range ({exc})"
+        ) from exc
 
 
 def sum_rate_pdma(A: PatternMatrix, snr: float) -> float:

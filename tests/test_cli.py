@@ -73,6 +73,19 @@ class TestSearch:
         assert main(["search", "--mp", "3", "--ref-snr-db", "nan"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mp, digest",
+        [
+            ("3", "a18b9108bf65274777a31031f53c557ad5e68077172146137cf5acccdfe7691e"),
+            ("4", "4ffdff30e6e905f569c32ac21db7c2b5f08f8b0cef8fee9369b12d5bb2a7f3f4"),
+        ],
+    )
+    def test_golden_search_json(self, tmp_path, mp, digest):
+        # every feasible design, its combiners and the ranking, pinned byte for byte
+        out = tmp_path / f"mp{mp}.json"
+        assert main(["search", "--mp", mp, "--json-out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestDesign:
     def test_round_trip(self, tmp_path, P3, design3):
@@ -173,6 +186,13 @@ class TestRate:
         # int() of an infinite point count would raise OverflowError
         assert main(["rate", "--chain", chain_file, "--snr-db-max", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_deep_chain_overflow_exit_2(self, tmp_path, F12, P3, capsys):
+        # float((4/3)^3000) does not exist: the CLI must report it, not crash
+        deep = tmp_path / "deep.json"
+        dump_chain(FactorChain(F12, P3, 3000), str(deep))
+        assert main(["rate", "--chain", str(deep), "--baselines", "oma"]) == 2
+        assert "depth-3000 chain at snr=1 exceeds the float range" in capsys.readouterr().err
 
     def test_byte_deterministic(self, tmp_path, chain_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -299,6 +319,15 @@ class TestSimulate:
                      "--csv-out", str(out)])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_negative_grid_space_separated(self, tmp_path, chain_file):
+        # argparse alone reads "-3,0,5" as an option and refuses the first form
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["simulate", "--chain", chain_file, "--trials", "10", "--seed", "3"]
+        assert main(args + ["--snr-db", "-3,0,5", "--csv-out", str(a)]) == 0
+        assert main(args + ["--snr-db=-3,0,5", "--csv-out", str(b)]) == 0
+        assert a.read_text().splitlines()[1].startswith("-3,10,")
+        assert a.read_bytes() == b.read_bytes()
 
     def test_descending_grid_exit_2(self, chain_file):
         assert main(["simulate", "--chain", chain_file, "--snr-db", "10,0",

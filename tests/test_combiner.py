@@ -226,20 +226,6 @@ class TestRunAlgorithm1:
             (sd.design.P.column_values(), sd.score) for sd in b
         ]
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        serial = run_algorithm1(3, workers=1)
-        parallel = run_algorithm1(3, workers=2)
-        assert [(sd.design.P.column_values(), sd.score) for sd in serial] == [
-            (sd.design.P.column_values(), sd.score) for sd in parallel
-        ]
-
-    def test_env_worker_validation(self, monkeypatch):
-        monkeypatch.setenv("KRONNOMA_THREADS", "not-a-number")
-        with pytest.raises(ValueError):
-            run_algorithm1(3)
-        monkeypatch.setenv("KRONNOMA_THREADS", "1")
-        assert len(run_algorithm1(3)) == 29
-
 
 @given(st.integers(2, 3))
 @settings(max_examples=10, deadline=None)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronnoma import (
-    ChannelRealization,
     DimensionOverflowError,
     FactorChain,
     PatternMatrix,
@@ -225,13 +224,3 @@ class TestSearchSpaceSize:
             search_space_size(0, 1)
         with pytest.raises(ValueError):
             search_space_size(3, 0)
-
-
-class TestChannelRealization:
-    def test_noise_variance_validation(self, chain_9x18):
-        G = build_chain(chain_9x18)
-        gains = np.ones((G.cols, G.rows))
-        ch = ChannelRealization(gains, 0.5)
-        assert ch.noise_variance == 0.5
-        with pytest.raises(ValueError):
-            ChannelRealization(gains, -1.0)

@@ -106,6 +106,13 @@ class TestSumRateRecursive:
         with pytest.raises(ValueError):
             sum_rate_recursive(chain_9x18, (Fraction(0),) * 3, 1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("r, snr", [(3000, 1.0), (2400, 1e10), (1, 1e308)])
+    def test_float_range_exceeded(self, F12, P3, r, snr):
+        # float((4/3)^3000) overflows; the other two make I + snr*boost*F F^T infinite
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            sum_rate_recursive(FactorChain(F12, P3, r), (Fraction(4, 3),) * 3, snr)
+
     @given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1.0, max_value=8.0))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_snr(self, chain_9x18, design3, snr, factor):
