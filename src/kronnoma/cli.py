@@ -30,10 +30,15 @@ from .simkit import BPSK, QPSK, run_monte_carlo
 
 _BASELINES = ("pdma", "oma", "example4")
 _CONSTELLATIONS = {"bpsk": BPSK, "qpsk": QPSK}
+# points of a `rate` grid; larger grids are refused before any is built
+MAX_GRID_POINTS = 100_000
 
 
 def db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"an SNR of {snr_db:g} dB exceeds the float range") from None
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,6 @@ def _detection_config(cfg: RunConfig, chain: FactorChain, design: CombinerDesign
         design=design,
         constellation=_CONSTELLATIONS[cfg.constellation],
         power_offsets=cfg.power_offsets,
-        final_mode="sic" if sic else "map",
         sic_symbols=(chain.m_p - 1,) if sic else (),
     )
 
@@ -314,8 +318,12 @@ def _range_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
         raise ValueError("--snr-db-step must be positive")
     if hi < lo:
         raise ValueError("--snr-db-max must be at least --snr-db-min")
-    n = int((hi - lo) / step + 1e-9) + 1
-    return tuple(lo + i * step for i in range(n))
+    span = (hi - lo) / step + 1e-9  # may be inf
+    if not span < MAX_GRID_POINTS:
+        raise CapExceeded(
+            f"the SNR grid would have {span + 1:.6g} points, above the cap ({MAX_GRID_POINTS})"
+        )
+    return tuple(lo + i * step for i in range(int(span) + 1))
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .pattern import FactorChain, PatternMatrix
+from .pattern import FactorChain, PatternMatrix, json_int, json_ints
 from .rate import sum_rate_recursive
 
 # full enumeration is practical up to here; the hard cap bounds what the
@@ -123,11 +123,14 @@ class CombinerDesign:
     def from_json_dict(cls, obj: dict) -> "CombinerDesign":
         P = PatternMatrix.from_json_dict(obj["P"])
         a = obj["alpha"]
-        alpha = np.asarray(a["data"], dtype=np.int64).reshape(int(a["rows"]), int(a["cols"]))
+        rows, cols = json_int(a["rows"], "alpha rows"), json_int(a["cols"], "alpha cols")
+        data = json_ints(a["data"], "alpha data")
+        if len(data) != rows * cols:
+            raise ValueError("alpha data length does not match rows*cols")
         return cls(
             P=P,
-            alpha=alpha,
-            weights=tuple(int(w) for w in obj["weights"]),
+            alpha=np.asarray(data, dtype=np.int64).reshape(rows, cols),
+            weights=tuple(json_ints(obj["weights"], "weights")),
             gains=tuple(Fraction(g) for g in obj["gains"]),
         )
 

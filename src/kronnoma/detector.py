@@ -8,9 +8,9 @@ remaining m_p axis with every class's coefficient vector (signed sums, since
 alpha has entries in {-1, 0, +1}), routing class j's outputs to branch j.
 After r levels each trial holds m_p^r small regular sets over the outer
 factor F, one per branch path, and one vectorised exhaustive MAP sweep over
-(trials, paths, hypotheses) decides them all.  With final_mode 'sic' the
-designated classes skip the last level's combining and are decided, batched
-over trials and parents, by cancelling the siblings' decided unit
+(trials, paths, hypotheses) decides them all.  The classes listed in a
+nonempty sic_symbols skip the last level's combining and are decided,
+batched over trials and parents, by cancelling the siblings' decided unit
 predictions out of the raw group equations.
 
 detect_batch is that kernel and the only implementation of the receiver:
@@ -26,8 +26,8 @@ Scalar-operation accounting model (documented contract):
   {-1, 0, +1} costs nnz - 1 additions and no multiplications;
 * one exhaustive final-stage invocation over the outer factor F (m_f rows,
   k_f columns, nnz(F) ones) with alphabet size Q enumerates H = Q^k_f
-  hypotheses and costs
-      N_add = H * (nnz(F) + m_f - 1)      (+ H if priors are non-uniform)
+  equiprobable hypotheses and costs
+      N_add = H * (nnz(F) + m_f - 1)
       N_mul = H * (k_f + 2 * m_f)
   per invocation (per-row synthesis, residuals, squares, accumulation);
 * a successive-cancellation final stage additionally reconstructs up to
@@ -103,7 +103,6 @@ def final_stage_costs(
     F: PatternMatrix,
     alphabet_size: int,
     *,
-    uniform_priors: bool = True,
     cancel_classes: int = 0,
 ) -> tuple[int, int]:
     """Scalar (adds, muls) of one exhaustive final-stage invocation.
@@ -118,8 +117,6 @@ def final_stage_costs(
     nnz = int(F.entries.sum())
     n_add = hypotheses * (nnz + F.rows - 1)
     n_mul = hypotheses * (F.cols + 2 * F.rows)
-    if not uniform_priors:
-        n_add += hypotheses
     if cancel_classes:
         n_add += F.rows * cancel_classes
         n_mul += F.rows * cancel_classes
@@ -174,24 +171,21 @@ class DetectionConfig:
     """Everything a detection pass needs besides the received vector.
 
     power_offsets are per-user amplitude scalings (length K, all positive);
-    they keep superposed group sums identifiable.  final_mode "map" runs the
-    plain exhaustive final stage on every path; "sic" additionally rebuilds
-    the classes listed in sic_symbols at the last recursion by cancelling
-    the already-decided overlapping classes out of the raw group equations."""
+    they keep superposed group sums identifiable.  With sic_symbols empty
+    every path runs the plain exhaustive final stage; otherwise the listed
+    classes are rebuilt at the last recursion by cancelling the
+    already-decided overlapping classes out of the raw group equations."""
 
     chain: FactorChain
     design: CombinerDesign
     constellation: Constellation
     power_offsets: np.ndarray | None = None
-    final_mode: str = "map"
     sic_symbols: tuple[int, ...] = ()
     hypothesis_cap: int = DEFAULT_HYPOTHESIS_CAP
 
     def __post_init__(self):
         if self.design.P != self.chain.P:
             raise DetectionError("combiner design was built for a different inner factor")
-        if self.final_mode not in ("map", "sic"):
-            raise DetectionError("final_mode must be 'map' or 'sic'")
         offs = self.power_offsets
         offs = np.ones(self.chain.K) if offs is None else np.asarray(offs, dtype=float)
         if offs.shape != (self.chain.K,) or not np.all(np.isfinite(offs) & (offs > 0)):
@@ -200,8 +194,6 @@ class DetectionConfig:
         offs.setflags(write=False)
         object.__setattr__(self, "power_offsets", offs)
         sic = tuple(sorted(set(int(j) for j in self.sic_symbols)))
-        if sic and self.final_mode != "sic":
-            raise DetectionError("sic_symbols requires final_mode='sic'")
         if any(j < 0 or j >= self.chain.m_p for j in sic):
             raise DetectionError("sic_symbols must index inner-factor classes")
         object.__setattr__(self, "sic_symbols", sic)
@@ -214,7 +206,6 @@ class DetectionConfig:
         costs = final_stage_costs(
             self.chain.F,
             self.constellation.size,
-            uniform_priors=self.constellation.uniform_priors,
             cancel_classes=(self.chain.m_p - 1) if self.sic_symbols else 0,
         )
         return op_count_bounds(self.chain, *costs)
@@ -338,7 +329,6 @@ class _Sweep(NamedTuple):
     unit: np.ndarray  # (S, H, m_f) noiseless F (offs_s . x) per hypothesis
     wunit: np.ndarray  # (S, H, m_f) the same times the set's |weight|
     negative: np.ndarray  # (S,) w_s < 0: the set's equations are negated first
-    log_prior: np.ndarray | None  # (H,) summed log priors, None when uniform
     adds: int  # per invocation, by the accounting model
     muls: int
 
@@ -358,36 +348,27 @@ def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights, cap
     unit = np.array([(X * offs) @ Ft for offs in offsets]).reshape(len(offsets), n_hyp, F.rows)
     weights = np.asarray(weights, dtype=float)
     wunit = np.abs(weights)[:, None, None] * unit
-    log_prior = None
     n_add = n_hyp * (int(F.entries.sum()) + F.rows - 1)
-    if not constellation.uniform_priors:
-        log_prior = np.log(constellation.priors)[hyp].sum(axis=1)
-        n_add += n_hyp
-    return _Sweep(hyp, unit, wunit, weights < 0, log_prior, n_add, n_hyp * (k_f + 2 * F.rows))
+    return _Sweep(hyp, unit, wunit, weights < 0, n_add, n_hyp * (k_f + 2 * F.rows))
 
 
-def _decide(sweep: _Sweep, z, noise_variances, counters: OpCounters):
+def _decide(sweep: _Sweep, z, counters: OpCounters):
     """Winning hypothesis and tie count per (trial, set) for inputs
-    z (T, S, m_f) and per-set noise variances (S,).
+    z (T, S, m_f).
 
-    A set with a negative weight is decided on its negated equations (the
-    same equations, with a positive weight).  argmin takes the first
-    occurrence, so the lowest hypothesis index wins ties; the tie count is
-    the number of hypotheses sharing the best score."""
+    Hypotheses are equiprobable, so the MAP decision is the nearest one and
+    does not depend on the noise variance.  A set with a negative weight is
+    decided on its negated equations (the same equations, with a positive
+    weight).  argmin takes the first occurrence, so the lowest hypothesis
+    index wins ties; the tie count is the number of hypotheses sharing the
+    best score."""
     T, S = z.shape[:2]
     z = np.where(sweep.negative[:, None], -z, z)
     best = np.empty((T, S), dtype=np.intp)
     ties = np.empty((T, S), dtype=np.intp)
-    prior_scale = None
-    if sweep.log_prior is not None:
-        noisy = noise_variances > 0  # the noiseless metric has no prior term
-        prior_scale = 2.0 * np.where(noisy, noise_variances, 1.0)
     step = max(1, _SWEEP_VALUES // max(1, sweep.wunit.size))
     for lo in range(0, T, step):
         score = (np.abs(z[lo : lo + step, :, None, :] - sweep.wunit) ** 2).sum(axis=-1)
-        if prior_scale is not None:
-            with_prior = score / prior_scale[:, None] - sweep.log_prior
-            score = np.where(noisy[:, None], with_prior, score)
         b = score.argmin(axis=-1)
         best[lo : lo + step] = b
         ties[lo : lo + step] = (score == np.take_along_axis(score, b[..., None], -1)).sum(axis=-1)
@@ -481,7 +462,6 @@ class _SicStep(NamedTuple):
     j: int
     rows: np.ndarray
     cancel: tuple[tuple[int, int], ...]
-    d: int  # equations summed: the class's column weight
     sweep: _Sweep  # over the last level's parents
     positions: np.ndarray  # index of each decided set in path order
 
@@ -492,9 +472,7 @@ class _Plan(NamedTuple):
     levels: tuple[_Level, ...]
     plain: _Sweep  # the sets reached by combining at every level
     plain_positions: np.ndarray  # their indexes in path order
-    plain_mults: np.ndarray  # and their noise multipliers
     parent_weights: np.ndarray  # weights of the last level's parents (SIC)
-    parent_mults: np.ndarray  # and their noise multipliers
     sic: tuple[_SicStep, ...]
     sets: tuple[tuple[_SetInfo, bool], ...]  # (set, used_sic) in path order
     users: np.ndarray  # (m_p^r, k_f) users of each set in path order
@@ -535,15 +513,13 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
         d = rows.size
         infos = [_SetInfo(p.path + (j,), p.weight * d, p.gain * d, p.mult * d) for p in parents]
         by_path.update((s.path, (s, True)) for s in infos)
-        steps.append(_SicStep(j, rows, cancel, d, sweep(infos), positions(infos)))
+        steps.append(_SicStep(j, rows, cancel, sweep(infos), positions(infos)))
     paths = list(itertools.product(range(m_p), repeat=r))
     return _Plan(
         levels=tuple(levels),
         plain=sweep(sets),
         plain_positions=positions(sets),
-        plain_mults=np.array([s.mult for s in sets], dtype=np.int64),
         parent_weights=np.array([p.weight for p in parents], dtype=np.int64),
-        parent_mults=np.array([p.mult for p in parents], dtype=np.int64),
         sic=tuple(steps),
         sets=tuple(by_path[p] for p in paths),
         users=np.array([path_users(chain, p) for p in paths], dtype=np.intp),
@@ -557,10 +533,12 @@ def detect_batch(Y, cfg: DetectionConfig, noise_variance: float) -> BatchDetecti
     Recursion level l combines every path's consecutive m_p-equation groups
     with each class's coefficient vector (child paths in branch-lexicographic
     order), then one exhaustive MAP sweep decides all m_p^r final sets of
-    all trials.  With final_mode 'sic', the designated classes of each
-    last-level parent are decided by cancellation against the sibling
-    decisions instead.  Op counts are tallied over the batch as the work is
-    done and reported per detection."""
+    all trials.  The classes in a nonempty sic_symbols are decided, for
+    each last-level parent, by cancellation against the sibling decisions
+    instead.  With equiprobable symbols the MAP decision is the nearest
+    hypothesis, so noise_variance is validated but does not enter the
+    metric.  Op counts are tallied over the batch as the work is done and
+    reported per detection."""
     chain = cfg.chain
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[1] != chain.M:
@@ -586,14 +564,14 @@ def detect_batch(Y, cfg: DetectionConfig, noise_variance: float) -> BatchDetecti
     best = np.empty((T, S), dtype=np.intp)
     ties = np.empty((T, S), dtype=np.intp)
 
-    def solve(sweep: _Sweep, positions, z, noise_variances):
+    def solve(sweep: _Sweep, positions, z):
         values[:, positions] = z
-        best[:, positions], ties[:, positions] = _decide(sweep, z, noise_variances, counters)
+        best[:, positions], ties[:, positions] = _decide(sweep, z, counters)
         u = sweep.unit[np.arange(len(positions)), best[:, positions]]
         units[:, positions] = u
         return u
 
-    plain = solve(plan.plain, plan.plain_positions, raw[-1], noise_variance * plan.plain_mults)
+    plain = solve(plan.plain, plan.plain_positions, raw[-1])
     if plan.sic:
         n_parents = len(plan.parent_weights)
         blocks = raw[-2].reshape(T, n_parents, chain.m_f, chain.m_p)
@@ -601,10 +579,7 @@ def detect_batch(Y, cfg: DetectionConfig, noise_variance: float) -> BatchDetecti
         known = {j: decided[:, :, c] for c, j in enumerate(plan.levels[-1].classes)}
         for step in plan.sic:
             zeta = _cancel(blocks, step.rows, step.cancel, known, plan.parent_weights, counters)
-            # (sigma^2 * parent multiplier) * d, in the order of a single-set call
-            known[step.j] = solve(
-                step.sweep, step.positions, zeta, noise_variance * plan.parent_mults * step.d
-            )
+            known[step.j] = solve(step.sweep, step.positions, zeta)
 
     symbols = np.empty((T, chain.K), dtype=cfg.constellation.symbols.dtype)
     symbols[:, plan.users.reshape(-1)] = cfg.constellation.symbols[plan.plain.hyp[best]].reshape(T, -1)
@@ -660,7 +635,8 @@ def final_stage_map(
     values before the weight.  Ties on the decision metric are broken toward
     the lowest hypothesis index and reported via tie count; the weight must
     be positive (flip the sign of z and weight together for a negative
-    weight, the equations are equivalent)."""
+    weight, the equations are equivalent).  Symbols are equiprobable, so
+    noise_variance is validated but does not enter the metric."""
     z = np.asarray(z)
     if z.shape != (F.rows,):
         raise ValueError("z must have one value per outer-factor row")
@@ -672,7 +648,7 @@ def final_stage_map(
     if offs.shape != (F.cols,):
         raise ValueError("power offsets must have one entry per set user")
     sweep = _sweep(F, constellation, [offs], [weight], hypothesis_cap)
-    best, ties = _decide(sweep, z[None, None], np.array([noise_variance]), counters or OpCounters())
+    best, ties = _decide(sweep, z[None, None], counters or OpCounters())
     b = int(best[0, 0])
     return tuple(constellation.symbols[sweep.hyp[b]]), int(ties[0, 0]), sweep.unit[0, b]
 
@@ -714,7 +690,7 @@ def sic_enhanced_final(
         path = parent_path + (j,)
         users = path_users(chain, path)
         sweep = _sweep(chain.F, cfg.constellation, [cfg.power_offsets[list(users)]], [weight], cfg.hypothesis_cap)
-        best, ties = _decide(sweep, zeta, np.array([noise_variance * parent_noise_mult * d_j]), counters)
+        best, ties = _decide(sweep, zeta, counters)
         b = int(best[0, 0])
         known[j] = sweep.unit[:, b][None]
         out.append(
@@ -739,7 +715,7 @@ def recursive_detect(y, cfg: DetectionConfig, noise_variance: float) -> Detectio
 
     The batched kernel on a batch of one, with the full trace: level l
     starts from m_p^(l-1) super-groups of m_f * m_p^(r-l+1) equations, and
-    final sets come out sorted by path.  With final_mode 'sic', the
+    final sets come out sorted by path.  With a nonempty sic_symbols, the
     designated classes of each last-level super-group are decided by
     cancellation against the sibling decisions."""
     chain = cfg.chain
@@ -829,10 +805,12 @@ def brute_force_map_oracle(
     """Joint MAP over all Q^K hypotheses on the full pattern matrix.
 
     Exponential reference detector used to validate the recursive one.
-    Evaluates hypotheses in chunks; raises HypothesisCapExceeded rather than
-    attempt an infeasible sweep.  Returns (symbols, tie count) with ties
-    broken toward the lowest hypothesis index (first symbol most
-    significant), matching the final-stage convention."""
+    Symbols are equiprobable, so the MAP hypothesis is the nearest one and
+    noise_variance does not enter the metric.  Evaluates hypotheses in
+    chunks; raises HypothesisCapExceeded rather than attempt an infeasible
+    sweep.  Returns (symbols, tie count) with ties broken toward the lowest
+    hypothesis index (first symbol most significant), matching the
+    final-stage convention."""
     y = np.asarray(y)
     if y.shape != (G.rows,):
         raise ValueError("y must have one value per resource element")
@@ -846,10 +824,6 @@ def brute_force_map_oracle(
     if offs.shape != (K,):
         raise ValueError("power offsets must have one entry per user")
     Gf = G.entries.T.astype(float)
-    logpri = None
-    if not constellation.uniform_priors and noise_variance > 0:
-        logpri = np.log(constellation.priors)
-
     chunk = 1 << 16
     best_score = math.inf
     best_idx = -1
@@ -862,8 +836,6 @@ def brute_force_map_oracle(
         X = constellation.symbols[idx]
         pred = (X * offs) @ Gf
         score = (np.abs(y - pred) ** 2).sum(axis=1)
-        if logpri is not None:
-            score = score / (2.0 * noise_variance) - logpri[idx].sum(axis=1)
         lo = float(score.min())
         if lo < best_score:
             best_score = lo

@@ -30,6 +30,26 @@ class DimensionOverflowError(ValueError):
     """A factor chain would materialize an impractically large matrix."""
 
 
+def json_int(value, what: str) -> int:
+    """A 64-bit integer read from JSON; floats and booleans are refused,
+    not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r:.32}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{what} is outside the 64-bit range")
+    return value
+
+
+def json_ints(values, what: str) -> list[int]:
+    """A JSON list of integers, checked entry by entry."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers")
+    entry = f"each entry of {what}"
+    for v in values:
+        json_int(v, entry)
+    return values
+
+
 def _as_binary_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.int64)
     if arr.ndim != 2 or arr.size == 0:
@@ -67,11 +87,6 @@ class PatternMatrix:
         # advisory only: values <= 1 are legal (sub-loaded designs, factors)
         return self.cols / self.rows
 
-    @property
-    def valid_regular_design(self) -> bool:
-        """True iff every column is nonzero and all columns are distinct."""
-        return validate_distinct_nonzero_columns(self).ok
-
     def column_values(self) -> tuple[int, ...]:
         """Per-column binary integer encoding; row 0 is the least significant bit."""
         weights = 1 << np.arange(self.rows, dtype=np.int64)
@@ -91,11 +106,11 @@ class PatternMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PatternMatrix":
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = np.asarray(obj["data"], dtype=np.int64)
-        if data.size != rows * cols:
+        rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
+        data = json_ints(obj["data"], "matrix data")
+        if len(data) != rows * cols:
             raise ValueError("matrix data length does not match rows*cols")
-        return cls(data.reshape(rows, cols))
+        return cls(np.asarray(data, dtype=np.int64).reshape(rows, cols))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternMatrix):
@@ -163,7 +178,7 @@ class FactorChain:
         return cls(
             F=PatternMatrix.from_json_dict(obj["F"]),
             P=PatternMatrix.from_json_dict(obj["P"]),
-            r=int(obj["r"]),
+            r=json_int(obj["r"], "r"),
         )
 
 
@@ -176,12 +191,14 @@ def kronecker(A: PatternMatrix, B: PatternMatrix) -> PatternMatrix:
     return PatternMatrix(np.kron(A.entries, B.entries))
 
 
-def build_chain(chain: FactorChain, *, max_elements: int = MAX_BUILD_ELEMENTS) -> PatternMatrix:
+def build_chain(chain: FactorChain) -> PatternMatrix:
     """Materialize G = F (x) P^{(x) r}; r = 0 returns F itself."""
-    if chain.M * chain.K > max_elements:
+    if chain.M * chain.K > MAX_BUILD_ELEMENTS:
+        # M and K in factored form: at depth r their decimal digits grow without bound
+        m_f, k_f, m_p, r = chain.m_f, chain.k_f, chain.m_p, chain.r
         raise DimensionOverflowError(
-            f"chain would materialize {chain.M} x {chain.K} entries "
-            f"(> {max_elements}); refuse to build"
+            f"chain would materialize a {m_f}*{m_p}^{r} x {k_f}*{m_p}^{r} matrix "
+            f"(> {MAX_BUILD_ELEMENTS} entries); refuse to build"
         )
     G = chain.F
     for _ in range(chain.r):

@@ -117,24 +117,26 @@ def sum_rate_oma(snr: float) -> float:
     return 0.5 * math.log2(1.0 + snr)
 
 
+# the 9x18 reference configuration: seed [1 1], the optimal 3x3 square
+# factor (combining gains 4/3, 4/3, 4/3), two recursions
+_SIC_REFERENCE_CHAIN = FactorChain(
+    PatternMatrix(np.array([[1, 1]])),
+    PatternMatrix(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])),
+    2,
+)
+# branch 2 is cancelled instead of combined: its gain is its column weight in
+# P, the rule the detector applies to a cancelled class
+_SIC_REFERENCE_GAINS = (Fraction(4, 3), Fraction(4, 3), Fraction(2))
+
+
 def sum_rate_sic_reference(snr: float) -> float:
-    """Rate of the fixed 18-user / 9-RE reference configuration (seed [1 1],
-    optimal 3x3 square factor, two recursions) when the third combining
-    branch is detected by cancelling the already-decided branches instead of
-    linear combining, which lifts that branch's per-level gain from 4/3 to 2:
+    """Rate of the fixed 18-user / 9-RE reference configuration when the
+    third combining branch is cancelled at every recursion level: the
+    recursive rate with per-branch gains (4/3, 4/3, 2), which gives 4 paths
+    boosted 16/9, 4 boosted 8/3 and 1 boosted 4.
 
-        (4/18) log2(1 + 2*(4/3)^2 snr)   paths boosted (4/3)*(4/3)
-      + (4/18) log2(1 + 2*(8/3)  snr)    paths boosted (4/3)*2
-      + (1/18) log2(1 + 2* 4     snr)    the doubly-cancelled path
-
-    Dedicated closed form for this one configuration; not a general
-    SIC-rate engine.
-    """
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    g = Fraction(4, 3)
-    return (
-        4 / 18 * math.log2(1.0 + 2.0 * float(g * g) * snr)
-        + 4 / 18 * math.log2(1.0 + 2.0 * float(2 * g) * snr)
-        + 1 / 18 * math.log2(1.0 + 2.0 * 4.0 * snr)
-    )
+    This is the `c_example4` baseline of `kronnoma rate`.  It does not
+    depend on the chain being rated, and it is a bound that no detector in
+    the package achieves: the SIC detector cancels at the last level only,
+    which gives 6 paths boosted 16/9 and 3 boosted 8/3."""
+    return sum_rate_recursive(_SIC_REFERENCE_CHAIN, _SIC_REFERENCE_GAINS, snr)

@@ -30,10 +30,9 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep the module graph acyclic
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Finite symbol alphabet with per-symbol priors (uniform by default)."""
+    """Finite symbol alphabet; symbols are equiprobable."""
 
     symbols: np.ndarray
-    priors: np.ndarray | None = None
 
     def __post_init__(self):
         sym = np.asarray(self.symbols)
@@ -42,27 +41,15 @@ class Constellation:
         sym = sym.copy()
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
-        if self.priors is not None:
-            pri = np.asarray(self.priors, dtype=float)
-            if pri.shape != sym.shape or np.any(pri < 0) or not math.isclose(pri.sum(), 1.0):
-                raise ValueError("priors must be a distribution over the symbols")
-            pri = pri.copy()
-            pri.setflags(write=False)
-            object.__setattr__(self, "priors", pri)
 
     @property
     def size(self) -> int:
         return int(self.symbols.size)
 
     @property
-    def uniform_priors(self) -> bool:
-        return self.priors is None
-
-    @property
     def average_power(self) -> float:
-        """Mean squared symbol magnitude P_x (prior-weighted if non-uniform)."""
-        p = np.full(self.size, 1.0 / self.size) if self.priors is None else self.priors
-        return float(p @ (np.abs(self.symbols) ** 2))
+        """Mean squared symbol magnitude P_x."""
+        return float(np.full(self.size, 1.0 / self.size) @ (np.abs(self.symbols) ** 2))
 
     @property
     def is_complex(self) -> bool:
@@ -134,8 +121,6 @@ class TrialRecord:
     transmitted: np.ndarray
     received: np.ndarray
     decisions: dict[str, np.ndarray]
-    symbol_correct: dict[str, np.ndarray]
-    coupled_correct: dict[str, np.ndarray]
     ambiguous: dict[str, bool]
 
 
@@ -319,10 +304,8 @@ def run_monte_carlo(
 
             got = decisions[primary]
             got_coupled = det.coupled_sums(got, groups, cfg.power_offsets)
-            sym_ok = got == X
-            coup_ok = got_coupled == det.coupled_sums(X, groups, cfg.power_offsets)
-            sym_err += int((~sym_ok).sum())
-            coup_err += int((~coup_ok).sum())
+            sym_err += int((got != X).sum())
+            coup_err += int((got_coupled != det.coupled_sums(X, groups, cfg.power_offsets)).sum())
             ambiguous += int(amb[primary].sum())
             if with_oracle and oracle_feasible and primary != "oracle":
                 oc = det.coupled_sums(decisions["oracle"], groups, cfg.power_offsets)
@@ -336,8 +319,6 @@ def run_monte_carlo(
                         transmitted=X[row],
                         received=Y[row],
                         decisions={name: d[row] for name, d in decisions.items()},
-                        symbol_correct={primary: sym_ok[row]},
-                        coupled_correct={primary: coup_ok[row]},
                         ambiguous={name: bool(a[row]) for name, a in amb.items()},
                     )
                     for row, i in enumerate(index)

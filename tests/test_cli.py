@@ -73,6 +73,11 @@ class TestSearch:
         assert main(["search", "--mp", "3", "--ref-snr-db", "nan"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_huge_ref_snr_exit_2(self, capsys):
+        # 10^(4000/10) is beyond the float range
+        assert main(["search", "--mp", "3", "--ref-snr-db", "4000"]) == 2
+        assert "4000 dB exceeds the float range" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "mp, digest",
         [
@@ -194,6 +199,51 @@ class TestRate:
         assert main(["rate", "--chain", str(deep), "--baselines", "oma"]) == 2
         assert "depth-3000 chain at snr=1 exceeds the float range" in capsys.readouterr().err
 
+    def test_huge_snr_exit_2(self, chain_file, capsys):
+        assert main(["rate", "--chain", chain_file, "--snr-db-min", "4000",
+                     "--snr-db-max", "4000"]) == 2
+        assert "4000 dB exceeds the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
+    def test_grid_cap_exit_3(self, chain_file, capsys, step):
+        # refused from the point count alone, before any point is built
+        assert main(["rate", "--chain", chain_file, "--snr-db-step", step]) == 3
+        assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", [3000, 20000])
+    def test_deep_chain_build_error_is_one_short_line(self, tmp_path, F12, P3, capsys, r):
+        deep = tmp_path / "deep.json"
+        dump_chain(FactorChain(F12, P3, r), str(deep))
+        assert main(["rate", "--chain", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "refuse to build" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("r", 2.7), ("r", True), ("P.data", [1, 1.9, 0, 1, 0, 1, 0, 1, 1]), ("P.rows", 3.5)],
+    )
+    def test_non_integer_chain_json_exit_2(self, tmp_path, chain_9x18, capsys, field, value):
+        obj = chain_9x18.to_json_dict()
+        if "." in field:
+            outer, inner = field.split(".")
+            obj[outer][inner] = value
+        else:
+            obj[field] = value
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(obj))
+        assert main(["rate", "--chain", str(path), "--snr-db-max", "0"]) == 2
+        assert "integer" in capsys.readouterr().err
+
+    def test_non_integer_design_weights_exit_2(self, tmp_path, chain_file, design3, capsys):
+        obj = design3.to_json_dict()
+        obj["weights"] = [2.9, 2, 2]
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(obj))
+        assert main(["rate", "--chain", chain_file, "--gains", str(design),
+                     "--snr-db-max", "0"]) == 2
+        assert "integer" in capsys.readouterr().err
+
     def test_byte_deterministic(self, tmp_path, chain_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["rate", "--chain", chain_file, "--snr-db-max", "10"]
@@ -300,6 +350,13 @@ class TestSimulate:
         assert main(["simulate", "--chain", chain1_file, "--snr-db", "10", "--trials", "5",
                      "--power-offsets", offs]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_huge_snr_exit_2(self, tmp_path, chain_file, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--chain", chain_file, "--snr-db", "4000",
+                     "--trials", "2", "--csv-out", str(out)]) == 2
+        assert "4000 dB exceeds the float range" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "detector, digest",

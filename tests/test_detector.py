@@ -13,7 +13,6 @@ from kronnoma import (
     BPSK,
     QPSK,
     CombinerDesign,
-    Constellation,
     DetectionConfig,
     DetectionError,
     FactorChain,
@@ -206,17 +205,6 @@ class TestFinalStageMap:
             best = min(abs(s - z / 4.0) for s in (-2.0, 0.0, 2.0))
             assert dist == pytest.approx(best, abs=1e-12)
 
-    def test_nonuniform_priors_shift_the_decision(self, F12):
-        skew = Constellation(np.array([-1.0, 1.0]), priors=np.array([0.99, 0.01]))
-        # with huge noise the prior term dominates and (-1,-1) wins despite
-        # a larger distance; with uniform priors the distance term picks ties
-        decided, _, _ = final_stage_map(
-            np.array([0.0]), F12, 1, skew, noise_variance=100.0
-        )
-        assert decided == (-1.0, -1.0)
-        decided, _, _ = final_stage_map(np.array([0.0]), F12, 1, BPSK, noise_variance=100.0)
-        assert decided == (-1.0, 1.0)
-
     def test_weight_must_be_positive(self, F12):
         with pytest.raises(ValueError):
             final_stage_map(np.array([1.0]), F12, 0, BPSK)
@@ -237,7 +225,6 @@ class TestFinalStageMap:
 class TestOpAccounting:
     def test_final_stage_costs_reference(self, F12):
         assert final_stage_costs(F12, 2) == (8, 16)
-        assert final_stage_costs(F12, 2, uniform_priors=False) == (12, 16)
         assert final_stage_costs(F12, 2, cancel_classes=2) == (10, 18)
 
     def test_bounds_reference_chain(self, chain_9x18):
@@ -382,7 +369,7 @@ class TestBatchedKernel:
         design = find_combiners(P)
         G = build_chain(chain)
         rng = np.random.default_rng([r, P.rows, con.size, mode == "sic"])
-        sic = dict(final_mode="sic", sic_symbols=(P.rows - 1,)) if mode == "sic" else {}
+        sic = dict(sic_symbols=(P.rows - 1,)) if mode == "sic" else {}
         for offs in (np.ones(chain.K), rng.uniform(0.5, 1.5, size=chain.K)):
             cfg = DetectionConfig(chain, design, con, power_offsets=offs, **sic)
             for nv in (0.0, 0.3, 2.0):
@@ -423,7 +410,7 @@ class TestBatchedKernel:
     def test_sweep_slicing_does_not_change_results(self, chain_9x18, design3, monkeypatch):
         from kronnoma import detector
 
-        cfg = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(2,))
+        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
         G = build_chain(chain_9x18)
         rng = np.random.default_rng(9)
         Y = rng.choice([-1.0, 1.0], size=(7, 18)) @ G.entries.T + rng.standard_normal((7, 9))
@@ -493,7 +480,7 @@ class TestBruteForceOracle:
 class TestSic:
     def test_noiseless_equals_plain_r1_exhaustive(self, chain_3x6, design3):
         plain = _cfg(chain_3x6, design3)
-        sic = _cfg(chain_3x6, design3, final_mode="sic", sic_symbols=(2,))
+        sic = _cfg(chain_3x6, design3, sic_symbols=(2,))
         G = build_chain(chain_3x6)
         for x in ALL_BPSK_6:
             y = G.entries @ x
@@ -504,7 +491,7 @@ class TestSic:
 
     def test_noiseless_equals_plain_r2_sampled(self, chain_9x18, design3):
         plain = _cfg(chain_9x18, design3)
-        sic = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(2,))
+        sic = _cfg(chain_9x18, design3, sic_symbols=(2,))
         G = build_chain(chain_9x18)
         for seed in range(30):
             x = np.random.default_rng(seed).choice([-1.0, 1.0], size=18)
@@ -521,7 +508,7 @@ class TestSic:
         design = find_combiners(P)
         chain = FactorChain(F12, P, 2)
         plain = _cfg(chain, design)
-        sic = _cfg(chain, design, final_mode="sic", sic_symbols=(2,))
+        sic = _cfg(chain, design, sic_symbols=(2,))
         G = build_chain(chain)
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -535,7 +522,7 @@ class TestSic:
         """Cancellation on the last recursion: summing the two equations that
         carry class 2 and subtracting the decided classes leaves 4*t with
         noise factor 6 and gain 8/3 — column weight 2 instead of gamma 4/3."""
-        cfg = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(2,))
+        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
         G = build_chain(chain_9x18)
         x = np.random.default_rng(17).choice([-1.0, 1.0], size=18)
         res = recursive_detect(G.entries @ x, cfg, 0.0)
@@ -551,47 +538,36 @@ class TestSic:
         plain_sets = [fs for fs in res.trace.final_sets if not fs.used_sic]
         assert all(fs.gain == Fraction(16, 9) for fs in plain_sets)
 
-    def test_empty_sic_set_is_plain(self, chain_9x18, design3):
-        plain = _cfg(chain_9x18, design3)
-        sic0 = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=())
-        G = build_chain(chain_9x18)
-        x = np.random.default_rng(2).choice([-1.0, 1.0], size=18)
-        y = G.entries @ x
-        a = recursive_detect(y, plain, 0.25)
-        b = recursive_detect(y, sic0, 0.25)
-        assert np.array_equal(a.symbols, b.symbols)
-        assert a.report == b.report
-
     def test_predecessor_violation(self, chain_9x18, design3):
         # classes 1 and 2 overlap; cancelling both leaves class 1 without a
         # decided class 2 to reconstruct
-        cfg = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(1, 2))
+        cfg = _cfg(chain_9x18, design3, sic_symbols=(1, 2))
         G = build_chain(chain_9x18)
         y = G.entries @ np.ones(18)
         with pytest.raises(SicPredecessorError):
             recursive_detect(y, cfg, 0.0)
 
     def test_all_sic_violates(self, chain_9x18, design3):
-        cfg = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(0, 1, 2))
+        cfg = _cfg(chain_9x18, design3, sic_symbols=(0, 1, 2))
         G = build_chain(chain_9x18)
         with pytest.raises(SicPredecessorError):
             recursive_detect(G.entries @ np.ones(18), cfg, 0.0)
 
     def test_r0_with_sic_violates(self, F12, P3, design3):
         chain = FactorChain(F12, P3, 0)
-        cfg = _cfg(chain, design3, final_mode="sic", sic_symbols=(2,))
+        cfg = _cfg(chain, design3, sic_symbols=(2,))
         with pytest.raises(SicPredecessorError):
             recursive_detect(np.zeros(1), cfg, 0.0)
 
     def test_direct_call_contract(self, chain_9x18, design3):
-        cfg = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(2,))
+        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
         with pytest.raises(SicPredecessorError):
             sic_enhanced_final(np.zeros(3), {}, cfg, noise_variance=1.0)
         with pytest.raises(ValueError):
             sic_enhanced_final(np.zeros(5), {}, cfg, noise_variance=1.0)
 
     def test_ops_stay_within_sic_bounds(self, chain_9x18, design3):
-        cfg = _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(2,))
+        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
         G = build_chain(chain_9x18)
         res = recursive_detect(G.entries @ np.ones(18), cfg, 0.0)
         # skipping class 2's combining saves adds; cancellation adds some back
@@ -619,11 +595,7 @@ class TestDetectionConfig:
 
     def test_mode_validated(self, chain_9x18, design3):
         with pytest.raises(DetectionError):
-            _cfg(chain_9x18, design3, final_mode="mldd")
-        with pytest.raises(DetectionError):
-            _cfg(chain_9x18, design3, sic_symbols=(1,))  # needs final_mode="sic"
-        with pytest.raises(DetectionError):
-            _cfg(chain_9x18, design3, final_mode="sic", sic_symbols=(7,))
+            _cfg(chain_9x18, design3, sic_symbols=(7,))
 
     def test_y_and_noise_validated(self, cfg2):
         with pytest.raises(ValueError):

@@ -35,6 +35,33 @@ def _mat(rows) -> PatternMatrix:
     return PatternMatrix(np.array(rows))
 
 
+# JSON look-alikes of small integers: a loader must refuse every non-integer
+json_numbers = st.one_of(
+    st.integers(-1, 4),
+    st.booleans(),
+    st.integers(-1, 4).map(float),
+    st.floats(-1, 4, allow_nan=False),
+)
+
+
+@st.composite
+def matrix_dicts(draw, rows=st.integers(1, 3), cols=st.integers(1, 4)):
+    """A valid matrix record, possibly with one number replaced by a look-alike."""
+    m, n = draw(rows), draw(cols)
+    obj = {"rows": m, "cols": n, "data": draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n))}
+    where = draw(st.sampled_from(["none", "rows", "cols", "data"]))
+    if where == "data":
+        obj["data"][draw(st.integers(0, m * n - 1))] = draw(json_numbers)
+    elif where != "none":
+        obj[where] = draw(json_numbers)
+    return obj
+
+
+def _same_json(a, b) -> bool:
+    # json text tells 1, 1.0 and true apart, where == does not
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 class TestPatternMatrix:
     def test_entries_are_read_only(self):
         P = _mat([[1, 0], [0, 1]])
@@ -71,6 +98,28 @@ class TestPatternMatrix:
     def test_json_round_trip(self, P4):
         blob = json.dumps(P4.to_json_dict())
         assert PatternMatrix.from_json_dict(json.loads(blob)) == P4
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": 1, "cols": 2, "data": [1, 1.9]},
+            {"rows": 3.5, "cols": 3, "data": [1, 1, 0, 1, 0, 1, 0, 1, 1]},
+            {"rows": 1, "cols": 2, "data": [1, True]},
+            {"rows": 1, "cols": 2, "data": [1, 2**64]},
+        ],
+    )
+    def test_json_refuses_non_integers(self, obj):
+        with pytest.raises(ValueError):
+            PatternMatrix.from_json_dict(obj)
+
+    @given(matrix_dicts())
+    @settings(max_examples=200, deadline=None)
+    def test_json_loader_accepts_only_exact_round_trips(self, obj):
+        try:
+            m = PatternMatrix.from_json_dict(obj)
+        except ValueError:
+            return
+        assert _same_json(m.to_json_dict(), obj)
 
     def test_equality_and_hash(self, P3):
         twin = _mat([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
@@ -143,6 +192,27 @@ class TestFactorChain:
         blob = json.dumps(chain_9x18.to_json_dict())
         assert FactorChain.from_json_dict(json.loads(blob)) == chain_9x18
 
+    @pytest.mark.parametrize("r", [2.7, True, "2"])
+    def test_json_refuses_non_integer_depth(self, chain_9x18, r):
+        obj = chain_9x18.to_json_dict()
+        obj["r"] = r
+        with pytest.raises(ValueError):
+            FactorChain.from_json_dict(obj)
+
+    @given(
+        F=matrix_dicts(rows=st.just(1), cols=st.integers(2, 3)),
+        P=matrix_dicts(rows=st.just(2), cols=st.just(2)),
+        r=st.one_of(st.integers(0, 3), json_numbers),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_json_loader_accepts_only_exact_round_trips(self, F, P, r):
+        obj = {"F": F, "P": P, "r": r}
+        try:
+            chain = FactorChain.from_json_dict(obj)
+        except ValueError:
+            return
+        assert _same_json(chain.to_json_dict(), obj)
+
 
 class TestBuildChain:
     def test_reference_chain_shape_and_duplicates(self, chain_9x18):
@@ -165,6 +235,15 @@ class TestBuildChain:
         chain = FactorChain(F12, P3, 20)
         with pytest.raises(DimensionOverflowError):
             build_chain(chain)
+
+    @pytest.mark.parametrize("r", [3000, 20000])
+    def test_overflow_message_is_bounded(self, F12, P3, r):
+        # M and K have ~r/2 digits; past 4300 digits str() of them fails
+        with pytest.raises(DimensionOverflowError) as exc:
+            build_chain(FactorChain(F12, P3, r))
+        message = str(exc.value)
+        assert "\n" not in message and len(message) < 200
+        assert f"3^{r}" in message
 
     def test_distinctness_propagates(self):
         # if F has distinct nonzero columns and P is invertible-like with

@@ -29,7 +29,6 @@ class TestConstellation:
     def test_bpsk(self):
         assert BPSK.symbols.tolist() == [-1.0, 1.0]
         assert BPSK.average_power == 1.0
-        assert BPSK.uniform_priors
         assert not BPSK.is_complex
 
     def test_qpsk_unit_power(self):
@@ -38,15 +37,7 @@ class TestConstellation:
 
     def test_priors_validated(self):
         with pytest.raises(ValueError):
-            Constellation(np.array([-1.0, 1.0]), priors=np.array([0.7, 0.7]))
-        with pytest.raises(ValueError):
-            Constellation(np.array([-1.0, 1.0]), priors=np.array([1.5, -0.5]))
-        with pytest.raises(ValueError):
             Constellation(np.array([1.0]))
-
-    def test_prior_weighted_power(self):
-        c = Constellation(np.array([0.0, 2.0]), priors=np.array([0.75, 0.25]))
-        assert c.average_power == pytest.approx(1.0)
 
 
 class TestTrialRng:
@@ -232,7 +223,7 @@ class TestRunMonteCarlo:
 
         sic = DetectionConfig(
             chain=chain_9x18, design=design3, constellation=QPSK,
-            final_mode="sic", sic_symbols=(2,),
+            sic_symbols=(2,),
         )
         runs = []
         for values in (simkit._CHUNK_VALUES, 7, 20):  # one chunk, then chunks of 1 to 6 trials
