@@ -160,28 +160,6 @@ def coefficient_vectors(m_p: int) -> tuple[np.ndarray, np.ndarray]:
     return _COEFF_CACHE[m_p]
 
 
-def gain_of(alpha_row: Sequence[int], P: PatternMatrix, j: int) -> Fraction:
-    """Exact gain w^2 / ||alpha||^2 of one coefficient vector for column j.
-
-    Raises CombiningContractError if the vector does not actually isolate
-    column j (C2 or C3 violated) or has entries outside {-1,0,+1}."""
-    a = np.asarray(alpha_row, dtype=np.int64)
-    if a.shape != (P.rows,):
-        raise ValueError("alpha_row length must equal m_p")
-    if not np.isin(a, (-1, 0, 1)).all():
-        raise CombiningContractError("alpha entries must be in {-1, 0, +1}")
-    if not 0 <= j < P.cols:
-        raise ValueError("column index out of range")
-    resp = a @ P.entries
-    w = int(resp[j])
-    if w == 0:
-        raise CombiningContractError("C2 violated: column response is zero")
-    others = np.delete(resp, j)
-    if np.any(others != 0):
-        raise CombiningContractError("C3 violated: other columns do not cancel")
-    return Fraction(w * w, int((a * a).sum()))
-
-
 def find_combiners(P: PatternMatrix) -> CombinerDesign:
     """Exhaustive per-column search over all 3^m_p coefficient vectors.
 

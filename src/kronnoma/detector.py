@@ -53,8 +53,9 @@ from .simkit import Constellation
 DEFAULT_HYPOTHESIS_CAP = 4096
 DEFAULT_ORACLE_CAP = 1 << 20
 
-# values per temporary array of the hypothesis sweep: larger batches are
-# swept a slice of trials at a time, so memory stays bounded
+# values per temporary array of a hypothesis sweep (the final stage's and
+# the oracle's): larger batches are swept a slice of trials at a time, so
+# memory stays bounded
 _SWEEP_VALUES = 1 << 17
 
 
@@ -64,6 +65,10 @@ class DetectionError(ValueError):
 
 class SicPredecessorError(DetectionError):
     """A cancellation stage needs a class decision that is not available."""
+
+
+class OpBoundViolation(DetectionError):
+    """Measured operation counts broke the closed-form accounting bounds."""
 
 
 class HypothesisCapExceeded(CapExceeded):
@@ -141,7 +146,8 @@ def op_count_bounds(chain: FactorChain, n_add_reg: int, n_mul_reg: int) -> OpCou
 
 @dataclass(frozen=True)
 class OpCountReport:
-    """Measured operation counts validated against the closed-form bounds."""
+    """Measured operation counts validated against the closed-form bounds;
+    a violation raises OpBoundViolation."""
 
     measured_adds: int
     measured_muls: int
@@ -150,17 +156,17 @@ class OpCountReport:
 
     def __post_init__(self):
         if self.measured_adds > self.bounds.total_adds:
-            raise AssertionError(
+            raise OpBoundViolation(
                 f"measured additions {self.measured_adds} exceed the bound "
                 f"{self.bounds.total_adds}"
             )
         if self.measured_muls > self.bounds.total_muls:
-            raise AssertionError(
+            raise OpBoundViolation(
                 f"measured multiplications {self.measured_muls} exceed the "
                 f"bound {self.bounds.total_muls}"
             )
         if self.final_invocations != self.bounds.final_sets:
-            raise AssertionError(
+            raise OpBoundViolation(
                 f"ran {self.final_invocations} final-stage invocations, "
                 f"expected {self.bounds.final_sets}"
             )
@@ -801,19 +807,24 @@ def brute_force_map_oracle(
     noise_variance: float = 1.0,
     *,
     hypothesis_cap: int = DEFAULT_ORACLE_CAP,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int | np.ndarray]:
     """Joint MAP over all Q^K hypotheses on the full pattern matrix.
 
     Exponential reference detector used to validate the recursive one.
     Symbols are equiprobable, so the MAP hypothesis is the nearest one and
-    noise_variance does not enter the metric.  Evaluates hypotheses in
-    chunks; raises HypothesisCapExceeded rather than attempt an infeasible
-    sweep.  Returns (symbols, tie count) with ties broken toward the lowest
-    hypothesis index (first symbol most significant), matching the
-    final-stage convention."""
+    noise_variance does not enter the metric.  y holds one received vector
+    (M,) or a batch (T, M).  Hypotheses are evaluated in chunks: each
+    chunk's predictions are built once and every trial is scored against
+    them, a block of trials at a time, so memory stays at one prediction
+    chunk plus one bounded score block.  Raises HypothesisCapExceeded rather
+    than attempt an infeasible sweep.  Returns (symbols, tie count), of
+    shapes (K,) and scalar for one vector or (T, K) and (T,) for a batch,
+    with ties broken toward the lowest hypothesis index (first symbol most
+    significant), matching the final-stage convention."""
     y = np.asarray(y)
-    if y.shape != (G.rows,):
+    if y.shape[-1:] != (G.rows,) or y.ndim > 2:
         raise ValueError("y must have one value per resource element")
+    Y = y.reshape(-1, G.rows)
     q, K = constellation.size, G.cols
     n_hyp = q**K
     if n_hyp > hypothesis_cap:
@@ -825,9 +836,10 @@ def brute_force_map_oracle(
         raise ValueError("power offsets must have one entry per user")
     Gf = G.entries.T.astype(float)
     chunk = 1 << 16
-    best_score = math.inf
-    best_idx = -1
-    ties = 0
+    T = Y.shape[0]
+    best_score = np.full(T, math.inf)
+    best_idx = np.full(T, -1, dtype=np.int64)
+    ties = np.zeros(T, dtype=np.int64)
     digits = q ** np.arange(K - 1, -1, -1, dtype=np.int64)
     for start in range(0, n_hyp, chunk):
         stop = min(start + chunk, n_hyp)
@@ -835,13 +847,21 @@ def brute_force_map_oracle(
         idx = (h[:, None] // digits) % q  # (chunk, K), first symbol most significant
         X = constellation.symbols[idx]
         pred = (X * offs) @ Gf
-        score = (np.abs(y - pred) ** 2).sum(axis=1)
-        lo = float(score.min())
-        if lo < best_score:
-            best_score = lo
-            best_idx = start + int(np.argmax(score == lo))
-            ties = int((score == lo).sum())
-        elif lo == best_score:
-            ties += int((score == lo).sum())
-    digits_best = (best_idx // digits) % q
-    return constellation.symbols[digits_best], ties
+        step = max(1, _SWEEP_VALUES // pred.size)
+        for lo in range(0, T, step):
+            rows = slice(lo, lo + step)
+            score = (np.abs(Y[rows, None, :] - pred) ** 2).sum(axis=-1)
+            first = score.argmin(axis=-1)
+            low = score[np.arange(score.shape[0]), first]
+            count = (score == low[:, None]).sum(axis=-1)
+            # per trial: a lower minimum restarts the count at its first
+            # occurrence; an equal one adds to the count of an earlier chunk
+            better = low < best_score[rows]
+            equal = low == best_score[rows]
+            ties[rows] = np.where(better, count, ties[rows] + equal * count)
+            best_idx[rows] = np.where(better, start + first, best_idx[rows])
+            best_score[rows] = np.where(better, low, best_score[rows])
+    symbols = constellation.symbols[(best_idx[:, None] // digits) % q]
+    if y.ndim == 1:
+        return symbols[0], int(ties[0])
+    return symbols, ties

@@ -285,19 +285,16 @@ def run_monte_carlo(
                 measured = (batch.report.measured_adds, batch.report.measured_muls)
                 primary = "recursive"
             if need_oracle and oracle_feasible:
-                found = [
-                    det.brute_force_map_oracle(
-                        y,
-                        G,
-                        con,
-                        power_offsets=cfg.power_offsets,
-                        noise_variance=noise_variance,
-                        hypothesis_cap=cap,
-                    )
-                    for y in Y
-                ]
-                decisions["oracle"] = np.array([osym for osym, _ in found])
-                amb["oracle"] = np.array([oties > 1 for _, oties in found])
+                osym, oties = det.brute_force_map_oracle(
+                    Y,
+                    G,
+                    con,
+                    power_offsets=cfg.power_offsets,
+                    noise_variance=noise_variance,
+                    hypothesis_cap=cap,
+                )
+                decisions["oracle"] = osym
+                amb["oracle"] = oties > 1
             if detector == "oracle":
                 primary = "oracle"
                 measured = (0, 0)  # the oracle is not part of the op budget

@@ -377,6 +377,37 @@ class TestSimulate:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_golden_oracle_9x18_csv(self, tmp_path, chain_file):
+        # fixed-seed output of the 2^18-hypothesis MAP oracle as the primary
+        # detector, pinned byte for byte
+        out = tmp_path / "oracle.csv"
+        code = main(["simulate", "--chain", chain_file, "--snr-db", "0,10,20",
+                     "--trials", "4", "--seed", "20261018", "--detector", "oracle",
+                     "--csv-out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e9042909dd46f710138e0a0a8e2ae698132598987e5326eb7f6677d26a09eb7f"
+        )
+
+    def test_op_bound_violation_exit_2(self, tmp_path, chain_file, capsys, monkeypatch):
+        # a final stage budgeted one addition short: the measured counts
+        # exceed the bound, which is reported on one line, not a traceback
+        from kronnoma import detector
+
+        real = detector.final_stage_costs
+
+        def short(*args, **kwargs):
+            adds, muls = real(*args, **kwargs)
+            return adds - 1, muls
+
+        monkeypatch.setattr(detector, "final_stage_costs", short)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--chain", chain_file, "--snr-db", "0", "--trials", "3",
+                     "--csv-out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: measured additions 108 exceed the bound 99\n"
+        assert not out.exists()
+
     def test_negative_grid_space_separated(self, tmp_path, chain_file):
         # argparse alone reads "-3,0,5" as an option and refuses the first form
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

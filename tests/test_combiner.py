@@ -18,7 +18,6 @@ from kronnoma import (
     coefficient_vectors,
     enumerate_square_candidates,
     find_combiners,
-    gain_of,
     run_algorithm1,
     search_space_size,
 )
@@ -37,25 +36,6 @@ class TestCoefficientVectors:
         as_tuples = [tuple(v) for v in vecs]
         assert as_tuples == sorted(as_tuples)
         assert norms.tolist() == [int(v @ v) for v in vecs]
-
-
-class TestGainOf:
-    def test_reference_column(self, P3):
-        assert gain_of([1, 1, -1], P3, 0) == THIRD
-
-    def test_identity_column(self):
-        eye = PatternMatrix(np.eye(3, dtype=int))
-        assert gain_of([0, 1, 0], eye, 1) == Fraction(1)
-
-    def test_rejects_zero_weight(self, P3):
-        # [0, 0, 0] produces no signal on any column
-        with pytest.raises(CombiningContractError):
-            gain_of([0, 0, 0], P3, 0)
-
-    def test_rejects_leakage(self, P3):
-        # [1, 0, 0] hits column 0 but leaks into column 1
-        with pytest.raises(CombiningContractError):
-            gain_of([1, 0, 0], P3, 0)
 
 
 class TestFindCombiners:
@@ -142,6 +122,29 @@ class TestCombinerDesign:
             CombinerDesign(
                 P=P3, alpha=design3.alpha, weights=design3.weights, gains=(Fraction(1),) * 3
             )
+
+    def test_reference_row_gain(self, P3):
+        # row [1, 1, -1] isolates column 0 of P3 with w = 2, ||alpha||^2 = 3
+        design = CombinerDesign(P3, np.array(ALPHA3_ROWS), (2, 2, 2), (THIRD,) * 3)
+        assert design.alpha[0].tolist() == [1, 1, -1]
+        assert design.gains[0] == THIRD
+
+    def test_identity_rows_have_unit_gain(self):
+        eye = PatternMatrix(np.eye(3, dtype=int))
+        design = CombinerDesign(eye, np.eye(3, dtype=int), (1, 1, 1), (Fraction(1),) * 3)
+        assert design.gains[1] == Fraction(1)
+
+    def test_rejects_zero_weight(self, P3):
+        # [0, 0, 0] produces no signal on column 0 (C2)
+        alpha = np.array([[0, 0, 0]] + ALPHA3_ROWS[1:])
+        with pytest.raises(CombiningContractError, match="nonzero diagonal"):
+            CombinerDesign(P3, alpha, (0, 2, 2), (Fraction(0),) + (THIRD,) * 2)
+
+    def test_rejects_leakage(self, P3):
+        # [1, 0, 0] hits column 0 but leaks into column 1 (C3)
+        alpha = np.array([[1, 0, 0]] + ALPHA3_ROWS[1:])
+        with pytest.raises(CombiningContractError, match="must be diagonal"):
+            CombinerDesign(P3, alpha, (1, 2, 2), (Fraction(1),) + (THIRD,) * 2)
 
     def test_rejects_out_of_alphabet(self, P3):
         bad = np.array(ALPHA3_ROWS)

@@ -477,6 +477,63 @@ class TestBruteForceOracle:
             brute_force_map_oracle(np.zeros(2), P3, BPSK)
 
 
+class TestBatchedOracle:
+    @pytest.mark.parametrize(
+        "r, con", [(0, BPSK), (0, QPSK), (1, BPSK), (1, QPSK), (2, BPSK)],
+        ids=["r0-bpsk", "r0-qpsk", "r1-bpsk", "r1-qpsk", "r2-bpsk"],
+    )
+    @pytest.mark.parametrize("offsets", ["unit", "random"])
+    def test_matches_per_row_calls(self, F12, P3, r, con, offsets, monkeypatch):
+        from kronnoma import detector
+
+        G = build_chain(FactorChain(F12, P3, r))
+        rng = np.random.default_rng(100 + 10 * r + con.size)
+        offs = None if offsets == "unit" else rng.uniform(0.5, 1.5, G.cols)
+        X = con.symbols[rng.integers(0, con.size, (3 if r == 2 else 9, G.cols))]
+        Y = (X * (1.0 if offs is None else offs)) @ G.entries.T
+        noisy = Y + 0.6 * rng.standard_normal(Y.shape)
+        if con is QPSK:
+            noisy = noisy + 0.6j * rng.standard_normal(Y.shape)
+        # noiseless rows first: with unit offsets their coupled users tie
+        Y = np.concatenate([Y[:2], noisy])
+        found = [brute_force_map_oracle(y, G, con, power_offsets=offs) for y in Y]
+        want = np.array([sym for sym, _ in found]), np.array([t for _, t in found])
+        for values in (detector._SWEEP_VALUES, 1, 1 << 40):  # default, 1 trial, all trials
+            monkeypatch.setattr(detector, "_SWEEP_VALUES", values)
+            got_sym, got_ties = brute_force_map_oracle(Y, G, con, power_offsets=offs)
+            assert got_sym.shape == (len(Y), G.cols) and got_ties.shape == (len(Y),)
+            assert np.array_equal(got_sym, want[0])
+            assert np.array_equal(got_ties, want[1])
+
+    def test_noiseless_ties_accumulate_across_chunks(self, chain_9x18, monkeypatch):
+        # users i and i + 9 share a pattern column; user 0 is the most
+        # significant digit, so swapping x_0 and x_9 moves a hypothesis to
+        # another 65,536-hypothesis chunk
+        from kronnoma import detector
+
+        G = build_chain(chain_9x18)
+        rng = np.random.default_rng(7)
+        X = rng.choice([-1.0, 1.0], size=(4, 18))
+        X[:, 9] = -X[:, 0]
+        Y = X @ G.entries.T
+        opposite = X[:, :9] != X[:, 9:]
+        for values in (1, 1 << 40):
+            monkeypatch.setattr(detector, "_SWEEP_VALUES", values)
+            sym, ties = brute_force_map_oracle(Y, G, BPSK)
+            assert ties.tolist() == (2 ** opposite.sum(axis=1)).tolist()
+            # the lowest hypothesis index wins: -1 on the lower user of a tied pair
+            assert np.array_equal(sym[:, :9][opposite], np.full(opposite.sum(), -1.0))
+            assert np.array_equal(sym[:, :9] + sym[:, 9:], X[:, :9] + X[:, 9:])
+
+    def test_batch_shape_checked(self, P3):
+        with pytest.raises(ValueError):
+            brute_force_map_oracle(np.zeros((2, 2)), P3, BPSK)
+        with pytest.raises(ValueError):
+            brute_force_map_oracle(np.zeros((1, 2, 3)), P3, BPSK)
+        sym, ties = brute_force_map_oracle(np.zeros((0, 3)), P3, BPSK)
+        assert sym.shape == (0, 3) and ties.shape == (0,)
+
+
 class TestSic:
     def test_noiseless_equals_plain_r1_exhaustive(self, chain_3x6, design3):
         plain = _cfg(chain_3x6, design3)
