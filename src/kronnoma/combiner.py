@@ -21,7 +21,9 @@ column (the suite pins the resulting 3x3 and 4x4 reference designs).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -37,6 +39,11 @@ DEFAULT_ENUMERATION_CAP = 5
 HARD_ENUMERATION_CAP = 8
 
 DEFAULT_REFERENCE_SNR = 10.0  # linear; equals 10 dB
+
+# (vector, column) responses per block of the search: 3^m_p * m_p per
+# candidate, so about 100 candidates at m_p = 4; larger searches are solved
+# a block at a time, so memory stays bounded
+_BLOCK_VALUES = 1 << 15
 
 
 class CapExceeded(RuntimeError):
@@ -66,6 +73,13 @@ class CombiningContractError(ValueError):
     """A supplied coefficient vector violates C1, C2 or C3."""
 
 
+@functools.lru_cache(maxsize=1024)
+def _gain(w: int, n: int) -> Fraction:
+    """The gain w^2 / n, exact.  Designs share its instances, so equal gains
+    compare by identity."""
+    return Fraction(w * w, n)
+
+
 @dataclass(frozen=True, eq=False)
 class CombinerDesign:
     """A square factor with its combining coefficients.
@@ -83,25 +97,25 @@ class CombinerDesign:
         a = np.asarray(self.alpha, dtype=np.int64)
         if a.shape != (self.P.rows, self.P.cols):
             raise ValueError("alpha must be m_p x m_p")
-        if not np.isin(a, (-1, 0, 1)).all():
+        if not ((a >= -1) & (a <= 1)).all():
             raise CombiningContractError("alpha entries must be in {-1, 0, +1}")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
         prod = a @ self.P.entries
-        diag = np.diag(prod).copy()
-        if np.any(prod - np.diag(diag)):
+        diag = tuple(prod.diagonal().tolist())
+        if np.count_nonzero(prod) != np.count_nonzero(diag):
             raise CombiningContractError("alpha @ P must be diagonal")
-        if np.any(diag == 0):
+        if 0 in diag:
             raise CombiningContractError("alpha @ P must have a nonzero diagonal")
-        if tuple(int(v) for v in diag) != tuple(self.weights):
+        if diag != tuple(self.weights):
             raise ValueError("weights do not match diag(alpha @ P)")
-        norms = (a * a).sum(axis=1)
-        expect = tuple(Fraction(int(w) ** 2, int(n)) for w, n in zip(diag, norms))
+        norms = (a * a).sum(axis=1).tolist()
+        expect = tuple(_gain(w, n) for w, n in zip(diag, norms))
         if tuple(self.gains) != expect:
             raise ValueError("gains do not match w^2 / ||alpha||^2")
         object.__setattr__(self, "gains", expect)
-        object.__setattr__(self, "weights", tuple(int(v) for v in diag))
+        object.__setattr__(self, "weights", diag)
 
     @property
     def m_p(self) -> int:
@@ -160,6 +174,35 @@ def coefficient_vectors(m_p: int) -> tuple[np.ndarray, np.ndarray]:
     return _COEFF_CACHE[m_p]
 
 
+def _isolating_vectors(resp: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The C2/C3 solver, on a block of candidates.
+
+    resp[v, b, j] is the response of coefficient vector v to column j of
+    candidate b.  Vector v isolates column j when its response there is
+    positive (C2, weight canonicalized > 0) and carries the whole response
+    mass (C3: every other column cancels).  Returns, per (b, j), whether some
+    vector isolates the column, and the index of the one of largest gain
+    w^2 / ||v||^2; argmax keeps the first, lexicographically smallest, on ties.
+    """
+    ok = (resp > 0) & (np.abs(resp).sum(axis=-1, keepdims=True, dtype=resp.dtype) == resp)
+    # every nonzero norm divides lcm(1..m), so w^2 * lcm / ||v||^2 is an exact
+    # integer ordered like the gain; the zero vector isolates nothing and is
+    # masked out of the division
+    lcm = math.lcm(*range(1, resp.shape[-1] + 1))
+    scale = (lcm // np.where(norms > 0, norms, lcm)).astype(resp.dtype)
+    gain = ok * resp * resp * scale[:, None, None]
+    return ok.any(axis=0), gain.argmax(axis=0)
+
+
+def _design(P: PatternMatrix, resp: np.ndarray, best: np.ndarray) -> CombinerDesign:
+    """The design of a feasible candidate from its (3^m, m) responses and the
+    index of each column's best vector."""
+    vecs, norms = coefficient_vectors(P.rows)
+    weights = resp[best, np.arange(P.cols)].tolist()
+    gains = tuple(map(_gain, weights, norms[best].tolist()))
+    return CombinerDesign(P, vecs[best], tuple(weights), gains)
+
+
 def find_combiners(P: PatternMatrix) -> CombinerDesign:
     """Exhaustive per-column search over all 3^m_p coefficient vectors.
 
@@ -173,25 +216,10 @@ def find_combiners(P: PatternMatrix) -> CombinerDesign:
         raise EnumerationCapExceeded(m, HARD_ENUMERATION_CAP)
     vecs, norms = coefficient_vectors(m)
     resp = vecs @ P.entries  # (3^m, m) per-column responses
-    total = np.abs(resp).sum(axis=1)
-    rows, weights, gains = [], [], []
-    infeasible = []
-    for j in range(m):
-        w = resp[:, j]
-        # others cancel exactly <=> total response mass sits on column j
-        ok = (w > 0) & (total == w)
-        idx = np.flatnonzero(ok)
-        if idx.size == 0:
-            infeasible.append(j)
-            continue
-        # rationals w^2/n with w<=m, n<=m are exactly representable in floats
-        best = idx[int(np.argmax(w[idx].astype(float) ** 2 / norms[idx]))]
-        rows.append(vecs[best])
-        weights.append(int(w[best]))
-        gains.append(Fraction(int(w[best]) ** 2, int(norms[best])))
-    if infeasible:
-        raise CombinerInfeasible(P, infeasible)
-    return CombinerDesign(P, np.array(rows), tuple(weights), tuple(gains))
+    feasible, best = _isolating_vectors(resp[:, None, :], norms)
+    if not feasible.all():
+        raise CombinerInfeasible(P, np.flatnonzero(~feasible[0]).tolist())
+    return _design(P, resp, best[0])
 
 
 def enumerate_square_candidates(
@@ -200,7 +228,7 @@ def enumerate_square_candidates(
     """All m_p x m_p binary matrices with distinct nonzero columns, in
     canonical order (ascending column binary values, row 0 = LSB)."""
     _check_cap(m_p, max_mp)
-    for cols in itertools.combinations(range(1, 2**m_p), m_p):
+    for cols in _candidate_column_values(m_p):
         yield _matrix_from_column_values(m_p, cols)
 
 
@@ -212,23 +240,32 @@ def _check_cap(m_p: int, max_mp: int) -> None:
         raise EnumerationCapExceeded(m_p, cap)
 
 
+def _candidate_column_values(m_p: int) -> Iterator[tuple[int, ...]]:
+    """Column values of every candidate, each ascending, in canonical order."""
+    return itertools.combinations(range(1, 2**m_p), m_p)
+
+
 def _matrix_from_column_values(m_p: int, values: Sequence[int]) -> PatternMatrix:
-    ent = np.zeros((m_p, len(values)), dtype=np.int64)
-    for j, v in enumerate(values):
-        for i in range(m_p):
-            ent[i, j] = (v >> i) & 1
-    return PatternMatrix(ent)
+    bits = np.arange(m_p, dtype=np.int64)[:, None]
+    return PatternMatrix((np.asarray(values, dtype=np.int64) >> bits) & 1)
 
 
 def _default_scorer(snr: float) -> Callable[[CombinerDesign], float]:
-    """Closed-form sum rate of a design under a [1 1] seed with one recursion."""
+    """Closed-form sum rate of a design under a [1 1] seed with one recursion.
+
+    The rate depends on a design only through its gain multiset, so each
+    scorer computes it once per sorted gain tuple (20 of them for the 759
+    feasible 4x4 designs)."""
     F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
+    rates: dict[tuple[Fraction, ...], float] = {}
 
     def score(design: CombinerDesign) -> float:
-        chain = FactorChain(F, design.P, 1)
         # sorted gains: the rate is permutation-symmetric, and sorting
         # makes equal gain multisets produce bit-identical floats
-        return sum_rate_recursive(chain, sorted(design.gains, reverse=True), snr)
+        key = tuple(sorted(design.gains, reverse=True))
+        if key not in rates:
+            rates[key] = sum_rate_recursive(FactorChain(F, design.P, 1), key, snr)
+        return rates[key]
 
     return score
 
@@ -255,16 +292,30 @@ def run_algorithm1(
     feasible designs by score (descending), ties broken by canonical column
     encoding ascending.
 
+    Candidates are solved a block at a time from one response table, and
+    only the feasible ones become PatternMatrix / CombinerDesign objects.
+
     The default scorer is the closed-form sum rate for a [1 1] seed with one
     recursion at reference SNR `ref_snr` (linear).
     """
     score_fn = scorer if scorer is not None else _default_scorer(float(ref_snr))
+    _check_cap(m_p, max_mp)
+    vecs, norms = coefficient_vectors(m_p)
+    # the response of every vector to every nonzero column value, shared by
+    # all candidates: (3^m, 2^m - 1), value c at index c - 1.  int32 halves
+    # the memory traffic; the solver's largest product, w^2 * lcm(1..8) with
+    # w <= 8, is 53,760
+    bits = _matrix_from_column_values(m_p, range(1, 2**m_p)).entries
+    table = (vecs @ bits).astype(np.int32)
+    per_block = max(1, _BLOCK_VALUES // (len(vecs) * m_p))
+    candidates = _candidate_column_values(m_p)
     results = []
-    for P in enumerate_square_candidates(m_p, max_mp=max_mp):
-        try:
-            design = find_combiners(P)
-        except CombinerInfeasible:
-            continue
-        results.append(ScoredDesign(design, float(score_fn(design))))
+    while block := list(itertools.islice(candidates, per_block)):
+        resp = table[:, np.array(block) - 1]  # (3^m, block, m)
+        feasible, best = _isolating_vectors(resp, norms)
+        for b in np.flatnonzero(feasible.all(axis=1)):
+            P = _matrix_from_column_values(m_p, block[b])
+            design = _design(P, resp[:, b], best[b])
+            results.append(ScoredDesign(design, float(score_fn(design))))
     results.sort(key=_rank_key)
     return results[:top] if top is not None else results

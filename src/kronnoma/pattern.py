@@ -54,7 +54,7 @@ def _as_binary_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.int64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("pattern matrix must be a nonempty 2-D array")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("pattern matrix entries must be 0 or 1")
     arr = arr.copy()
     arr.setflags(write=False)

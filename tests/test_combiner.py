@@ -14,13 +14,17 @@ from kronnoma import (
     CombinerInfeasible,
     CombiningContractError,
     EnumerationCapExceeded,
+    FactorChain,
     PatternMatrix,
     coefficient_vectors,
     enumerate_square_candidates,
     find_combiners,
     run_algorithm1,
     search_space_size,
+    sum_rate_recursive,
 )
+from kronnoma import combiner
+from kronnoma.combiner import DEFAULT_REFERENCE_SNR
 from conftest import ALPHA3_ROWS, ALPHA4_ROWS
 
 THIRD = Fraction(4, 3)
@@ -146,6 +150,14 @@ class TestCombinerDesign:
         with pytest.raises(CombiningContractError, match="must be diagonal"):
             CombinerDesign(P3, alpha, (1, 2, 2), (Fraction(1),) + (THIRD,) * 2)
 
+    @pytest.mark.parametrize("bad", [2, -2, -(2**63), 2**63 - 1])
+    def test_rejects_out_of_range_entry(self, P3, bad):
+        # abs(int64 min) is negative, so a magnitude check would let it through
+        alpha = np.array(ALPHA3_ROWS, dtype=np.int64)
+        alpha[1, 2] = bad
+        with pytest.raises(CombiningContractError, match="must be in"):
+            CombinerDesign(P=P3, alpha=alpha, weights=(2, 2, 2), gains=(THIRD,) * 3)
+
     def test_rejects_out_of_alphabet(self, P3):
         bad = np.array(ALPHA3_ROWS)
         bad = bad * 2
@@ -228,6 +240,105 @@ class TestRunAlgorithm1:
         assert [(sd.design.P.column_values(), sd.score) for sd in a] == [
             (sd.design.P.column_values(), sd.score) for sd in b
         ]
+
+
+def _reference_search(m_p: int, scorer) -> list[tuple[CombinerDesign, float]]:
+    """Algorithm 1 one candidate at a time: a per-column loop over the
+    feasible vectors of each candidate, every design scored, then the
+    ranking by score (descending) and column values (ascending)."""
+    vecs, norms = coefficient_vectors(m_p)
+    out = []
+    for P in enumerate_square_candidates(m_p):
+        resp = vecs @ P.entries
+        rows, weights, gains = [], [], []
+        for j in range(m_p):
+            w = resp[:, j]
+            idx = np.flatnonzero((w > 0) & (np.abs(resp).sum(axis=1) == w))
+            if idx.size == 0:
+                break
+            best = idx[int(np.argmax(w[idx].astype(float) ** 2 / norms[idx]))]
+            rows.append(vecs[best])
+            weights.append(int(w[best]))
+            gains.append(Fraction(int(w[best]) ** 2, int(norms[best])))
+        else:
+            design = CombinerDesign(P, np.array(rows), tuple(weights), tuple(gains))
+            out.append((design, float(scorer(design))))
+    out.sort(key=lambda item: (-item[1], item[0].P.column_values()))
+    return out
+
+
+def _rate_scorer(snr: float):
+    F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
+    return lambda d: sum_rate_recursive(FactorChain(F, d.P, 1), sorted(d.gains, reverse=True), snr)
+
+
+class TestBlockSearch:
+    @pytest.mark.parametrize("m_p", [1, 2, 3, 4])
+    def test_matches_per_candidate_reference(self, m_p):
+        for snr in (DEFAULT_REFERENCE_SNR, 0.5):
+            want = _reference_search(m_p, _rate_scorer(snr))
+            got = run_algorithm1(m_p, ref_snr=snr)
+            assert [(sd.design, sd.score) for sd in got] == want
+
+    def test_custom_scorer_matches_reference(self):
+        def scorer(d):
+            return float(min(d.gains)) + d.P.column_values()[0] / 64
+
+        want = _reference_search(4, scorer)
+        got = run_algorithm1(4, scorer=scorer)
+        assert [(sd.design, sd.score) for sd in got] == want
+
+    @pytest.mark.parametrize("block_values", [1, 2000])
+    def test_block_size_does_not_matter(self, monkeypatch, block_values):
+        want = run_algorithm1(4)
+        monkeypatch.setattr(combiner, "_BLOCK_VALUES", block_values)
+        got = run_algorithm1(4)
+        assert [(sd.design, sd.score) for sd in got] == [(sd.design, sd.score) for sd in want]
+
+    def test_default_scorer_rates_each_gain_multiset_once(self, monkeypatch):
+        keys = []
+
+        def counting(chain, gains, snr):
+            keys.append(tuple(gains))
+            return sum_rate_recursive(chain, gains, snr)
+
+        monkeypatch.setattr(combiner, "sum_rate_recursive", counting)
+        assert len(run_algorithm1(4)) == 759
+        assert len(keys) == len(set(keys)) == 20
+        # the memo lives for one search only
+        run_algorithm1(4)
+        assert len(keys) == 40
+
+    def test_custom_scorer_called_once_per_design(self):
+        seen = []
+        run_algorithm1(4, scorer=lambda d: seen.append(d.P.column_values()) or 0.0)
+        assert len(seen) == len(set(seen)) == 759
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_runtime_warning(self):
+        for m_p in (1, 2, 3, 4):
+            run_algorithm1(m_p)
+            for P in itertools.islice(enumerate_square_candidates(m_p), 40):
+                try:
+                    find_combiners(P)
+                except CombinerInfeasible:
+                    pass
+
+    def test_zero_column_is_infeasible(self):
+        P = PatternMatrix(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+        with pytest.raises(CombinerInfeasible) as exc:
+            find_combiners(P)
+        assert exc.value.columns == (2,)
+        assert all(type(j) is int for j in exc.value.columns)
+
+
+class TestMatrixFromColumnValues:
+    def test_row0_is_lsb(self):
+        for m_p in (1, 2, 3, 4, 5):
+            for cols in itertools.islice(itertools.combinations(range(1, 2**m_p), m_p), 50):
+                P = combiner._matrix_from_column_values(m_p, cols)
+                assert P.column_values() == cols
+                assert P.entries.tolist() == [[(v >> i) & 1 for v in cols] for i in range(m_p)]
 
 
 @given(st.integers(2, 3))

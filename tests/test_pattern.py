@@ -74,6 +74,12 @@ class TestPatternMatrix:
         with pytest.raises(ValueError):
             _mat([[-1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("bad", [2, -2, -(2**63), 2**63 - 1])
+    def test_rejects_out_of_range_entries(self, bad):
+        # abs(int64 min) is negative, so a magnitude check would let it through
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            _mat(np.array([[1, 0], [0, bad]], dtype=np.int64))
+
     def test_column_values_row0_is_lsb(self):
         P = _mat([[1, 0], [0, 1]])
         assert P.column_values() == (1, 2)
