@@ -127,7 +127,7 @@ class CombinerDesign:
             "alpha": {
                 "rows": self.m_p,
                 "cols": self.m_p,
-                "data": [int(v) for v in self.alpha.reshape(-1)],
+                "data": self.alpha.reshape(-1).tolist(),
             },
             "weights": list(self.weights),
             "gains": [str(g) for g in self.gains],

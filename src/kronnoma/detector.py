@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +58,10 @@ DEFAULT_ORACLE_CAP = 1 << 20
 # the oracle's): larger batches are swept a slice of trials at a time, so
 # memory stays bounded
 _SWEEP_VALUES = 1 << 17
+
+# hypotheses per prediction table of the oracle, rounded down to a power of
+# the alphabet size so that every table starts on a digit boundary
+_ORACLE_CHUNK = 1 << 16
 
 
 class DetectionError(ValueError):
@@ -813,14 +818,22 @@ def brute_force_map_oracle(
     Exponential reference detector used to validate the recursive one.
     Symbols are equiprobable, so the MAP hypothesis is the nearest one and
     noise_variance does not enter the metric.  y holds one received vector
-    (M,) or a batch (T, M).  Hypotheses are evaluated in chunks: each
-    chunk's predictions are built once and every trial is scored against
-    them, a block of trials at a time, so memory stays at one prediction
-    chunk plus one bounded score block.  Raises HypothesisCapExceeded rather
-    than attempt an infeasible sweep.  Returns (symbols, tie count), of
-    shapes (K,) and scalar for one vector or (T, K) and (T,) for a batch,
-    with ties broken toward the lowest hypothesis index (first symbol most
-    significant), matching the final-stage convention."""
+    (M,) or a batch (T, M).  Raises HypothesisCapExceeded rather than
+    attempt an infeasible sweep.  Returns (symbols, tie count), of shapes
+    (K,) and scalar for one vector or (T, K) and (T,) for a batch, with ties
+    broken toward the lowest hypothesis index (first symbol most
+    significant), matching the final-stage convention.
+
+    The hypothesis set is the Kronecker product of the K per-user
+    alphabets, so it needs no index arithmetic: hypotheses are taken in
+    chunks of Q^j, and inside a chunk users 0..K-j-1 hold a constant digit
+    (one scalar each) while user k >= K-j runs its scaled alphabet with
+    every entry repeated Q^(K-1-k) times, then tiled.  Row m of a chunk's
+    prediction table (M, Q^j) adds the columns of the users in row m of G
+    in ascending user order.  Every trial is scored against the table by
+    accumulating the squared residual of one row at a time, a block of
+    trials at a time, so memory stays at the per-user columns, one table
+    and one bounded score block."""
     y = np.asarray(y)
     if y.shape[-1:] != (G.rows,) or y.ndim > 2:
         raise ValueError("y must have one value per resource element")
@@ -834,26 +847,48 @@ def brute_force_map_oracle(
     offs = np.ones(K) if power_offsets is None else np.asarray(power_offsets, dtype=float)
     if offs.shape != (K,):
         raise ValueError("power offsets must have one entry per user")
-    Gf = G.entries.T.astype(float)
-    chunk = 1 << 16
+    j = 0
+    while j < K and q ** (j + 1) <= _ORACLE_CHUNK:
+        j += 1
+    chunk, n_const = q**j, K - j
+    scaled = constellation.symbols * offs[:, None]  # (K, Q): user k's symbol values
+    stride = [q ** (K - 1 - k) for k in range(K)]
+    column = {
+        k: np.tile(np.repeat(scaled[k], stride[k]), q ** (k - n_const)) for k in range(n_const, K)
+    }
+    row_users = [np.flatnonzero(row).tolist() for row in G.entries]
+    pred = np.empty((G.rows, chunk), dtype=scaled.dtype)
     T = Y.shape[0]
+    step = max(1, _SWEEP_VALUES // chunk)
+    score = np.empty((min(step, T), chunk))
+    resid = np.empty(score.shape, dtype=np.result_type(Y, pred))
+    magnitude = np.empty(score.shape) if resid.dtype.kind == "c" else None
     best_score = np.full(T, math.inf)
     best_idx = np.full(T, -1, dtype=np.int64)
     ties = np.zeros(T, dtype=np.int64)
-    digits = q ** np.arange(K - 1, -1, -1, dtype=np.int64)
     for start in range(0, n_hyp, chunk):
-        stop = min(start + chunk, n_hyp)
-        h = np.arange(start, stop, dtype=np.int64)
-        idx = (h[:, None] // digits) % q  # (chunk, K), first symbol most significant
-        X = constellation.symbols[idx]
-        pred = (X * offs) @ Gf
-        step = max(1, _SWEEP_VALUES // pred.size)
+        for m, users in enumerate(row_users):
+            const = [scaled[k, start // stride[k] % q] for k in users if k < n_const]
+            if start and not const:
+                continue  # varying users only: the row is the same in every table
+            # ascending user order puts the constant users first: their sum is
+            # one scalar, to which the varying users' columns are added
+            pred[m] = reduce(operator.add, const, 0)
+            for k in users[len(const) :]:
+                pred[m] += column[k]
         for lo in range(0, T, step):
             rows = slice(lo, lo + step)
-            score = (np.abs(Y[rows, None, :] - pred) ** 2).sum(axis=-1)
-            first = score.argmin(axis=-1)
-            low = score[np.arange(score.shape[0]), first]
-            count = (score == low[:, None]).sum(axis=-1)
+            n = min(step, T - lo)
+            s, d = score[:n], resid[:n]
+            for m in range(G.rows):
+                np.subtract(Y[rows, m, None], pred[m], out=d)
+                r = d if magnitude is None else np.abs(d, out=magnitude[:n])
+                np.multiply(r, r, out=s if m == 0 else r)
+                if m:
+                    s += r
+            first = s.argmin(axis=-1)
+            low = s[np.arange(s.shape[0]), first]
+            count = (s == low[:, None]).sum(axis=-1)
             # per trial: a lower minimum restarts the count at its first
             # occurrence; an equal one adds to the count of an earlier chunk
             better = low < best_score[rows]
@@ -861,7 +896,7 @@ def brute_force_map_oracle(
             ties[rows] = np.where(better, count, ties[rows] + equal * count)
             best_idx[rows] = np.where(better, start + first, best_idx[rows])
             best_score[rows] = np.where(better, low, best_score[rows])
-    symbols = constellation.symbols[(best_idx[:, None] // digits) % q]
+    symbols = constellation.symbols[(best_idx[:, None] // np.array(stride)) % q]
     if y.ndim == 1:
         return symbols[0], int(ties[0])
     return symbols, ties

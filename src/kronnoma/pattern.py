@@ -101,7 +101,7 @@ class PatternMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "data": [int(v) for v in self.entries.reshape(-1)],
+            "data": self.entries.reshape(-1).tolist(),
         }
 
     @classmethod

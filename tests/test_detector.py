@@ -534,6 +534,69 @@ class TestBatchedOracle:
         assert sym.shape == (0, 3) and ties.shape == (0,)
 
 
+def _reference_oracle(Y, G, con, offs):
+    """Decisions and tie counts of joint MAP from first principles: every
+    hypothesis of itertools.product, its noiseless G (offs . x) and its
+    squared distance to each received vector, scored one hypothesis at a
+    time."""
+    hyps = list(itertools.product(con.symbols, repeat=G.cols))
+    score = np.empty((len(Y), len(hyps)))
+    for h, x in enumerate(hyps):
+        score[:, h] = (np.abs(Y - G.entries @ (offs * np.array(x))) ** 2).sum(axis=1)
+    low = score.min(axis=1, keepdims=True)
+    best = score.argmin(axis=1)
+    return np.array([hyps[b] for b in best]), (score == low).sum(axis=1)
+
+
+class TestOracleReference:
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    @pytest.mark.parametrize("offsets", ["unit", "random"])
+    @pytest.mark.parametrize("noise", ["noiseless", "noisy"])
+    def test_matches_enumeration(self, F12, P3, r, con, offsets, noise, monkeypatch):
+        from kronnoma import detector
+
+        G = build_chain(FactorChain(F12, P3, r))
+        rng = np.random.default_rng(300 + 10 * r + con.size)
+        offs = np.ones(G.cols) if offsets == "unit" else rng.uniform(0.5, 1.5, G.cols)
+        X = con.symbols[rng.integers(0, con.size, (12, G.cols))]
+        Y = (X * offs) @ G.entries.T
+        if noise == "noisy":
+            Y = Y + 0.6 * rng.standard_normal(Y.shape)
+            if con is QPSK:
+                Y = Y + 0.6j * rng.standard_normal(Y.shape)
+        want_sym, want_ties = _reference_oracle(Y, G, con, offs)
+        if offsets == "unit" and noise == "noiseless" and r == 1:
+            # users j and j + 3 share a column: swapped unequal symbols tie
+            assert (want_ties > 1).any()
+        n_hyp = con.size**G.cols
+        assert n_hyp < detector._ORACLE_CHUNK
+        # one table for all hypotheses, then tables of q, q^2 and one
+        # hypothesis (8 rounds down to a power of q), so the leading users
+        # hold a constant digit per table and ties accumulate across tables
+        for chunk in (detector._ORACLE_CHUNK, 16, 8, con.size, 1):
+            monkeypatch.setattr(detector, "_ORACLE_CHUNK", chunk)
+            sym, ties = brute_force_map_oracle(Y, G, con, power_offsets=offs)
+            assert np.array_equal(sym, want_sym)
+            assert np.array_equal(ties, want_ties)
+
+    def test_peak_memory_9x18(self, chain_9x18):
+        # one 2^18-hypothesis call on 8 trials: per-user columns, one
+        # prediction table and one score block, far below the 2^18 x 9 table
+        import tracemalloc
+
+        G = build_chain(chain_9x18)
+        rng = np.random.default_rng(11)
+        Y = rng.choice([-1.0, 1.0], size=(8, 18)) @ G.entries.T + rng.standard_normal((8, 9))
+        tracemalloc.start()
+        try:
+            brute_force_map_oracle(Y, G, BPSK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+
 class TestSic:
     def test_noiseless_equals_plain_r1_exhaustive(self, chain_3x6, design3):
         plain = _cfg(chain_3x6, design3)
