@@ -117,13 +117,15 @@ def _load_json(path: str):
 
 
 def _resolve_design(obj, P: PatternMatrix) -> CombinerDesign:
-    """Accept either one design record or a search-output array of them,
-    picking the record whose square factor matches the chain's."""
-    records = obj if isinstance(obj, list) else [obj]
-    designs = [CombinerDesign.from_json_dict(rec) for rec in records]
-    for design in designs:
-        if design.P == P:
-            return design
+    """Accept either one design record or a search-output array of them, and
+    use the first record whose square factor matches the chain's.  Records
+    are read in order and only as far as their P; only the matching record
+    is built and validated in full, and records after it are not read."""
+    for rec in obj if isinstance(obj, list) else [obj]:
+        if not isinstance(rec, dict):
+            raise ValueError("each design record must be a JSON object")
+        if PatternMatrix.from_json_dict(rec["P"]) == P:
+            return CombinerDesign.from_json_dict(rec)
     raise ValueError("no design in the file matches the chain's square factor")
 
 

@@ -13,10 +13,11 @@ as an exact rational.  The search ranks every candidate P (all unordered
 choices of m_p distinct nonzero columns, canonical ascending column order) by
 the achievable closed-form sum rate of its gain profile.
 
-Solutions to C2 ^ C3 come in +/- pairs with identical gain, so weights are
-canonicalized to w > 0; remaining ties pick the lexicographically smallest
-vector under -1 < 0 < +1, fixing one unique representative per feasible
-column (the suite pins the resulting 3x3 and 4x4 reference designs).
+Solutions to C2 ^ C3 come in +/- pairs, so weights are canonicalized to
+w > 0.  That leaves one vector per column: a P whose every column has a
+solution satisfies alpha P = diag(w) with w != 0, so P is invertible and
+alpha_j = w_j e_j^T P^-1, whose scale the {-1, 0, +1} alphabet and w_j > 0
+fix (the suite checks this over every feasible candidate up to 4x4).
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +73,20 @@ class CombinerInfeasible(ValueError):
 
 class CombiningContractError(ValueError):
     """A supplied coefficient vector violates C1, C2 or C3."""
+
+
+# "p" or "p/q" with q > 0: no exponent to expand or zero to divide by
+_JSON_GAIN = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _json_gains(values) -> tuple[Fraction, ...]:
+    """Gains read from JSON: integers or "p/q" strings; floats and booleans
+    are refused."""
+    if not isinstance(values, list) or not all(
+        type(g) is int or (isinstance(g, str) and _JSON_GAIN.fullmatch(g)) for g in values
+    ):
+        raise ValueError("gains must be a list of integers or 'p/q' strings")
+    return tuple(map(Fraction, values))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -145,7 +161,7 @@ class CombinerDesign:
             P=P,
             alpha=np.asarray(data, dtype=np.int64).reshape(rows, cols),
             weights=tuple(json_ints(obj["weights"], "weights")),
-            gains=tuple(Fraction(g) for g in obj["gains"]),
+            gains=_json_gains(obj["gains"]),
         )
 
     def __eq__(self, other) -> bool:
@@ -174,31 +190,24 @@ def coefficient_vectors(m_p: int) -> tuple[np.ndarray, np.ndarray]:
     return _COEFF_CACHE[m_p]
 
 
-def _isolating_vectors(resp: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _isolating_vectors(resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The C2/C3 solver, on a block of candidates.
 
     resp[v, b, j] is the response of coefficient vector v to column j of
     candidate b.  Vector v isolates column j when its response there is
     positive (C2, weight canonicalized > 0) and carries the whole response
     mass (C3: every other column cancels).  Returns, per (b, j), whether some
-    vector isolates the column, and the index of the one of largest gain
-    w^2 / ||v||^2; argmax keeps the first, lexicographically smallest, on ties.
+    vector isolates the column, and the index of the first that does; in a
+    candidate whose every column is isolated it is the only one.
     """
     ok = (resp > 0) & (np.abs(resp).sum(axis=-1, keepdims=True, dtype=resp.dtype) == resp)
-    # every nonzero norm divides lcm(1..m), so w^2 * lcm / ||v||^2 is an exact
-    # integer ordered like the gain; the zero vector isolates nothing and is
-    # masked out of the division
-    lcm = math.lcm(*range(1, resp.shape[-1] + 1))
-    scale = (lcm // np.where(norms > 0, norms, lcm)).astype(resp.dtype)
-    gain = ok * resp * resp * scale[:, None, None]
-    return ok.any(axis=0), gain.argmax(axis=0)
+    return ok.any(axis=0), ok.argmax(axis=0)
 
 
-def _design(P: PatternMatrix, resp: np.ndarray, best: np.ndarray) -> CombinerDesign:
-    """The design of a feasible candidate from its (3^m, m) responses and the
-    index of each column's best vector."""
+def _design(P: PatternMatrix, best: np.ndarray, weights: list[int]) -> CombinerDesign:
+    """The design of a feasible candidate from the index of each column's
+    isolating vector and its weight."""
     vecs, norms = coefficient_vectors(P.rows)
-    weights = resp[best, np.arange(P.cols)].tolist()
     gains = tuple(map(_gain, weights, norms[best].tolist()))
     return CombinerDesign(P, vecs[best], tuple(weights), gains)
 
@@ -206,20 +215,20 @@ def _design(P: PatternMatrix, resp: np.ndarray, best: np.ndarray) -> CombinerDes
 def find_combiners(P: PatternMatrix) -> CombinerDesign:
     """Exhaustive per-column search over all 3^m_p coefficient vectors.
 
-    Per column: keep vectors satisfying C2 ^ C3 (weight canonicalized > 0),
-    maximize gamma, break ties by lexicographic order.  Raises
-    CombinerInfeasible listing every column with no feasible vector."""
+    Per column: the vector satisfying C2 ^ C3 with weight canonicalized
+    > 0.  Raises CombinerInfeasible listing every column with no feasible
+    vector."""
     if P.rows != P.cols:
         raise ValueError("square factor required")
     m = P.rows
     if m > HARD_ENUMERATION_CAP:
         raise EnumerationCapExceeded(m, HARD_ENUMERATION_CAP)
-    vecs, norms = coefficient_vectors(m)
+    vecs, _ = coefficient_vectors(m)
     resp = vecs @ P.entries  # (3^m, m) per-column responses
-    feasible, best = _isolating_vectors(resp[:, None, :], norms)
+    feasible, best = _isolating_vectors(resp[:, None, :])
     if not feasible.all():
         raise CombinerInfeasible(P, np.flatnonzero(~feasible[0]).tolist())
-    return _design(P, resp, best[0])
+    return _design(P, best[0], resp[best[0], np.arange(m)].tolist())
 
 
 def enumerate_square_candidates(
@@ -250,39 +259,14 @@ def _matrix_from_column_values(m_p: int, values: Sequence[int]) -> PatternMatrix
     return PatternMatrix((np.asarray(values, dtype=np.int64) >> bits) & 1)
 
 
-def _default_scorer(snr: float) -> Callable[[CombinerDesign], float]:
-    """Closed-form sum rate of a design under a [1 1] seed with one recursion.
-
-    The rate depends on a design only through its gain multiset, so each
-    scorer computes it once per sorted gain tuple (20 of them for the 759
-    feasible 4x4 designs)."""
-    F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
-    rates: dict[tuple[Fraction, ...], float] = {}
-
-    def score(design: CombinerDesign) -> float:
-        # sorted gains: the rate is permutation-symmetric, and sorting
-        # makes equal gain multisets produce bit-identical floats
-        key = tuple(sorted(design.gains, reverse=True))
-        if key not in rates:
-            rates[key] = sum_rate_recursive(FactorChain(F, design.P, 1), key, snr)
-        return rates[key]
-
-    return score
-
-
 @dataclass(frozen=True)
 class ScoredDesign:
     design: CombinerDesign
     score: float
 
 
-def _rank_key(item: ScoredDesign) -> tuple:
-    return (-item.score, item.design.P.column_values())
-
-
 def run_algorithm1(
     m_p: int,
-    scorer: Callable[[CombinerDesign], float] | None = None,
     *,
     ref_snr: float = DEFAULT_REFERENCE_SNR,
     max_mp: int = DEFAULT_ENUMERATION_CAP,
@@ -292,30 +276,43 @@ def run_algorithm1(
     feasible designs by score (descending), ties broken by canonical column
     encoding ascending.
 
-    Candidates are solved a block at a time from one response table, and
-    only the feasible ones become PatternMatrix / CombinerDesign objects.
-
-    The default scorer is the closed-form sum rate for a [1 1] seed with one
-    recursion at reference SNR `ref_snr` (linear).
+    The score is the closed-form sum rate for a [1 1] seed with one
+    recursion at reference SNR `ref_snr` (linear).  Candidates are solved a
+    block at a time from one response table and ranked as arrays; only the
+    `top` returned designs become PatternMatrix / CombinerDesign objects.
     """
-    score_fn = scorer if scorer is not None else _default_scorer(float(ref_snr))
     _check_cap(m_p, max_mp)
     vecs, norms = coefficient_vectors(m_p)
     # the response of every vector to every nonzero column value, shared by
     # all candidates: (3^m, 2^m - 1), value c at index c - 1.  int32 halves
-    # the memory traffic; the solver's largest product, w^2 * lcm(1..8) with
-    # w <= 8, is 53,760
+    # the memory traffic; no response exceeds m in magnitude
     bits = _matrix_from_column_values(m_p, range(1, 2**m_p)).entries
     table = (vecs @ bits).astype(np.int32)
     per_block = max(1, _BLOCK_VALUES // (len(vecs) * m_p))
     candidates = _candidate_column_values(m_p)
-    results = []
+    cols, best = [], []  # of the feasible candidates
     while block := list(itertools.islice(candidates, per_block)):
-        resp = table[:, np.array(block) - 1]  # (3^m, block, m)
-        feasible, best = _isolating_vectors(resp, norms)
-        for b in np.flatnonzero(feasible.all(axis=1)):
-            P = _matrix_from_column_values(m_p, block[b])
-            design = _design(P, resp[:, b], best[b])
-            results.append(ScoredDesign(design, float(score_fn(design))))
-    results.sort(key=_rank_key)
-    return results[:top] if top is not None else results
+        block = np.array(block)
+        feasible, b = _isolating_vectors(table[:, block - 1])
+        keep = feasible.all(axis=1)
+        cols.append(block[keep])
+        best.append(b[keep])
+    cols, best = np.concatenate(cols), np.concatenate(best)
+    weights = table[best, cols - 1].astype(np.int64)
+    # every nonzero norm divides lcm(1..m), so w^2 * lcm / ||alpha||^2 is the
+    # gain as an exact integer over lcm; sorted descending, a row keys the
+    # gain multiset, on which alone the rate depends
+    lcm = math.lcm(*range(1, m_p + 1))
+    keys = -np.sort(-(weights * weights * (lcm // norms[best])), axis=1)
+    multisets, which = np.unique(keys, axis=0, return_inverse=True)
+    # the rate reads only the size of P, so one chain serves every multiset
+    F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
+    chain = FactorChain(F, PatternMatrix(np.eye(m_p, dtype=np.int64)), 1)
+    rates = [sum_rate_recursive(chain, [Fraction(k, lcm) for k in row], float(ref_snr))
+             for row in multisets.tolist()]
+    scores = np.array(rates)[which.reshape(-1)]
+    results = []
+    for i in np.lexsort((*cols.T[::-1], -scores))[:top]:
+        P = _matrix_from_column_values(m_p, cols[i])
+        results.append(ScoredDesign(_design(P, best[i], weights[i].tolist()), float(scores[i])))
+    return results

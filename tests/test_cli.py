@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kronnoma import CombinerDesign, FactorChain, PatternMatrix, dump_chain
 from kronnoma.cli import main
@@ -61,6 +63,12 @@ class TestSearch:
         out = tmp_path / "top.json"
         assert main(["search", "--mp", "3", "--top", "2", "--json-out", str(out)]) == 0
         assert len(json.loads(out.read_text())) == 2
+
+    def test_top_is_prefix_of_full_search(self, tmp_path):
+        full, top = tmp_path / "full.json", tmp_path / "top.json"
+        assert main(["search", "--mp", "4", "--json-out", str(full)]) == 0
+        assert main(["search", "--mp", "4", "--top", "7", "--json-out", str(top)]) == 0
+        assert json.loads(top.read_text()) == json.loads(full.read_text())[:7]
 
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_top_below_one_exit_2(self, tmp_path, capsys, top):
@@ -250,6 +258,103 @@ class TestRate:
         assert main(args + ["--csv-out", str(a)]) == 0
         assert main(args + ["--csv-out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _rate_with_designs(tmp_path, chain_file, records, name="designs.json"):
+    """Run `rate --gains` on a file holding `records`; (exit code, CSV)."""
+    path, out = tmp_path / name, tmp_path / f"{name}.csv"
+    path.write_text(json.dumps(records))
+    code = main(["rate", "--chain", chain_file, "--gains", str(path),
+                 "--snr-db-max", "10", "--snr-db-step", "5", "--csv-out", str(out)])
+    return code, out.read_text() if code == 0 else None
+
+
+class TestResolveDesign:
+    """`rate --gains` / `simulate --design` use the first record whose P is
+    the chain's; only that record is validated, later ones are never read."""
+
+    @pytest.fixture()
+    def records(self, tmp_path, design3):
+        # the mp 3 search output with the chain's design moved to the end
+        recs = json.loads(_search_mp3(tmp_path).read_text())
+        assert recs[0] == design3.to_json_dict()
+        return recs[1:] + recs[:1]
+
+    def test_match_not_first_gives_same_csv(self, tmp_path, chain_file, design3, records):
+        single = _rate_with_designs(tmp_path, chain_file, design3.to_json_dict(), "one.json")
+        assert single[0] == 0
+        assert _rate_with_designs(tmp_path, chain_file, records) == single
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", [2.0, 2, 2]),
+        ("gains", ["4/3", "4/3", "1"]),
+        ("gains", ["4/3", "4/3", "4/0"]),
+        ("gains", ["4/3", "4/3", math.inf]),
+        ("gains", ["4/3", "4/3", "1.3e0"]),
+    ])
+    def test_invalid_match_exit_2(self, tmp_path, chain_file, records, capsys, field, value):
+        records[-1][field] = value
+        assert _rate_with_designs(tmp_path, chain_file, records)[0] == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_p_before_match_exit_2(self, tmp_path, chain_file, records, capsys):
+        records[0]["P"]["data"][0] = 1.5
+        assert _rate_with_designs(tmp_path, chain_file, records)[0] == 2
+        assert "integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [3, "x", None])
+    def test_non_object_record_exit_2(self, tmp_path, chain_file, records, capsys, record):
+        assert _rate_with_designs(tmp_path, chain_file, [record] + records)[0] == 2
+        err = capsys.readouterr().err
+        assert "JSON object" in err and "Traceback" not in err
+
+    def test_records_after_match_are_not_read(self, tmp_path, chain_file, design3):
+        want = _rate_with_designs(tmp_path, chain_file, [design3.to_json_dict()], "one.json")
+        got = _rate_with_designs(tmp_path, chain_file,
+                                 [design3.to_json_dict(), 3, {"P": "x"}, {}])
+        assert got == want and got[0] == 0
+
+
+# one field of a valid record, and replacements of the kinds a hand-edited
+# or truncated file holds: wrong type, float, bool, negative, wrong length,
+# or the key missing
+_FIELDS = ["P", "P.rows", "P.cols", "P.data", "alpha", "alpha.rows", "alpha.cols",
+           "alpha.data", "weights", "gains"]
+_EDGES = [math.inf, -math.inf, math.nan, 0.5, 2.0, True, False, -1, 0, 2**63, -(2**63) - 1,
+          "1/0", "-4/3", "4/3", "1e9", "", [], {}]
+_VALUES = st.one_of(
+    st.sampled_from(_EDGES), st.none(), st.floats(), st.text(max_size=6),
+    st.integers(-(2**64), 2**64),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.booleans(), st.text(max_size=4)),
+             max_size=12),
+    st.dictionaries(st.sampled_from(["rows", "cols", "data"]), st.integers(-3, 9), max_size=3),
+)
+
+
+@given(field=st.sampled_from(_FIELDS),
+       how=st.sampled_from(["missing", "whole", "entry", "append", "drop"]),
+       index=st.integers(0, 8), value=_VALUES)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_design_loader_fuzz(tmp_path, chain_file, design3, field, how, index, value):
+    """One changed field of a valid `--gains` record: exit 0 or 2, never a
+    traceback.  `entry`, `append` and `drop` act on one entry of a list
+    field and replace a scalar field whole."""
+    rec = design3.to_json_dict()
+    *outer, key = field.split(".")
+    parent = rec[outer[0]] if outer else rec
+    entries = parent[key] if isinstance(parent[key], list) else None
+    if how == "missing":
+        del parent[key]
+    elif entries is None or how == "whole":
+        parent[key] = value
+    elif how == "entry":
+        entries[index % len(entries)] = value
+    elif how == "append":
+        entries.append(value)
+    else:
+        entries.pop(index % len(entries))
+    assert _rate_with_designs(tmp_path, chain_file, rec)[0] in (0, 2)
 
 
 class TestSimulate:

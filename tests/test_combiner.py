@@ -229,10 +229,21 @@ class TestRunAlgorithm1:
     def test_top_truncation(self):
         assert len(run_algorithm1(3, top=5)) == 5
 
-    def test_custom_scorer(self):
-        # score by worst-case branch gain instead of rate
-        results = run_algorithm1(3, scorer=lambda d: float(min(d.gains)))
-        assert results[0].score == pytest.approx(4 / 3)
+    def test_top_builds_only_returned_designs(self, monkeypatch):
+        built, design = [], combiner._design
+
+        def counting(P, best, weights):
+            built.append(P.column_values())
+            return design(P, best, weights)
+
+        monkeypatch.setattr(combiner, "_design", counting)
+        got = run_algorithm1(4, top=7)
+        assert len(built) == len(got) == 7
+        assert built == [sd.design.P.column_values() for sd in got]
+        monkeypatch.setattr(combiner, "_design", design)
+        assert [(sd.design, sd.score) for sd in got] == [
+            (sd.design, sd.score) for sd in run_algorithm1(4)[:7]
+        ]
 
     def test_deterministic_ranking(self):
         a = run_algorithm1(3)
@@ -280,14 +291,6 @@ class TestBlockSearch:
             got = run_algorithm1(m_p, ref_snr=snr)
             assert [(sd.design, sd.score) for sd in got] == want
 
-    def test_custom_scorer_matches_reference(self):
-        def scorer(d):
-            return float(min(d.gains)) + d.P.column_values()[0] / 64
-
-        want = _reference_search(4, scorer)
-        got = run_algorithm1(4, scorer=scorer)
-        assert [(sd.design, sd.score) for sd in got] == want
-
     @pytest.mark.parametrize("block_values", [1, 2000])
     def test_block_size_does_not_matter(self, monkeypatch, block_values):
         want = run_algorithm1(4)
@@ -305,14 +308,23 @@ class TestBlockSearch:
         monkeypatch.setattr(combiner, "sum_rate_recursive", counting)
         assert len(run_algorithm1(4)) == 759
         assert len(keys) == len(set(keys)) == 20
-        # the memo lives for one search only
+        # each search rates its own multisets; nothing is kept between searches
         run_algorithm1(4)
         assert len(keys) == 40
 
-    def test_custom_scorer_called_once_per_design(self):
-        seen = []
-        run_algorithm1(4, scorer=lambda d: seen.append(d.P.column_values()) or 0.0)
-        assert len(seen) == len(set(seen)) == 759
+    @pytest.mark.parametrize("m_p", [1, 2, 3, 4])
+    def test_feasible_columns_have_one_isolating_vector(self, m_p):
+        # why the solver needs no tie-break: a feasible P is invertible, so
+        # each column's isolating vector is w e_j^T P^-1 with its scale fixed
+        vecs, _ = coefficient_vectors(m_p)
+        feasible = 0
+        for P in enumerate_square_candidates(m_p):
+            resp = vecs @ P.entries
+            ok = (resp > 0) & (np.abs(resp).sum(axis=1, keepdims=True) == resp)
+            if ok.any(axis=0).all():
+                feasible += 1
+                assert ok.sum(axis=0).tolist() == [1] * m_p
+        assert feasible == len(run_algorithm1(m_p))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_runtime_warning(self):
