@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .combiner import CapExceeded, CombinerDesign, find_combiners, run_algorithm1
-from .pattern import FactorChain, PatternMatrix, build_chain, load_chain
+from .pattern import FactorChain, PatternMatrix, build_chain, json_fields, load_chain
 from .rate import (
     sum_rate_oma,
     sum_rate_pdma,
@@ -60,7 +60,6 @@ class RunConfig:
     power_offsets: tuple[float, ...] | None = None
     constellation: str = "bpsk"
     baselines: tuple[str, ...] = _BASELINES
-    sic: bool = False
     json_out: str | None = None
     csv_out: str | None = None
 
@@ -122,9 +121,7 @@ def _resolve_design(obj, P: PatternMatrix) -> CombinerDesign:
     are read in order and only as far as their P; only the matching record
     is built and validated in full, and records after it are not read."""
     for rec in obj if isinstance(obj, list) else [obj]:
-        if not isinstance(rec, dict):
-            raise ValueError("each design record must be a JSON object")
-        if PatternMatrix.from_json_dict(rec["P"]) == P:
+        if PatternMatrix.from_json_dict(*json_fields(rec, "design record", "P")) == P:
             return CombinerDesign.from_json_dict(rec)
     raise ValueError("no design in the file matches the chain's square factor")
 
@@ -174,13 +171,12 @@ def cmd_rate(cfg: RunConfig) -> int:
 def _detection_config(cfg: RunConfig, chain: FactorChain, design: CombinerDesign):
     from .detector import DetectionConfig
 
-    sic = cfg.detector == "sic" or cfg.sic
     return DetectionConfig(
         chain=chain,
         design=design,
         constellation=_CONSTELLATIONS[cfg.constellation],
         power_offsets=cfg.power_offsets,
-        sic_symbols=(chain.m_p - 1,) if sic else (),
+        sic_symbols=(chain.m_p - 1,) if cfg.detector == "sic" else (),
     )
 
 
@@ -355,7 +351,8 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             csv_out=ns.csv_out,
         )
     else:
-        kw.update(chain_path=ns.chain_path, constellation=ns.constellation, sic=ns.sic)
+        kw.update(chain_path=ns.chain_path, constellation=ns.constellation,
+                  detector="sic" if ns.sic else "recursive")
     return RunConfig(**kw)
 
 

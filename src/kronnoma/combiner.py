@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .pattern import FactorChain, PatternMatrix, json_int, json_ints
+from .pattern import FactorChain, PatternMatrix, json_fields, json_int, json_ints
 from .rate import sum_rate_recursive
 
 # full enumeration is practical up to here; the hard cap bounds what the
@@ -54,10 +54,7 @@ class CapExceeded(RuntimeError):
 
 class EnumerationCapExceeded(CapExceeded):
     def __init__(self, m_p: int, cap: int):
-        super().__init__(
-            f"square-factor enumeration for m_p={m_p} exceeds the cap ({cap}); "
-            f"raise max_mp explicitly up to {HARD_ENUMERATION_CAP} if intended"
-        )
+        super().__init__(f"enumeration for m_p={m_p} exceeds the cap ({cap})")
         self.m_p = m_p
         self.cap = cap
 
@@ -151,17 +148,18 @@ class CombinerDesign:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CombinerDesign":
-        P = PatternMatrix.from_json_dict(obj["P"])
-        a = obj["alpha"]
-        rows, cols = json_int(a["rows"], "alpha rows"), json_int(a["cols"], "alpha cols")
-        data = json_ints(a["data"], "alpha data")
+        P, alpha, weights, gains = json_fields(obj, "design record", "P", "alpha", "weights", "gains")
+        P = PatternMatrix.from_json_dict(P)
+        rows, cols, data = json_fields(alpha, "alpha", "rows", "cols", "data")
+        rows, cols = json_int(rows, "alpha rows"), json_int(cols, "alpha cols")
+        data = json_ints(data, "alpha data")
         if len(data) != rows * cols:
             raise ValueError("alpha data length does not match rows*cols")
         return cls(
             P=P,
             alpha=np.asarray(data, dtype=np.int64).reshape(rows, cols),
-            weights=tuple(json_ints(obj["weights"], "weights")),
-            gains=_json_gains(obj["gains"]),
+            weights=tuple(json_ints(weights, "weights")),
+            gains=_json_gains(gains),
         )
 
     def __eq__(self, other) -> bool:
@@ -231,22 +229,19 @@ def find_combiners(P: PatternMatrix) -> CombinerDesign:
     return _design(P, best[0], resp[best[0], np.arange(m)].tolist())
 
 
-def enumerate_square_candidates(
-    m_p: int, *, max_mp: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[PatternMatrix]:
+def enumerate_square_candidates(m_p: int) -> Iterator[PatternMatrix]:
     """All m_p x m_p binary matrices with distinct nonzero columns, in
     canonical order (ascending column binary values, row 0 = LSB)."""
-    _check_cap(m_p, max_mp)
+    _check_cap(m_p)
     for cols in _candidate_column_values(m_p):
         yield _matrix_from_column_values(m_p, cols)
 
 
-def _check_cap(m_p: int, max_mp: int) -> None:
+def _check_cap(m_p: int) -> None:
     if m_p < 1:
         raise ValueError("m_p must be positive")
-    cap = min(max_mp, HARD_ENUMERATION_CAP)
-    if m_p > cap:
-        raise EnumerationCapExceeded(m_p, cap)
+    if m_p > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(m_p, DEFAULT_ENUMERATION_CAP)
 
 
 def _candidate_column_values(m_p: int) -> Iterator[tuple[int, ...]]:
@@ -269,7 +264,6 @@ def run_algorithm1(
     m_p: int,
     *,
     ref_snr: float = DEFAULT_REFERENCE_SNR,
-    max_mp: int = DEFAULT_ENUMERATION_CAP,
     top: int | None = None,
 ) -> list[ScoredDesign]:
     """Enumerate every candidate square factor, solve its combiners, and rank
@@ -281,7 +275,7 @@ def run_algorithm1(
     block at a time from one response table and ranked as arrays; only the
     `top` returned designs become PatternMatrix / CombinerDesign objects.
     """
-    _check_cap(m_p, max_mp)
+    _check_cap(m_p)
     vecs, norms = coefficient_vectors(m_p)
     # the response of every vector to every nonzero column value, shared by
     # all candidates: (3^m, 2^m - 1), value c at index c - 1.  int32 halves

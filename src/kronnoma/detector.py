@@ -77,7 +77,7 @@ class OpBoundViolation(DetectionError):
 
 
 class HypothesisCapExceeded(CapExceeded):
-    """An exhaustive hypothesis sweep would exceed its configured cap."""
+    """An exhaustive hypothesis sweep would exceed its cap."""
 
 
 @dataclass
@@ -192,24 +192,25 @@ class DetectionConfig:
     constellation: Constellation
     power_offsets: np.ndarray | None = None
     sic_symbols: tuple[int, ...] = ()
-    hypothesis_cap: int = DEFAULT_HYPOTHESIS_CAP
 
     def __post_init__(self):
         if self.design.P != self.chain.P:
             raise DetectionError("combiner design was built for a different inner factor")
-        offs = self.power_offsets
-        offs = np.ones(self.chain.K) if offs is None else np.asarray(offs, dtype=float)
-        if offs.shape != (self.chain.K,) or not np.all(np.isfinite(offs) & (offs > 0)):
-            raise DetectionError("power offsets must be positive and finite, one per user")
-        offs = offs.copy()
-        offs.setflags(write=False)
+        c, K = self.chain, self.chain.K
+        if K > np.iinfo(np.intp).max // 8:  # numpy's size limit of a float64 array, views too
+            raise DetectionError(f"a chain of {c.k_f}*{c.m_p}^{c.r} users is too large to index")
+        if self.power_offsets is None:
+            offs = np.broadcast_to(1.0, (K,))  # read-only; stores one value, not K
+        else:
+            offs = np.array(self.power_offsets, dtype=float)
+            if offs.shape != (K,) or not np.all(np.isfinite(offs) & (offs > 0)):
+                raise DetectionError("power offsets must be positive and finite, one per user")
+            offs.setflags(write=False)
         object.__setattr__(self, "power_offsets", offs)
         sic = tuple(sorted(set(int(j) for j in self.sic_symbols)))
         if any(j < 0 or j >= self.chain.m_p for j in sic):
             raise DetectionError("sic_symbols must index inner-factor classes")
         object.__setattr__(self, "sic_symbols", sic)
-        if self.hypothesis_cap < 1:
-            raise DetectionError("hypothesis cap must be positive")
 
     def op_bounds(self) -> OpCountBounds:
         """Closed-form per-detection operation bounds of this configuration;
@@ -344,14 +345,14 @@ class _Sweep(NamedTuple):
     muls: int
 
 
-def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights, cap: int) -> _Sweep:
+def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights) -> _Sweep:
     """Hypothesis tables for sets with per-set user offsets (S, k_f) and
     nonzero weights (S,)."""
     q, k_f = constellation.size, F.cols
     n_hyp = q**k_f
-    if n_hyp > cap:
+    if n_hyp > DEFAULT_HYPOTHESIS_CAP:
         raise HypothesisCapExceeded(
-            f"final stage needs {q}^{k_f} = {n_hyp} hypotheses, above the cap ({cap})"
+            f"final stage needs {q}^{k_f} = {n_hyp} hypotheses, above the cap ({DEFAULT_HYPOTHESIS_CAP})"
         )
     hyp = _hypothesis_indices(q, k_f)
     X = constellation.symbols[hyp]  # (H, k_f)
@@ -512,7 +513,7 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
 
     def sweep(infos):
         offsets = [cfg.power_offsets[list(path_users(chain, s.path))] for s in infos]
-        return _sweep(chain.F, cfg.constellation, offsets, [s.weight for s in infos], cfg.hypothesis_cap)
+        return _sweep(chain.F, cfg.constellation, offsets, [s.weight for s in infos])
 
     def positions(infos):
         # branch-lexicographic index: the first branch is the most significant digit
@@ -538,7 +539,7 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
     )
 
 
-def detect_batch(Y, cfg: DetectionConfig, noise_variance: float) -> BatchDetection:
+def detect_batch(Y, cfg: DetectionConfig) -> BatchDetection:
     """Detect all K users of every row of Y (T, M) in one pass.
 
     Recursion level l combines every path's consecutive m_p-equation groups
@@ -547,9 +548,8 @@ def detect_batch(Y, cfg: DetectionConfig, noise_variance: float) -> BatchDetecti
     all trials.  The classes in a nonempty sic_symbols are decided, for
     each last-level parent, by cancellation against the sibling decisions
     instead.  With equiprobable symbols the MAP decision is the nearest
-    hypothesis, so noise_variance is validated but does not enter the
-    metric.  Op counts are tallied over the batch as the work is done and
-    reported per detection."""
+    hypothesis, whatever the noise variance.  Op counts are tallied over the
+    batch as the work is done and reported per detection."""
     chain = cfg.chain
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[1] != chain.M:
@@ -557,8 +557,6 @@ def detect_batch(Y, cfg: DetectionConfig, noise_variance: float) -> BatchDetecti
     T = Y.shape[0]
     if T == 0:
         raise ValueError("the batch must hold at least one trial")
-    if noise_variance < 0:
-        raise ValueError("noise variance must be nonnegative")
     plan = cfg._plan
     Y = Y.astype(np.result_type(Y.dtype, np.float64), copy=False)
     counters = OpCounters()
@@ -634,9 +632,7 @@ def final_stage_map(
     weight,
     constellation: Constellation,
     power_offsets=None,
-    noise_variance: float = 1.0,
     *,
-    hypothesis_cap: int = DEFAULT_HYPOTHESIS_CAP,
     counters: OpCounters | None = None,
 ) -> tuple[tuple, int, np.ndarray]:
     """Exhaustive MAP decision for one regular set w * F (offs . x) + noise.
@@ -646,19 +642,17 @@ def final_stage_map(
     values before the weight.  Ties on the decision metric are broken toward
     the lowest hypothesis index and reported via tie count; the weight must
     be positive (flip the sign of z and weight together for a negative
-    weight, the equations are equivalent).  Symbols are equiprobable, so
-    noise_variance is validated but does not enter the metric."""
+    weight, the equations are equivalent).  Symbols are equiprobable, so the
+    decision is the nearest hypothesis, whatever the noise variance."""
     z = np.asarray(z)
     if z.shape != (F.rows,):
         raise ValueError("z must have one value per outer-factor row")
     if not weight > 0:
         raise ValueError("combined weight must be positive")
-    if noise_variance < 0:
-        raise ValueError("noise variance must be nonnegative")
     offs = np.ones(F.cols) if power_offsets is None else np.asarray(power_offsets, dtype=float)
     if offs.shape != (F.cols,):
         raise ValueError("power offsets must have one entry per set user")
-    sweep = _sweep(F, constellation, [offs], [weight], hypothesis_cap)
+    sweep = _sweep(F, constellation, [offs], [weight])
     best, ties = _decide(sweep, z[None, None], counters or OpCounters())
     b = int(best[0, 0])
     return tuple(constellation.symbols[sweep.hyp[b]]), int(ties[0, 0]), sweep.unit[0, b]
@@ -669,7 +663,6 @@ def sic_enhanced_final(
     decided: dict[int, FinalSet],
     cfg: DetectionConfig,
     *,
-    noise_variance: float,
     parent_path: tuple[int, ...] = (),
     parent_weight: int = 1,
     parent_noise_mult: int = 1,
@@ -700,7 +693,7 @@ def sic_enhanced_final(
         weight = parent_weight * d_j
         path = parent_path + (j,)
         users = path_users(chain, path)
-        sweep = _sweep(chain.F, cfg.constellation, [cfg.power_offsets[list(users)]], [weight], cfg.hypothesis_cap)
+        sweep = _sweep(chain.F, cfg.constellation, [cfg.power_offsets[list(users)]], [weight])
         best, ties = _decide(sweep, zeta, counters)
         b = int(best[0, 0])
         known[j] = sweep.unit[:, b][None]
@@ -721,7 +714,7 @@ def sic_enhanced_final(
     return out
 
 
-def recursive_detect(y, cfg: DetectionConfig, noise_variance: float) -> DetectionResult:
+def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
     """Detect all K users from y by recursive combining plus small MAP sets.
 
     The batched kernel on a batch of one, with the full trace: level l
@@ -733,7 +726,7 @@ def recursive_detect(y, cfg: DetectionConfig, noise_variance: float) -> Detectio
     y = np.asarray(y)
     if y.shape != (chain.M,):
         raise ValueError("y must have one value per resource element")
-    batch = detect_batch(y[None], cfg, noise_variance)
+    batch = detect_batch(y[None], cfg)
     plan = cfg._plan
     records = []
     groups_in, eqs = 1, chain.M
@@ -809,20 +802,17 @@ def brute_force_map_oracle(
     G: PatternMatrix,
     constellation: Constellation,
     power_offsets=None,
-    noise_variance: float = 1.0,
-    *,
-    hypothesis_cap: int = DEFAULT_ORACLE_CAP,
 ) -> tuple[np.ndarray, int | np.ndarray]:
     """Joint MAP over all Q^K hypotheses on the full pattern matrix.
 
     Exponential reference detector used to validate the recursive one.
-    Symbols are equiprobable, so the MAP hypothesis is the nearest one and
-    noise_variance does not enter the metric.  y holds one received vector
-    (M,) or a batch (T, M).  Raises HypothesisCapExceeded rather than
-    attempt an infeasible sweep.  Returns (symbols, tie count), of shapes
-    (K,) and scalar for one vector or (T, K) and (T,) for a batch, with ties
-    broken toward the lowest hypothesis index (first symbol most
-    significant), matching the final-stage convention.
+    Symbols are equiprobable, so the MAP hypothesis is the nearest one,
+    whatever the noise variance.  y holds one received vector (M,) or a
+    batch (T, M).  Raises HypothesisCapExceeded above DEFAULT_ORACLE_CAP
+    hypotheses rather than attempt an infeasible sweep.  Returns (symbols,
+    tie count), of shapes (K,) and scalar for one vector or (T, K) and (T,)
+    for a batch, with ties broken toward the lowest hypothesis index (first
+    symbol most significant), matching the final-stage convention.
 
     The hypothesis set is the Kronecker product of the K per-user
     alphabets, so it needs no index arithmetic: hypotheses are taken in
@@ -840,9 +830,9 @@ def brute_force_map_oracle(
     Y = y.reshape(-1, G.rows)
     q, K = constellation.size, G.cols
     n_hyp = q**K
-    if n_hyp > hypothesis_cap:
+    if n_hyp > DEFAULT_ORACLE_CAP:
         raise HypothesisCapExceeded(
-            f"oracle needs {q}^{K} = {n_hyp} hypotheses, above the cap ({hypothesis_cap})"
+            f"oracle needs {q}^{K} = {n_hyp} hypotheses, above the cap ({DEFAULT_ORACLE_CAP})"
         )
     offs = np.ones(K) if power_offsets is None else np.asarray(power_offsets, dtype=float)
     if offs.shape != (K,):

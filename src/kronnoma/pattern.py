@@ -30,6 +30,17 @@ class DimensionOverflowError(ValueError):
     """A factor chain would materialize an impractically large matrix."""
 
 
+def json_fields(obj, what: str, *keys: str) -> list:
+    """The values of `keys` in the JSON object `obj` that describes `what`;
+    a non-object or a missing field is refused by name."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no field {key!r}")
+    return [obj[key] for key in keys]
+
+
 def json_int(value, what: str) -> int:
     """A 64-bit integer read from JSON; floats and booleans are refused,
     not truncated."""
@@ -106,8 +117,9 @@ class PatternMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PatternMatrix":
-        rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
-        data = json_ints(obj["data"], "matrix data")
+        rows, cols, data = json_fields(obj, "pattern matrix", "rows", "cols", "data")
+        rows, cols = json_int(rows, "rows"), json_int(cols, "cols")
+        data = json_ints(data, "matrix data")
         if len(data) != rows * cols:
             raise ValueError("matrix data length does not match rows*cols")
         return cls(np.asarray(data, dtype=np.int64).reshape(rows, cols))
@@ -175,10 +187,11 @@ class FactorChain:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FactorChain":
+        F, P, r = json_fields(obj, "factor chain", "F", "P", "r")
         return cls(
-            F=PatternMatrix.from_json_dict(obj["F"]),
-            P=PatternMatrix.from_json_dict(obj["P"]),
-            r=json_int(obj["r"], "r"),
+            F=PatternMatrix.from_json_dict(F),
+            P=PatternMatrix.from_json_dict(P),
+            r=json_int(r, "r"),
         )
 
 

@@ -82,6 +82,7 @@ def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float) -> float
         raise ValueError("gains must be positive")
     F = chain.F.entries.astype(float)
     gram = F @ F.T
+    peak = float(gram.max())
     eye = np.eye(chain.m_f)
     total = 0.0
     try:
@@ -90,6 +91,8 @@ def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float) -> float
             for g, e in zip(gains, comp):
                 boost *= g**e
             coeff = snr * float(boost)
+            if not math.isfinite(coeff * peak):
+                raise OverflowError("snr * gain * F F^T is not finite")
             total += multinomial(comp) * _log2_det_posdef(eye + coeff * gram)
             if not math.isfinite(total):
                 raise OverflowError("a log-det term is not finite")
@@ -107,6 +110,8 @@ def sum_rate_pdma(A: PatternMatrix, snr: float) -> float:
         raise ValueError("snr must be nonnegative")
     M = A.rows
     gram = A.entries.astype(float) @ A.entries.astype(float).T
+    if not math.isfinite(snr * float(gram.max())):
+        raise ValueError(f"the PDMA rate at snr={snr:.6g} exceeds the float range")
     return _log2_det_posdef(np.eye(M) + snr * gram) / (2 * M)
 
 

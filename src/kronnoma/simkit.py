@@ -219,7 +219,6 @@ def run_monte_carlo(
     *,
     detector: str = "recursive",
     with_oracle: bool = False,
-    oracle_hypothesis_cap: int | None = None,
     keep_records: bool = False,
 ) -> list[MonteCarloPoint]:
     """Seeded Monte Carlo over an SNR grid (linear SNRs).
@@ -228,9 +227,10 @@ def run_monte_carlo(
     SIC final stage per cfg); "oracle" uses the brute-force MAP detector as
     the primary.  with_oracle additionally scores agreement of the primary's
     coupled-sum decisions against the oracle; if the hypothesis count exceeds
-    the oracle cap the run proceeds with agreement marked unavailable.
+    DEFAULT_ORACLE_CAP the run proceeds with agreement marked unavailable.
     Trials are drawn from their own streams and detected a chunk at a time,
-    so results do not depend on the chunking."""
+    so results do not depend on the chunking.  A noise variance, received
+    value or detection metric beyond the float range raises ValueError."""
     from . import detector as det  # deferred: detector imports simkit
 
     if detector not in ("recursive", "oracle"):
@@ -245,12 +245,11 @@ def run_monte_carlo(
     groups = pattern_groups(G)
     con = cfg.constellation
     q = con.size
-    cap = det.DEFAULT_ORACLE_CAP if oracle_hypothesis_cap is None else oracle_hypothesis_cap
-    oracle_feasible = q**G.cols <= cap
+    oracle_feasible = q**G.cols <= det.DEFAULT_ORACLE_CAP
     need_oracle = detector == "oracle" or with_oracle
     if detector == "oracle" and not oracle_feasible:
         raise det.HypothesisCapExceeded(
-            f"oracle needs {q}^{G.cols} hypotheses, above the cap ({cap})"
+            f"oracle needs {q}^{G.cols} hypotheses, above the cap ({det.DEFAULT_ORACLE_CAP})"
         )
     bounds = cfg.op_bounds()
     chunk = max(1, _CHUNK_VALUES // G.rows)
@@ -258,86 +257,87 @@ def run_monte_carlo(
     points = []
     if trials == 0:
         return points
-    for si, snr in enumerate(snr_grid):
-        noise_variance = con.average_power / snr
-        sym_err = 0
-        coup_err = 0
-        ambiguous = 0
-        agree = 0
-        measured = None
-        records = []
-        for start in range(si * trials, (si + 1) * trials, chunk):
-            index = range(start, min(start + chunk, (si + 1) * trials))
-            xs, ys = [], []
-            for i in index:
-                rng = trial_rng(seed, i)
-                x = con.symbols[rng.integers(0, q, size=G.cols)]
-                xs.append(x)
-                ys.append(synthesize_rx(cfg.power_offsets * x, G, noise_variance, rng=rng))
-            X, Y = np.array(xs), np.array(ys)
+    # an overflow anywhere in synthesis or detection would leave a meaningless
+    # decision behind, so it stops the run instead of warning
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for si, snr in enumerate(snr_grid):
+                noise_variance = con.average_power / snr
+                if not math.isfinite(noise_variance):
+                    raise ValueError(f"at snr={snr:.6g} the noise variance exceeds the float range")
+                sym_err = 0
+                coup_err = 0
+                ambiguous = 0
+                agree = 0
+                measured = None
+                records = []
+                for start in range(si * trials, (si + 1) * trials, chunk):
+                    index = range(start, min(start + chunk, (si + 1) * trials))
+                    xs, ys = [], []
+                    for i in index:
+                        rng = trial_rng(seed, i)
+                        x = con.symbols[rng.integers(0, q, size=G.cols)]
+                        xs.append(x)
+                        ys.append(synthesize_rx(cfg.power_offsets * x, G, noise_variance, rng=rng))
+                    X, Y = np.array(xs), np.array(ys)
 
-            decisions: dict[str, np.ndarray] = {}
-            amb: dict[str, np.ndarray] = {}
-            if detector == "recursive":
-                batch = det.detect_batch(Y, cfg, noise_variance)
-                decisions["recursive"] = batch.symbols
-                amb["recursive"] = batch.ambiguous
-                measured = (batch.report.measured_adds, batch.report.measured_muls)
-                primary = "recursive"
-            if need_oracle and oracle_feasible:
-                osym, oties = det.brute_force_map_oracle(
-                    Y,
-                    G,
-                    con,
-                    power_offsets=cfg.power_offsets,
-                    noise_variance=noise_variance,
-                    hypothesis_cap=cap,
-                )
-                decisions["oracle"] = osym
-                amb["oracle"] = oties > 1
-            if detector == "oracle":
-                primary = "oracle"
-                measured = (0, 0)  # the oracle is not part of the op budget
+                    decisions: dict[str, np.ndarray] = {}
+                    amb: dict[str, np.ndarray] = {}
+                    if detector == "recursive":
+                        batch = det.detect_batch(Y, cfg)
+                        decisions["recursive"] = batch.symbols
+                        amb["recursive"] = batch.ambiguous
+                        measured = (batch.report.measured_adds, batch.report.measured_muls)
+                        primary = "recursive"
+                    if need_oracle and oracle_feasible:
+                        osym, oties = det.brute_force_map_oracle(Y, G, con, power_offsets=cfg.power_offsets)
+                        decisions["oracle"] = osym
+                        amb["oracle"] = oties > 1
+                    if detector == "oracle":
+                        primary = "oracle"
+                        measured = (0, 0)  # the oracle is not part of the op budget
 
-            got = decisions[primary]
-            got_coupled = det.coupled_sums(got, groups, cfg.power_offsets)
-            sym_err += int((got != X).sum())
-            coup_err += int((got_coupled != det.coupled_sums(X, groups, cfg.power_offsets)).sum())
-            ambiguous += int(amb[primary].sum())
-            if with_oracle and oracle_feasible and primary != "oracle":
-                oc = det.coupled_sums(decisions["oracle"], groups, cfg.power_offsets)
-                agree += int((got_coupled == oc).all(axis=1).sum())
-            if keep_records:
-                records.extend(
-                    TrialRecord(
-                        seed=seed,
-                        index=i,
+                    got = decisions[primary]
+                    got_coupled = det.coupled_sums(got, groups, cfg.power_offsets)
+                    sym_err += int((got != X).sum())
+                    coup_err += int((got_coupled != det.coupled_sums(X, groups, cfg.power_offsets)).sum())
+                    ambiguous += int(amb[primary].sum())
+                    if with_oracle and oracle_feasible and primary != "oracle":
+                        oc = det.coupled_sums(decisions["oracle"], groups, cfg.power_offsets)
+                        agree += int((got_coupled == oc).all(axis=1).sum())
+                    if keep_records:
+                        records.extend(
+                            TrialRecord(
+                                seed=seed,
+                                index=i,
+                                snr=snr,
+                                transmitted=X[row],
+                                received=Y[row],
+                                decisions={name: d[row] for name, d in decisions.items()},
+                                ambiguous={name: bool(a[row]) for name, a in amb.items()},
+                            )
+                            for row, i in enumerate(index)
+                        )
+                n_coup = trials * len(groups)
+                agreement = None
+                if with_oracle and oracle_feasible and detector != "oracle":
+                    agreement = agree / trials
+                points.append(
+                    MonteCarloPoint(
                         snr=snr,
-                        transmitted=X[row],
-                        received=Y[row],
-                        decisions={name: d[row] for name, d in decisions.items()},
-                        ambiguous={name: bool(a[row]) for name, a in amb.items()},
+                        trials=trials,
+                        ser=sym_err / (trials * G.cols),
+                        coupled_ser=coup_err / n_coup,
+                        ambiguity_rate=ambiguous / trials,
+                        coupled_ser_interval=wilson_interval(coup_err, n_coup),
+                        oracle_agreement=agreement,
+                        measured_adds=measured[0],
+                        measured_muls=measured[1],
+                        bound_adds=bounds.total_adds,
+                        bound_muls=bounds.total_muls,
+                        records=tuple(records),
                     )
-                    for row, i in enumerate(index)
                 )
-        n_coup = trials * len(groups)
-        agreement = None
-        if with_oracle and oracle_feasible and detector != "oracle":
-            agreement = agree / trials
-        points.append(
-            MonteCarloPoint(
-                snr=snr,
-                trials=trials,
-                ser=sym_err / (trials * G.cols),
-                coupled_ser=coup_err / n_coup,
-                ambiguity_rate=ambiguous / trials,
-                coupled_ser_interval=wilson_interval(coup_err, n_coup),
-                oracle_agreement=agreement,
-                measured_adds=measured[0],
-                measured_muls=measured[1],
-                bound_adds=bounds.total_adds,
-                bound_muls=bounds.total_muls,
-                records=tuple(records),
-            )
-        )
+    except FloatingPointError as exc:
+        raise ValueError(f"at snr={snr:.6g} the model's values exceed the float range ({exc})") from None
     return points

@@ -81,7 +81,7 @@ def test_criterion_04_recursion_algebra_exact(chain_9x18, design3):
     cfg = DetectionConfig(chain_9x18, design3, BPSK)
     rng = np.random.default_rng(7)
     y = synthesize_rx(rng.choice([-1.0, 1.0], 18), build_chain(chain_9x18), 0.0)
-    res = recursive_detect(y, cfg, noise_variance=1.0)
+    res = recursive_detect(y, cfg)
     assert set(res.trace.recursions[0].noise_multipliers) == {3}
     assert set(res.trace.recursions[1].noise_multipliers) == {9}
     for fs in res.trace.final_sets:
@@ -96,7 +96,7 @@ def test_criterion_05_operation_counters(chain_9x18, design3):
     y = synthesize_rx(
         np.ones(18), build_chain(chain_9x18), 0.5, seed=11
     )
-    res = recursive_detect(y, cfg, noise_variance=0.5)
+    res = recursive_detect(y, cfg)
     combining_adds = res.trace.recursions[-1].adds_so_far
     assert combining_adds <= 36
     assert res.report.final_invocations == 9

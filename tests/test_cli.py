@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kronnoma import CombinerDesign, FactorChain, PatternMatrix, dump_chain
@@ -357,6 +357,83 @@ def test_design_loader_fuzz(tmp_path, chain_file, design3, field, how, index, va
     assert _rate_with_designs(tmp_path, chain_file, rec)[0] in (0, 2)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--chain", "CHAIN", "--gains", "CHAIN"], "design record has no field 'alpha'"),
+    (["design", "--p", "CHAIN"], "pattern matrix has no field 'rows'"),
+    (["rate", "--chain", "LIST"], "factor chain must be a JSON object"),
+], ids=["chain-as-gains", "chain-as-p", "list-as-chain"])
+def test_json_boundary_names_the_fault(tmp_path, chain_file, capsys, argv, message):
+    """A JSON file of the wrong kind is refused by the field it lacks."""
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    files = {"CHAIN": chain_file, "LIST": str(listing)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory, F12, P3):
+    """Chain files of depth 0, 1 and 2 (2, 6 and 18 users), by name."""
+    d = tmp_path_factory.mktemp("chains")
+    for r in range(3):
+        dump_chain(FactorChain(F12, P3, r), str(d / f"r{r}.json"))
+    return {f"r{r}": str(d / f"r{r}.json") for r in range(3)}
+
+
+# values at and beyond the float range's edges in both domains: -3090 dB is
+# a subnormal SNR, 1e150 offsets run and 1e160 overflow a squared distance
+_DB = st.one_of(st.floats(-20, 40), st.floats(),
+                st.sampled_from([-3090.0, -3000.0, 3000.0, 3080.0]))
+_POSITIVE = st.one_of(st.floats(0.1, 10), st.floats(min_value=0.0, exclude_min=True),
+                      st.sampled_from([1e150, 1e160, 1e308, 5e-324]))
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv of `simulate`, `rate` or `count-ops` on a chain of depth r <= 2;
+    chain files are named r0, r1 and r2."""
+    r = draw(st.integers(0, 2))
+    cmd = draw(st.sampled_from(["simulate", "rate", "count-ops"]))
+    argv = [cmd, "--chain", f"r{r}"]
+    constellation = ["--constellation", draw(st.sampled_from(["bpsk", "qpsk"]))]
+    if cmd == "count-ops":
+        return argv + constellation + draw(st.sampled_from([[], ["--sic"]]))
+    if cmd == "rate":
+        # at most 31 points unless the grid is refused, so a run stays short
+        lo, step = draw(_DB), draw(st.one_of(_POSITIVE, st.floats()))
+        hi = draw(st.one_of(st.integers(0, 30).map(lambda n: lo + n * step), _DB))
+        baselines = draw(st.lists(st.sampled_from(["pdma", "oma", "example4"]), unique=True))
+        return argv + [f"--snr-db-min={lo}", f"--snr-db-max={hi}", f"--snr-db-step={step}",
+                       "--baselines", ",".join(baselines)]
+    snrs = draw(st.lists(_DB, min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 3)):
+        snrs.sort()
+    argv += [f"--snr-db={','.join(map(str, snrs))}",
+             "--trials", str(draw(st.integers(-1, 20))),
+             "--seed", str(draw(st.integers(0, 2**64))),
+             "--detector", draw(st.sampled_from(["recursive", "oracle", "sic"])),
+             *constellation]
+    if draw(st.booleans()):
+        users = 2 * 3**r + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        offsets = draw(st.lists(_POSITIVE, min_size=users, max_size=users))
+        if offsets and not draw(st.integers(0, 3)):
+            offsets[draw(st.integers(0, users - 1))] = draw(st.floats())
+        argv.append(f"--power-offsets={','.join(map(str, offsets))}")
+    return argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(argv=_cli_argv())
+@example(argv=["simulate", "--chain", "r2", "--snr-db=-3090", "--trials", "5"])
+@example(argv=["simulate", "--chain", "r2", "--snr-db=10", "--trials", "5",
+               f"--power-offsets={','.join(['1e308'] * 18)}"])
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz(chains, argv):
+    """Random SNRs, power offsets and flags: exit 0, 2 or 3 and no
+    RuntimeWarning, which this test raises as an error."""
+    assert main([chains.get(a, a) for a in argv]) in (0, 2, 3)
+
+
 class TestSimulate:
     def test_csv_schema_and_summary(self, tmp_path, chain_file, capsys):
         out = tmp_path / "sim.csv"
@@ -463,6 +540,33 @@ class TestSimulate:
         assert "4000 dB exceeds the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_noise_variance_overflow_exit_2(self, chain_file, capsys):
+        # 10^-309 is a subnormal SNR: P_x / snr is beyond the float range
+        assert main(["simulate", "--chain", chain_file, "--snr-db", "-3090", "--trials", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: at snr=1e-309 the noise variance exceeds the float range\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("offset, code", [("1e150", 0), ("1e160", 2), ("1e308", 2)])
+    def test_huge_power_offsets(self, tmp_path, chain_file, capsys, offset, code):
+        # 1e160 overflows the squared distances, 1e308 already G x
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--chain", chain_file, "--snr-db", "10", "--trials", "5",
+                     "--power-offsets", ",".join([offset] * 18), "--csv-out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: at snr=10 the model's values exceed the float range")
+            assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("r", [20, 30])
+    def test_deep_chain_refused_before_any_array(self, tmp_path, F12, P3, capsys, r):
+        deep = tmp_path / "deep.json"
+        dump_chain(FactorChain(F12, P3, r), str(deep))
+        assert main(["simulate", "--chain", str(deep), "--snr-db", "0", "--trials", "1"]) == 2
+        assert "refuse to build" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "detector, digest",
         [
@@ -558,6 +662,23 @@ class TestCountOps:
         out = capsys.readouterr().out
         assert "total_adds_bound=126" in out
         assert "total_muls_bound=162" in out
+
+    @pytest.mark.parametrize("r", [20, 30])
+    def test_deep_chain_needs_no_per_user_array(self, tmp_path, F12, P3, capsys, r):
+        # 2 * 3^30 users: default power offsets are one broadcast value
+        deep = tmp_path / "deep.json"
+        dump_chain(FactorChain(F12, P3, r), str(deep))
+        assert main(["count-ops", "--chain", str(deep)]) == 0
+        assert f"final_sets={3**r}\n" in capsys.readouterr().out
+
+    def test_unindexable_chain_exit_2(self, tmp_path, F12, P3, capsys):
+        deep = tmp_path / "deep.json"
+        dump_chain(FactorChain(F12, P3, 3000), str(deep))
+        for argv in (["count-ops"], ["simulate", "--snr-db", "0", "--trials", "1"]):
+            assert main(argv + ["--chain", str(deep)]) == 2
+            assert capsys.readouterr().err == (
+                "error: a chain of 2*3^3000 users is too large to index\n"
+            )
 
 
 class TestEntryPoint:

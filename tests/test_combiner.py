@@ -180,9 +180,6 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapExceeded) as exc:
             list(enumerate_square_candidates(6))
         assert exc.value.m_p == 6 and exc.value.cap == 5
-        # raising the cap works up to the hard limit
-        it = enumerate_square_candidates(6, max_mp=8)
-        assert next(it).cols == 6
 
 
 class TestRunAlgorithm1:
@@ -221,10 +218,9 @@ class TestRunAlgorithm1:
         ]
 
     def test_cap_refusal(self):
-        with pytest.raises(EnumerationCapExceeded):
-            run_algorithm1(9)
-        with pytest.raises(EnumerationCapExceeded):
-            run_algorithm1(9, max_mp=8)  # hard limit stays at 8
+        for m_p in (6, 9):
+            with pytest.raises(EnumerationCapExceeded):
+                run_algorithm1(m_p)
 
     def test_top_truncation(self):
         assert len(run_algorithm1(3, top=5)) == 5

@@ -82,7 +82,7 @@ class TestNoiselessAlgebra:
         G = build_chain(chain_9x18)
         rng = np.random.default_rng(11)
         x = rng.choice([-1.0, 1.0], size=18)
-        res = recursive_detect(G.entries @ x, cfg2, 0.0)
+        res = recursive_detect(G.entries @ x, cfg2)
 
         lvl1, lvl2 = res.trace.recursions
         assert lvl1.noise_multipliers == (3, 3, 3)
@@ -103,7 +103,7 @@ class TestNoiselessAlgebra:
         # first combined equation of the first group: y1 + y2 - y3
         G = build_chain(chain_9x18)
         y = np.arange(1.0, 10.0)
-        res = recursive_detect(y, cfg2, 0.0)
+        res = recursive_detect(y, cfg2)
         lvl1 = res.trace.recursions[0]
         z_class0 = lvl1.combined[0]
         expected = np.array([y[0] + y[1] - y[2], y[3] + y[4] - y[5], y[6] + y[7] - y[8]])
@@ -114,7 +114,7 @@ class TestNoiselessAlgebra:
         groups = pattern_groups(G)
         for seed in range(25):
             x = np.random.default_rng(seed).choice([-1.0, 1.0], size=18)
-            res = recursive_detect(G.entries @ x, cfg2, 0.0)
+            res = recursive_detect(G.entries @ x, cfg2)
             assert np.array_equal(
                 coupled_sums(res.symbols, groups, cfg2.power_offsets),
                 coupled_sums(x, groups, cfg2.power_offsets),
@@ -123,7 +123,7 @@ class TestNoiselessAlgebra:
     def test_r0_reduces_to_final_stage(self, F12, P3, design3):
         chain = FactorChain(F12, P3, 0)
         cfg = _cfg(chain, design3)
-        res = recursive_detect(np.array([2.0]), cfg, 0.0)  # y = F x for x = (1, 1)
+        res = recursive_detect(np.array([2.0]), cfg)  # y = F x for x = (1, 1)
         assert res.symbols.tolist() == [1.0, 1.0]
         assert res.trace.recursions == ()
         assert len(res.trace.final_sets) == 1
@@ -139,7 +139,7 @@ class TestNoiselessAlgebra:
     def test_group_bookkeeping_invariants(self, cfg2, chain_9x18):
         G = build_chain(chain_9x18)
         y = G.entries @ np.ones(18)
-        res = recursive_detect(y, cfg2, 0.0)
+        res = recursive_detect(y, cfg2)
         m_p, m_f, r = chain_9x18.m_p, chain_9x18.m_f, chain_9x18.r
         for rec in res.trace.recursions:
             l = rec.level
@@ -153,7 +153,7 @@ class TestNoiselessAlgebra:
 
     def test_gain_products_along_paths(self, cfg2, design3, chain_9x18):
         G = build_chain(chain_9x18)
-        res = recursive_detect(G.entries @ np.ones(18), cfg2, 0.0)
+        res = recursive_detect(G.entries @ np.ones(18), cfg2)
         for fs in res.trace.final_sets:
             expected_gain = Fraction(1)
             expected_w = 1
@@ -211,9 +211,12 @@ class TestFinalStageMap:
         with pytest.raises(ValueError):
             final_stage_map(np.array([1.0]), F12, -4, BPSK)
 
-    def test_hypothesis_cap(self, F12):
+    def test_hypothesis_cap(self):
+        # 2^12 hypotheses fill DEFAULT_HYPOTHESIS_CAP (4096); 2^13 exceed it
+        decided, _, _ = final_stage_map(np.array([12.0]), PatternMatrix(np.ones((1, 12))), 1, BPSK)
+        assert decided == (1.0,) * 12
         with pytest.raises(HypothesisCapExceeded):
-            final_stage_map(np.array([1.0]), F12, 1, BPSK, hypothesis_cap=3)
+            final_stage_map(np.array([1.0]), PatternMatrix(np.ones((1, 13))), 1, BPSK)
 
     def test_dimension_checks(self, F12):
         with pytest.raises(ValueError):
@@ -249,7 +252,7 @@ class TestOpAccounting:
         # every coefficient vector of the optimal 3x3 design is dense, so the
         # measured combining additions meet the bound exactly
         G = build_chain(chain_9x18)
-        res = recursive_detect(G.entries @ np.ones(18), cfg2, 0.0)
+        res = recursive_detect(G.entries @ np.ones(18), cfg2)
         assert res.trace.recursions[-1].adds_so_far == 36
         assert res.report.measured_adds == 108
         assert res.report.measured_muls == 144
@@ -262,7 +265,7 @@ class TestOpAccounting:
         design = find_combiners(P4)
         cfg = _cfg(chain, design)
         y = build_chain(chain).entries @ np.ones(12)
-        res = recursive_detect(y, cfg, 0.0)
+        res = recursive_detect(y, cfg)
         lvl1 = res.trace.recursions[0]
         # per group: rows with nnz (3,3,3,1) cost 2+2+2+0 = 6; two groups
         assert lvl1.adds_so_far == 12
@@ -278,7 +281,7 @@ class TestOpAccounting:
         cfg = _cfg(chain, P)
         G = build_chain(chain)
         x = np.random.default_rng(r * 7 + m_p).choice([-1.0, 1.0], size=G.cols)
-        res = recursive_detect(G.entries @ x, cfg, 0.0)  # validates in OpCountReport
+        res = recursive_detect(G.entries @ x, cfg)  # validates in OpCountReport
         assert res.report.measured_adds <= res.report.bounds.total_adds
         assert res.report.measured_muls <= res.report.bounds.total_muls
         assert res.report.final_invocations == m_p**r
@@ -317,7 +320,7 @@ class TestCombiningMatrix:
         # the recursion is exactly the fixed linear map L
         rng = np.random.default_rng(5)
         y = rng.standard_normal(9)
-        res = recursive_detect(y, cfg2, 1.0)
+        res = recursive_detect(y, cfg2)
         stacked = np.concatenate([fs.values for fs in res.trace.final_sets])
         L = combining_matrix(chain_9x18, design3)
         assert np.allclose(stacked, L @ y, atol=0)
@@ -332,7 +335,7 @@ class TestCombiningMatrix:
             combining_matrix(chain_9x18, find_combiners(P4))
 
 
-def _reference_plain(y, cfg, noise_variance):
+def _reference_plain(y, cfg):
     """Plain detection from first principles: the dense combining matrix,
     then an exhaustive sweep per path over all hypotheses (lowest index wins
     ties).  Returns (symbols, ambiguous)."""
@@ -380,16 +383,16 @@ class TestBatchedKernel:
                 Y = (X * offs) @ G.entries.T + math.sqrt(nv) * noise
                 if mode == "sic" and r == 0:
                     with pytest.raises(SicPredecessorError):
-                        detect_batch(Y, cfg, nv)
+                        detect_batch(Y, cfg)
                     continue
-                batch = detect_batch(Y, cfg, nv)
+                batch = detect_batch(Y, cfg)
                 for t, y in enumerate(Y):
-                    one = recursive_detect(y, cfg, nv)
+                    one = recursive_detect(y, cfg)
                     assert np.array_equal(batch.symbols[t], one.symbols)
                     assert bool(batch.ambiguous[t]) == one.ambiguous
                     assert batch.report == one.report
                     if mode == "map":
-                        symbols, ambiguous = _reference_plain(y, cfg, nv)
+                        symbols, ambiguous = _reference_plain(y, cfg)
                         assert np.array_equal(one.symbols, symbols)
                         assert one.ambiguous == ambiguous
 
@@ -399,7 +402,7 @@ class TestBatchedKernel:
         G = build_chain(chain_9x18)
         X = np.ones((2, 18))
         X[0, 9:] = -1.0  # every coupled pair cancels
-        batch = detect_batch(X @ G.entries.T, cfg2, 0.0)
+        batch = detect_batch(X @ G.entries.T, cfg2)
         assert batch.ambiguous.tolist() == [True, False]
         assert batch.tie_counts[0].tolist() == [2] * 9
         assert batch.tie_counts[1].tolist() == [1] * 9
@@ -414,20 +417,18 @@ class TestBatchedKernel:
         G = build_chain(chain_9x18)
         rng = np.random.default_rng(9)
         Y = rng.choice([-1.0, 1.0], size=(7, 18)) @ G.entries.T + rng.standard_normal((7, 9))
-        whole = detect_batch(Y, cfg, 1.0)
+        whole = detect_batch(Y, cfg)
         monkeypatch.setattr(detector, "_SWEEP_VALUES", 30)  # a trial or two per slice
-        sliced = detect_batch(Y, cfg, 1.0)
+        sliced = detect_batch(Y, cfg)
         assert np.array_equal(whole.symbols, sliced.symbols)
         assert np.array_equal(whole.tie_counts, sliced.tie_counts)
         assert np.array_equal(whole.unit_predictions, sliced.unit_predictions)
 
     def test_validation(self, cfg2):
         with pytest.raises(ValueError):
-            detect_batch(np.zeros(9), cfg2, 0.0)
+            detect_batch(np.zeros(9), cfg2)
         with pytest.raises(ValueError):
-            detect_batch(np.zeros((0, 9)), cfg2, 0.0)
-        with pytest.raises(ValueError):
-            detect_batch(np.zeros((2, 9)), cfg2, -1.0)
+            detect_batch(np.zeros((0, 9)), cfg2)
 
 
 class TestBruteForceOracle:
@@ -435,7 +436,7 @@ class TestBruteForceOracle:
         # P3 itself is a 3x3 pattern with distinct columns: x recovered exactly
         for x in itertools.product((-1.0, 1.0), repeat=3):
             y = P3.entries @ np.array(x)
-            got, ties = brute_force_map_oracle(y, P3, BPSK, noise_variance=0.0)
+            got, ties = brute_force_map_oracle(y, P3, BPSK)
             assert tuple(got) == x
             assert ties == 1
 
@@ -444,7 +445,7 @@ class TestBruteForceOracle:
         groups = pattern_groups(G)
         offs = np.ones(6)
         for x in ALL_BPSK_6:
-            got, _ = brute_force_map_oracle(G.entries @ x, G, BPSK, noise_variance=0.0)
+            got, _ = brute_force_map_oracle(G.entries @ x, G, BPSK)
             assert np.array_equal(coupled_sums(got, groups, offs), coupled_sums(x, groups, offs))
 
     def test_noiseless_coupled_sums_full_scale_once(self, chain_9x18):
@@ -453,7 +454,7 @@ class TestBruteForceOracle:
         groups = pattern_groups(G)
         offs = np.ones(18)
         x = np.random.default_rng(123).choice([-1.0, 1.0], size=18)
-        got, _ = brute_force_map_oracle(G.entries @ x, G, BPSK, noise_variance=0.0)
+        got, _ = brute_force_map_oracle(G.entries @ x, G, BPSK)
         assert np.array_equal(coupled_sums(got, groups, offs), coupled_sums(x, groups, offs))
 
     def test_matches_final_stage_map_at_r0(self, F12):
@@ -463,14 +464,15 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(99)
         for _ in range(200):
             z = rng.standard_normal(1) * 3.0
-            a, _, _ = final_stage_map(z, F12, 1, BPSK, noise_variance=1.0)
-            b, _ = brute_force_map_oracle(z, chainF, BPSK, noise_variance=1.0)
+            a, _, _ = final_stage_map(z, F12, 1, BPSK)
+            b, _ = brute_force_map_oracle(z, chainF, BPSK)
             assert a == tuple(b)
 
     def test_cap(self, chain_9x18):
+        # QPSK on 18 users: 4^18 hypotheses, above DEFAULT_ORACLE_CAP (2^20)
         G = build_chain(chain_9x18)
         with pytest.raises(HypothesisCapExceeded):
-            brute_force_map_oracle(np.zeros(9), G, BPSK, hypothesis_cap=1000)
+            brute_force_map_oracle(np.zeros(9), G, QPSK)
 
     def test_dimension_check(self, P3):
         with pytest.raises(ValueError):
@@ -605,8 +607,8 @@ class TestSic:
         for x in ALL_BPSK_6:
             y = G.entries @ x
             assert np.array_equal(
-                recursive_detect(y, plain, 0.0).symbols,
-                recursive_detect(y, sic, 0.0).symbols,
+                recursive_detect(y, plain).symbols,
+                recursive_detect(y, sic).symbols,
             )
 
     def test_noiseless_equals_plain_r2_sampled(self, chain_9x18, design3):
@@ -617,8 +619,8 @@ class TestSic:
             x = np.random.default_rng(seed).choice([-1.0, 1.0], size=18)
             y = G.entries @ x
             assert np.array_equal(
-                recursive_detect(y, plain, 0.0).symbols,
-                recursive_detect(y, sic, 0.0).symbols,
+                recursive_detect(y, plain).symbols,
+                recursive_detect(y, sic).symbols,
             )
 
     def test_noiseless_equals_plain_when_classes_share_two_equations(self, F12):
@@ -634,8 +636,8 @@ class TestSic:
         for _ in range(10):
             y = G.entries @ rng.choice([-1.0, 1.0], size=G.cols)
             assert np.array_equal(
-                recursive_detect(y, plain, 0.0).symbols,
-                recursive_detect(y, sic, 0.0).symbols,
+                recursive_detect(y, plain).symbols,
+                recursive_detect(y, sic).symbols,
             )
 
     def test_worked_instance_algebra(self, chain_9x18, design3):
@@ -645,7 +647,7 @@ class TestSic:
         cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
         G = build_chain(chain_9x18)
         x = np.random.default_rng(17).choice([-1.0, 1.0], size=18)
-        res = recursive_detect(G.entries @ x, cfg, 0.0)
+        res = recursive_detect(G.entries @ x, cfg)
         sic_sets = [fs for fs in res.trace.final_sets if fs.used_sic]
         assert len(sic_sets) == 3
         for fs in sic_sets:
@@ -665,31 +667,31 @@ class TestSic:
         G = build_chain(chain_9x18)
         y = G.entries @ np.ones(18)
         with pytest.raises(SicPredecessorError):
-            recursive_detect(y, cfg, 0.0)
+            recursive_detect(y, cfg)
 
     def test_all_sic_violates(self, chain_9x18, design3):
         cfg = _cfg(chain_9x18, design3, sic_symbols=(0, 1, 2))
         G = build_chain(chain_9x18)
         with pytest.raises(SicPredecessorError):
-            recursive_detect(G.entries @ np.ones(18), cfg, 0.0)
+            recursive_detect(G.entries @ np.ones(18), cfg)
 
     def test_r0_with_sic_violates(self, F12, P3, design3):
         chain = FactorChain(F12, P3, 0)
         cfg = _cfg(chain, design3, sic_symbols=(2,))
         with pytest.raises(SicPredecessorError):
-            recursive_detect(np.zeros(1), cfg, 0.0)
+            recursive_detect(np.zeros(1), cfg)
 
     def test_direct_call_contract(self, chain_9x18, design3):
         cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
         with pytest.raises(SicPredecessorError):
-            sic_enhanced_final(np.zeros(3), {}, cfg, noise_variance=1.0)
+            sic_enhanced_final(np.zeros(3), {}, cfg)
         with pytest.raises(ValueError):
-            sic_enhanced_final(np.zeros(5), {}, cfg, noise_variance=1.0)
+            sic_enhanced_final(np.zeros(5), {}, cfg)
 
     def test_ops_stay_within_sic_bounds(self, chain_9x18, design3):
         cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
         G = build_chain(chain_9x18)
-        res = recursive_detect(G.entries @ np.ones(18), cfg, 0.0)
+        res = recursive_detect(G.entries @ np.ones(18), cfg)
         # skipping class 2's combining saves adds; cancellation adds some back
         assert res.report.measured_adds == 111
         assert res.report.measured_muls == 150
@@ -717,11 +719,9 @@ class TestDetectionConfig:
         with pytest.raises(DetectionError):
             _cfg(chain_9x18, design3, sic_symbols=(7,))
 
-    def test_y_and_noise_validated(self, cfg2):
+    def test_y_validated(self, cfg2):
         with pytest.raises(ValueError):
-            recursive_detect(np.zeros(8), cfg2, 0.0)
-        with pytest.raises(ValueError):
-            recursive_detect(np.zeros(9), cfg2, -1.0)
+            recursive_detect(np.zeros(8), cfg2)
 
 
 class TestNegativeWeightDesign:
@@ -743,8 +743,8 @@ class TestNegativeWeightDesign:
         for _ in range(5):
             x = rng.choice([-1.0, 1.0], size=18)
             y = G.entries @ x + 0.3 * rng.standard_normal(9)
-            a = recursive_detect(y, cfg_a, 0.09)
-            b = recursive_detect(y, cfg_b, 0.09)
+            a = recursive_detect(y, cfg_a)
+            b = recursive_detect(y, cfg_b)
             assert np.array_equal(a.symbols, b.symbols)
 
 
@@ -756,7 +756,7 @@ class TestComplexConstellation:
         rng = np.random.default_rng(4)
         for _ in range(10):
             x = QPSK.symbols[rng.integers(0, 4, size=6)]
-            res = recursive_detect(G.entries @ x, cfg, 0.0)
+            res = recursive_detect(G.entries @ x, cfg)
             assert np.array_equal(
                 coupled_sums(res.symbols, groups, cfg.power_offsets),
                 coupled_sums(x, groups, cfg.power_offsets),
@@ -772,7 +772,7 @@ class TestOffsetsResolveIndividuals:
         G = build_chain(chain_3x6)
         for x in ALL_BPSK_6:
             y = G.entries @ (offs * x)
-            res = recursive_detect(y, cfg, 0.0)
+            res = recursive_detect(y, cfg)
             assert np.array_equal(res.symbols, x)
             assert not res.ambiguous
 
@@ -785,7 +785,7 @@ def test_noiseless_round_trip_property(chain_9x18, design3, seed):
     G = build_chain(chain_9x18)
     groups = pattern_groups(G)
     x = np.random.default_rng(seed).choice([-1.0, 1.0], size=18)
-    res = recursive_detect(G.entries @ x, cfg, 0.0)
+    res = recursive_detect(G.entries @ x, cfg)
     assert np.array_equal(
         coupled_sums(res.symbols, groups, cfg.power_offsets),
         coupled_sums(x, groups, cfg.power_offsets),

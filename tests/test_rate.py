@@ -106,7 +106,7 @@ class TestSumRateRecursive:
         with pytest.raises(ValueError):
             sum_rate_recursive(chain_9x18, (Fraction(0),) * 3, 1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("r, snr", [(3000, 1.0), (2400, 1e10), (1, 1e308)])
     def test_float_range_exceeded(self, F12, P3, r, snr):
         # float((4/3)^3000) overflows; the other two make I + snr*boost*F F^T infinite
@@ -138,6 +138,14 @@ class TestSumRatePdma:
         for snr in SNR_SWEEP:
             expected = sum(math.log2(1 + snr * e) for e in eigs) / (2 * 9)
             assert sum_rate_pdma(G, snr) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_range_exceeded(self, chain_9x18):
+        # the largest Gram entry of the 9x18 chain is 8: 8 * 2.3e307 overflows
+        G = build_chain(chain_9x18)
+        assert math.isfinite(sum_rate_pdma(G, 2.2e307))
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            sum_rate_pdma(G, 2.3e307)
 
 
 class TestSumRateOma:

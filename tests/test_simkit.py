@@ -203,21 +203,20 @@ class TestRunMonteCarlo:
         assert pts[0].oracle_agreement is not None
         assert pts[0].oracle_agreement >= 0.99
 
-    def test_oracle_marked_unavailable_above_cap(self, mc_cfg):
-        pts = run_monte_carlo(
-            mc_cfg, [100.0], 50, seed=1, with_oracle=True, oracle_hypothesis_cap=10
-        )
+    def test_oracle_marked_unavailable_above_cap(self, chain_9x18, design3):
+        # QPSK on 18 users: 4^18 hypotheses, above DEFAULT_ORACLE_CAP (2^20)
+        cfg = DetectionConfig(chain_9x18, design3, QPSK)
+        pts = run_monte_carlo(cfg, [100.0], 50, seed=1, with_oracle=True)
         assert pts[0].oracle_agreement is None
         assert pts[0].coupled_ser is not None
 
-    def test_oracle_as_primary(self, mc_cfg):
+    def test_oracle_as_primary(self, mc_cfg, chain_9x18, design3):
         pts = run_monte_carlo(mc_cfg, [1e6], 200, seed=2, detector="oracle")
         assert pts[0].coupled_ser == 0.0
         assert pts[0].measured_adds == 0  # oracle is outside the op budget
         with pytest.raises(HypothesisCapExceeded):
-            run_monte_carlo(
-                mc_cfg, [1.0], 10, seed=0, detector="oracle", oracle_hypothesis_cap=10
-            )
+            run_monte_carlo(DetectionConfig(chain_9x18, design3, QPSK), [1.0], 10, seed=0,
+                            detector="oracle")
 
     def test_chunking_does_not_change_results(self, mc_cfg, chain_9x18, design3, monkeypatch):
         from kronnoma import simkit
