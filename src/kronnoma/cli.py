@@ -133,16 +133,14 @@ def _design_for(cfg_path: str | None, chain: FactorChain) -> CombinerDesign:
 
 
 def cmd_search(cfg: RunConfig) -> int:
-    results = run_algorithm1(cfg.mp, ref_snr=db_to_linear(cfg.ref_snr_db), top=cfg.top)
-    payload = [sd.design.to_json_dict() for sd in results]
-    _write_text(cfg.json_out, json.dumps(payload, indent=2) + "\n")
+    ranking = run_algorithm1(cfg.mp, ref_snr=db_to_linear(cfg.ref_snr_db), top=cfg.top)
+    _write_text(cfg.json_out, ranking.json_text())
     return 0
 
 
 def cmd_design(cfg: RunConfig) -> int:
     P = PatternMatrix.from_json_dict(_load_json(cfg.p_path))
-    design = find_combiners(P)
-    _write_text(cfg.json_out, json.dumps(design.to_json_dict(), indent=2) + "\n")
+    _write_text(cfg.json_out, find_combiners(P).json_text())
     return 0
 
 
@@ -152,8 +150,8 @@ def cmd_rate(cfg: RunConfig) -> int:
     wanted = [b for b in _BASELINES if b in cfg.baselines]
     G = build_chain(chain) if "pdma" in wanted else None
     header = ["snr_db", "c_recursive"] + [f"c_{b}" for b in wanted]
-    rows = []
-    for snr_db in cfg.snr_db_grid:
+
+    def rate_row(snr_db: float) -> list:
         snr = db_to_linear(snr_db)
         row = [snr_db, sum_rate_recursive(chain, design.gains, snr)]
         for b in wanted:
@@ -163,7 +161,12 @@ def cmd_rate(cfg: RunConfig) -> int:
                 row.append(sum_rate_oma(snr))
             else:
                 row.append(sum_rate_sic_reference(snr))
-        rows.append(row)
+        return row
+
+    # every float-range refusal grows with the SNR: rating the largest point
+    # first refuses a grid before any other point is computed
+    last = rate_row(cfg.snr_db_grid[-1])
+    rows = [rate_row(snr_db) for snr_db in cfg.snr_db_grid[:-1]] + [last]
     _write_text(cfg.csv_out, _csv_text(header, rows))
     return 0
 

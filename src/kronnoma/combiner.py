@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,7 +70,8 @@ class CombinerInfeasible(ValueError):
 
 
 class CombiningContractError(ValueError):
-    """A supplied coefficient vector violates C1, C2 or C3."""
+    """A design's coefficient vectors violate C1, C2 or C3, or disagree with
+    its weights or gains."""
 
 
 # "p" or "p/q" with q > 0: no exponent to expand or zero to divide by
@@ -110,23 +112,16 @@ class CombinerDesign:
         a = np.asarray(self.alpha, dtype=np.int64)
         if a.shape != (self.P.rows, self.P.cols):
             raise ValueError("alpha must be m_p x m_p")
-        if not ((a >= -1) & (a <= 1)).all():
-            raise CombiningContractError("alpha entries must be in {-1, 0, +1}")
+        diag = tuple(_isolation_diagonals(self.P.entries[None], a[None])[0].tolist())
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
-        prod = a @ self.P.entries
-        diag = tuple(prod.diagonal().tolist())
-        if np.count_nonzero(prod) != np.count_nonzero(diag):
-            raise CombiningContractError("alpha @ P must be diagonal")
-        if 0 in diag:
-            raise CombiningContractError("alpha @ P must have a nonzero diagonal")
         if diag != tuple(self.weights):
-            raise ValueError("weights do not match diag(alpha @ P)")
+            raise CombiningContractError("weights do not match diag(alpha @ P)")
         norms = (a * a).sum(axis=1).tolist()
         expect = tuple(_gain(w, n) for w, n in zip(diag, norms))
         if tuple(self.gains) != expect:
-            raise ValueError("gains do not match w^2 / ||alpha||^2")
+            raise CombiningContractError("gains do not match w^2 / ||alpha||^2")
         object.__setattr__(self, "gains", expect)
         object.__setattr__(self, "weights", diag)
 
@@ -145,6 +140,14 @@ class CombinerDesign:
             "weights": list(self.weights),
             "gains": [str(g) for g in self.gains],
         }
+
+    def json_text(self) -> str:
+        """The record as `json.dumps(self.to_json_dict(), indent=2) + "\n"`
+        writes it."""
+        lcm = math.lcm(*range(1, self.m_p + 1))
+        gains = [[g.numerator * (lcm // g.denominator) for g in self.gains]]
+        return _records_json(self.P.entries[None], self.alpha[None], np.array([self.weights]),
+                             np.array(gains), listed=False)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CombinerDesign":
@@ -174,6 +177,78 @@ class CombinerDesign:
 
     def __repr__(self) -> str:
         return f"CombinerDesign(P={self.P.entries.tolist()}, gains={[str(g) for g in self.gains]})"
+
+
+def _isolation_diagonals(P: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """C1-C3 over a block of designs: the entries of each alpha[n] lie in
+    {-1, 0, +1} and alpha[n] @ P[n] is diagonal with a nonzero diagonal.
+    Returns the diagonals, (N, m_p)."""
+    if not ((alpha >= -1) & (alpha <= 1)).all():
+        raise CombiningContractError("alpha entries must be in {-1, 0, +1}")
+    prod = alpha @ P
+    diag = np.diagonal(prod, axis1=1, axis2=2)
+    if np.count_nonzero(prod) != np.count_nonzero(diag):
+        raise CombiningContractError("alpha @ P must be diagonal")
+    if not diag.all():
+        raise CombiningContractError("alpha @ P must have a nonzero diagonal")
+    return diag
+
+
+_SLOT = "\0"
+
+
+def _slots(obj):
+    """A JSON value with every list entry replaced by a slot marker."""
+    if isinstance(obj, dict):
+        return {key: _slots(value) for key, value in obj.items()}
+    return [_SLOT] * len(obj) if isinstance(obj, list) else obj
+
+
+@functools.lru_cache(maxsize=None)
+def _record_template(m_p: int, listed: bool) -> tuple[str, ...]:
+    """One m_p x m_p design record as `json.dumps(indent=2)` lays it out, at
+    the top level or as an item of a list, split at its value slots: the
+    entries of P, of alpha, the weights and the gains, in `to_json_dict`
+    order."""
+    eye = np.eye(m_p, dtype=np.int64)
+    record = CombinerDesign(PatternMatrix(eye), eye, (1,) * m_p, (Fraction(1),) * m_p)
+    skeleton = _slots(record.to_json_dict())
+    text = json.dumps([skeleton] if listed else skeleton, indent=2)
+    return tuple((text[2:-2] if listed else text).split(json.dumps(_SLOT)))
+
+
+def _records_json(P, alpha, weights, gains, *, listed: bool) -> str:
+    """The JSON text of a block of designs, byte for byte what
+    `json.dumps(indent=2) + "\n"` writes for their `to_json_dict()`s: a list
+    of them when `listed`, else the block's one record.
+
+    P and alpha are (N, m_p, m_p), weights (N, m_p), and gains (N, m_p) the
+    gains as integers over lcm(1..m_p).  The block is checked first (C1-C3,
+    weights, gains), so every value written is an integer in [-m_p, m_p] or
+    one of a few distinct gains; each is looked up in a table of their texts.
+    """
+    n, m = weights.shape
+    lcm = math.lcm(*range(1, m + 1))
+    if not np.array_equal(_isolation_diagonals(P, alpha), weights):
+        raise CombiningContractError("weights do not match diag(alpha @ P)")
+    if not np.array_equal(gains * (alpha * alpha).sum(axis=2), weights * weights * lcm):
+        raise CombiningContractError("gains do not match w^2 / ||alpha||^2")
+    if n == 0:
+        return "[]\n"
+    distinct, gain_codes = np.unique(gains, return_inverse=True)
+    texts = [str(v) for v in range(-m, m + 1)]
+    texts += [json.dumps(str(Fraction(int(g), lcm))) for g in distinct]
+    codes = np.concatenate(
+        [P.reshape(n, -1) + m, alpha.reshape(n, -1) + m, weights + m,
+         gain_codes.reshape(n, m) + len(texts) - len(distinct)], axis=1)
+    # pieces[k, c]: the template text before slot k, then the text of code c
+    template = _record_template(m, listed)
+    pieces = np.array([[head + t for t in texts] for head in template[:-1]], dtype=object)
+    body = np.empty((n, codes.shape[1] + 1), dtype=object)
+    body[:, :-1] = pieces[np.arange(codes.shape[1]), codes]
+    body[:, -1] = template[-1] + ",\n"
+    body[-1, -1] = template[-1] + ("\n]\n" if listed else "\n")
+    return ("[\n" if listed else "") + "".join(body.ravel().tolist())
 
 
 _COEFF_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -260,20 +335,61 @@ class ScoredDesign:
     score: float
 
 
+class Ranking(Sequence[ScoredDesign]):
+    """Algorithm 1's ranked feasible designs, held as arrays.
+
+    Row i holds the column values of the design's P (ascending), the index
+    into `coefficient_vectors(m_p)` of each column's isolating vector, the
+    weights, the gains as integers over lcm(1..m_p), and the score.  As a
+    sequence of ScoredDesign it builds and validates a CombinerDesign only
+    for the items read; `json_text` writes every record from the arrays.
+    (A plain class: a dataclass would add about a millisecond to every
+    `import kronnoma`.)
+    """
+
+    def __init__(self, m_p: int, cols: np.ndarray, best: np.ndarray, weights: np.ndarray,
+                 gains: np.ndarray, scores: np.ndarray):
+        self.m_p = m_p
+        self.cols = cols  # (N, m_p)
+        self.best = best  # (N, m_p)
+        self.weights = weights  # (N, m_p)
+        self.gains = gains  # (N, m_p)
+        self.scores = scores  # (N,)
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Ranking(self.m_p, self.cols[i], self.best[i], self.weights[i],
+                           self.gains[i], self.scores[i])
+        i = range(len(self))[i]
+        P = _matrix_from_column_values(self.m_p, self.cols[i])
+        return ScoredDesign(_design(P, self.best[i], self.weights[i].tolist()), float(self.scores[i]))
+
+    def json_text(self) -> str:
+        """The records' JSON, as `json.dumps([sd.design.to_json_dict() for sd
+        in self], indent=2) + "\n"` writes it, with no design built."""
+        P = (self.cols[:, None, :] >> np.arange(self.m_p)[:, None]) & 1
+        alpha = coefficient_vectors(self.m_p)[0][self.best]
+        return _records_json(P, alpha, self.weights, self.gains, listed=True)
+
+
 def run_algorithm1(
     m_p: int,
     *,
     ref_snr: float = DEFAULT_REFERENCE_SNR,
     top: int | None = None,
-) -> list[ScoredDesign]:
+) -> Ranking:
     """Enumerate every candidate square factor, solve its combiners, and rank
     feasible designs by score (descending), ties broken by canonical column
     encoding ascending.
 
     The score is the closed-form sum rate for a [1 1] seed with one
     recursion at reference SNR `ref_snr` (linear).  Candidates are solved a
-    block at a time from one response table and ranked as arrays; only the
-    `top` returned designs become PatternMatrix / CombinerDesign objects.
+    block at a time from one response table and ranked as arrays; the
+    ranking keeps the `top` best (all by default) and builds no design
+    until one is read.
     """
     _check_cap(m_p)
     vecs, norms = coefficient_vectors(m_p)
@@ -305,8 +421,7 @@ def run_algorithm1(
     rates = [sum_rate_recursive(chain, [Fraction(k, lcm) for k in row], float(ref_snr))
              for row in multisets.tolist()]
     scores = np.array(rates)[which.reshape(-1)]
-    results = []
-    for i in np.lexsort((*cols.T[::-1], -scores))[:top]:
-        P = _matrix_from_column_values(m_p, cols[i])
-        results.append(ScoredDesign(_design(P, best[i], weights[i].tolist()), float(scores[i])))
-    return results
+    order = np.lexsort((*cols.T[::-1], -scores))[:top]
+    best, weights = best[order], weights[order]
+    gains = weights * weights * (lcm // norms[best])
+    return Ranking(m_p, cols[order], best, weights, gains, scores[order])

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kronnoma import CombinerDesign, FactorChain, PatternMatrix, dump_chain
+from kronnoma import (
+    CombinerDesign,
+    FactorChain,
+    PatternMatrix,
+    dump_chain,
+    find_combiners,
+    run_algorithm1,
+    sum_rate_recursive,
+)
+from kronnoma import cli, combiner
 from kronnoma.cli import main
 
 
@@ -99,8 +108,32 @@ class TestSearch:
         assert main(["search", "--mp", mp, "--json-out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_writes_from_arrays_building_no_design(self, tmp_path, monkeypatch):
+        built, design = [], combiner._design
+
+        def counting(*args):
+            built.append(args)
+            return design(*args)
+
+        monkeypatch.setattr(combiner, "_design", counting)
+        out = tmp_path / "mp4.json"
+        assert main(["search", "--mp", "4", "--json-out", str(out)]) == 0
+        assert built == []
+        monkeypatch.setattr(combiner, "_design", design)
+        assert out.read_text() == json.dumps(
+            [sd.design.to_json_dict() for sd in run_algorithm1(4)], indent=2) + "\n"
+
 
 class TestDesign:
+    @pytest.mark.parametrize("P", ["P3", "P4"])
+    def test_record_layout(self, tmp_path, request, P):
+        # the record of a single design, written by the search's writer at the top level
+        P = request.getfixturevalue(P)
+        p_file, out = tmp_path / "p.json", tmp_path / "design.json"
+        p_file.write_text(json.dumps(P.to_json_dict()))
+        assert main(["design", "--p", str(p_file), "--json-out", str(out)]) == 0
+        assert out.read_text() == json.dumps(find_combiners(P).to_json_dict(), indent=2) + "\n"
+
     def test_round_trip(self, tmp_path, P3, design3):
         p_file = tmp_path / "p.json"
         p_file.write_text(json.dumps(P3.to_json_dict()))
@@ -201,11 +234,44 @@ class TestRate:
         assert "finite" in capsys.readouterr().err
 
     def test_deep_chain_overflow_exit_2(self, tmp_path, F12, P3, capsys):
-        # float((4/3)^3000) does not exist: the CLI must report it, not crash
+        # float((4/3)^3000) does not exist: the CLI must report it, not crash.
+        # The grid's largest point (30 dB) is rated first, so it is the one named
         deep = tmp_path / "deep.json"
         dump_chain(FactorChain(F12, P3, 3000), str(deep))
         assert main(["rate", "--chain", str(deep), "--baselines", "oma"]) == 2
-        assert "depth-3000 chain at snr=1 exceeds the float range" in capsys.readouterr().err
+        assert "depth-3000 chain at snr=1000 exceeds the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr_db_max", ["9999", "3080"])
+    def test_refused_grid_rates_at_most_one_point(self, monkeypatch, chain_file, capsys,
+                                                  snr_db_max):
+        # ~31,000-100,000 points, refused at the top of the grid (10^999.9 is
+        # not a float; at 3080 dB the rates overflow): only that point is tried
+        rated = []
+
+        def counting(chain, gains, snr):
+            rated.append(snr)
+            if len(rated) > 1:
+                raise RuntimeError("a second point was rated")
+            return sum_rate_recursive(chain, gains, snr)
+
+        monkeypatch.setattr(cli, "sum_rate_recursive", counting)
+        assert main(["rate", "--chain", chain_file, "--snr-db-min", "0",
+                     "--snr-db-max", snr_db_max, "--snr-db-step", "0.1"]) == 2
+        assert len(rated) <= 1
+        assert "exceeds the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, digest", [
+        ([], "e21e134f6e7d7b447daf279533f5664c7001eb331df3cd350c1b4ecc2afe389f"),
+        (["--gains", "SEARCH", "--snr-db-min", "-5", "--snr-db-step", "0.5"],
+         "21d4470fb5d7ec666a33fdd058f176692f7955767a1731f8f3ba85aedb1de737"),
+    ])
+    def test_golden_rate_csv(self, tmp_path, chain_file, args, digest):
+        # the 9x18 chain over 0-30 dB with every baseline, and the same from
+        # the mp 3 search's designs on a finer grid, pinned byte for byte
+        args = [str(_search_mp3(tmp_path)) if a == "SEARCH" else a for a in args]
+        out = tmp_path / "rates.csv"
+        assert main(["rate", "--chain", chain_file, *args, "--csv-out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_huge_snr_exit_2(self, chain_file, capsys):
         assert main(["rate", "--chain", chain_file, "--snr-db-min", "4000",

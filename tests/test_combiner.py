@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,20 @@ from kronnoma.combiner import DEFAULT_REFERENCE_SNR
 from conftest import ALPHA3_ROWS, ALPHA4_ROWS
 
 THIRD = Fraction(4, 3)
+_DESIGN = combiner._design
+
+
+def _count_designs(monkeypatch) -> list:
+    """Patch the one place designs are built; returns the column values of
+    each design built from then on."""
+    built = []
+
+    def counting(P, best, weights):
+        built.append(P.column_values())
+        return _DESIGN(P, best, weights)
+
+    monkeypatch.setattr(combiner, "_design", counting)
+    return built
 
 
 class TestCoefficientVectors:
@@ -226,18 +244,14 @@ class TestRunAlgorithm1:
         assert len(run_algorithm1(3, top=5)) == 5
 
     def test_top_builds_only_returned_designs(self, monkeypatch):
-        built, design = [], combiner._design
-
-        def counting(P, best, weights):
-            built.append(P.column_values())
-            return design(P, best, weights)
-
-        monkeypatch.setattr(combiner, "_design", counting)
+        built = _count_designs(monkeypatch)
         got = run_algorithm1(4, top=7)
-        assert len(built) == len(got) == 7
-        assert built == [sd.design.P.column_values() for sd in got]
-        monkeypatch.setattr(combiner, "_design", design)
-        assert [(sd.design, sd.score) for sd in got] == [
+        assert len(got) == 7 and built == []  # nothing is built until read
+        items = list(got)
+        assert built == [sd.design.P.column_values() for sd in items]
+        assert len(built) == 7
+        monkeypatch.setattr(combiner, "_design", _DESIGN)
+        assert [(sd.design, sd.score) for sd in items] == [
             (sd.design, sd.score) for sd in run_algorithm1(4)[:7]
         ]
 
@@ -363,3 +377,107 @@ def test_every_feasible_design_validates(m_p):
             P=design.P, alpha=design.alpha, weights=design.weights, gains=design.gains
         )
         assert rebuilt == design
+
+
+def _json_reference(items) -> str:
+    return json.dumps([sd.design.to_json_dict() for sd in items], indent=2) + "\n"
+
+
+class TestRanking:
+    """run_algorithm1's array-backed ranking: a lazy sequence of designs,
+    and their JSON written from the arrays."""
+
+    @pytest.mark.parametrize("m_p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("top", [1, 5, 10**6])
+    def test_text_equals_json_dumps(self, m_p, top):
+        ranking = run_algorithm1(m_p, top=top)
+        assert len(ranking) == min(top, len(run_algorithm1(m_p)))
+        assert ranking.json_text() == _json_reference(ranking)
+
+    def test_empty_ranking_text(self):
+        assert run_algorithm1(3)[:0].json_text() == json.dumps([], indent=2) + "\n" == "[]\n"
+
+    def test_sequence_protocol(self):
+        ranking = run_algorithm1(3)
+        items = list(ranking)
+        assert len(items) == len(ranking) == 29
+        assert ranking[-1].design == items[-1].design
+        assert ranking[np.int64(2)].design == items[2].design
+        part = ranking[3:9:2]
+        assert [sd.design for sd in part] == [sd.design for sd in items[3:9:2]]
+        assert part.json_text() == _json_reference(items[3:9:2])
+        with pytest.raises(IndexError):
+            ranking[29]
+        with pytest.raises(TypeError):
+            ranking[1.0]
+
+    def test_reading_k_items_builds_k(self, monkeypatch):
+        built = _count_designs(monkeypatch)
+        ranking = run_algorithm1(4)
+        part = ranking[10:15]
+        assert built == []
+        ranking[3], ranking[-1]
+        list(part)
+        assert built == [tuple(ranking.cols[i].tolist()) for i in (3, -1, 10, 11, 12, 13, 14)]
+        ranking.json_text()
+        assert len(built) == 7
+
+
+def _corrupt(ranking, how: str):
+    """The ranking with one value of its fifth design made wrong: an alpha
+    entry flipped, a weight changed, or a gain that is no longer
+    w^2 / ||alpha||^2."""
+    m = ranking.m_p
+    best, weights, gains = ranking.best.copy(), ranking.weights.copy(), ranking.gains.copy()
+    if how == "alpha":
+        alpha = coefficient_vectors(m)[0][best[4, 1]].copy()
+        alpha[0] = 0 if alpha[0] else 1
+        best[4, 1] = int(((alpha + 1) * 3 ** np.arange(m - 1, -1, -1)).sum())
+    elif how == "weight":
+        weights[4, 1] += 1
+    else:
+        gains[4, 1] += 1
+    return combiner.Ranking(m, ranking.cols, best, weights, gains, ranking.scores)
+
+
+class TestBatchedCheck:
+    """The writer checks its block before it writes: C1-C3, the weights and
+    the gains, raising CombiningContractError (no assert, so -O keeps it)."""
+
+    @pytest.mark.parametrize("how, message", [
+        ("alpha", "must be diagonal|nonzero diagonal|weights do not match"),
+        ("weight", "weights do not match"),
+        ("gain", "gains do not match"),
+    ])
+    def test_corrupted_block_is_refused(self, how, message):
+        ranking = run_algorithm1(4)
+        with pytest.raises(CombiningContractError, match=message):
+            _corrupt(ranking, how).json_text()
+        ranking.json_text()  # the original is untouched
+
+    def test_refused_under_python_O(self):
+        root = Path(__file__).resolve().parent.parent
+        probe = (
+            "import sys\n"
+            "from kronnoma import run_algorithm1, CombiningContractError\n"
+            "from test_combiner import _corrupt\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "ranking = run_algorithm1(4)\n"
+            "for how in ('alpha', 'weight', 'gain'):\n"
+            "    try:\n"
+            "        _corrupt(ranking, how).json_text()\n"
+            "    except CombiningContractError:\n"
+            "        print(how, 'refused')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root / 'tests'}")
+        proc = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "optimize 1", "alpha refused", "weight refused", "gain refused"]
+
+    def test_alpha_outside_alphabet_is_refused(self, P3):
+        alpha = np.array(ALPHA3_ROWS)[None] * 2
+        with pytest.raises(CombiningContractError, match="must be in"):
+            combiner._records_json(P3.entries[None], alpha, np.array([[4, 4, 4]]),
+                                   np.array([[8, 8, 8]]), listed=False)
