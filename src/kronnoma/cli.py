@@ -115,12 +115,41 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _resolve_design(obj, P: PatternMatrix) -> CombinerDesign:
-    """Accept either one design record or a search-output array of them, and
-    use the first record whose square factor matches the chain's.  Records
-    are read in order and only as far as their P; only the matching record
-    is built and validated in full, and records after it are not read."""
-    for rec in obj if isinstance(obj, list) else [obj]:
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _design_records(text: str):
+    """The records of a design file in order: the elements of a top-level
+    array, each decoded only when it is reached, or else the file's one
+    value.  Malformed text is refused when the walk reaches it, with the
+    message `json.loads` gives."""
+    i = _JSON_SPACE.match(text).end()
+    if not text.startswith("[", i):
+        yield json.loads(text)
+        return
+    decoder = json.JSONDecoder()
+    i = _JSON_SPACE.match(text, i + 1).end()
+    if not text.startswith("]", i):
+        while True:
+            record, i = decoder.raw_decode(text, i)
+            yield record
+            i = _JSON_SPACE.match(text, i).end()
+            if text.startswith("]", i):
+                break
+            if not text.startswith(",", i):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            i = _JSON_SPACE.match(text, i + 1).end()
+    end = _JSON_SPACE.match(text, i + 1).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+
+
+def _resolve_design(records, P: PatternMatrix) -> CombinerDesign:
+    """Use the first of `records` whose square factor matches the chain's.
+    Each record before the match is decoded and checked only as far as its
+    P; the match is built and validated in full; records after it are
+    neither parsed nor validated."""
+    for rec in records:
         if PatternMatrix.from_json_dict(*json_fields(rec, "design record", "P")) == P:
             return CombinerDesign.from_json_dict(rec)
     raise ValueError("no design in the file matches the chain's square factor")
@@ -129,7 +158,8 @@ def _resolve_design(obj, P: PatternMatrix) -> CombinerDesign:
 def _design_for(cfg_path: str | None, chain: FactorChain) -> CombinerDesign:
     if cfg_path is None:
         return find_combiners(chain.P)
-    return _resolve_design(_load_json(cfg_path), chain.P)
+    with open(cfg_path, "r", encoding="utf-8") as fh:
+        return _resolve_design(_design_records(fh.read()), chain.P)
 
 
 def cmd_search(cfg: RunConfig) -> int:

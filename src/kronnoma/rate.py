@@ -17,6 +17,7 @@ linear; dB conversion happens at the CLI boundary only.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -70,6 +71,38 @@ def _log2_det_posdef(A: np.ndarray) -> float:
     return logdet / LOG2
 
 
+def _multinomials(total: int, parts: int) -> list[int]:
+    """multinomial(comp) for each comp of compositions(total, parts), in that
+    order: multinomial(head + (last,)) = comb(total, last) * multinomial(head),
+    with comb(total, last) stepped along its row.  At r = 800 and 3 parts
+    this takes 0.6 s where `multinomial` per composition takes 10 s."""
+    if parts == 1:
+        return [1]
+    out, c = [], 1
+    for last in range(total + 1):
+        out.extend(c * m for m in _multinomials(total - last, parts - 1))
+        c = c * (total - last) // (last + 1)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _path_gain_profile(
+    m_p: int, r: int, gains: tuple[Fraction, ...]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Each composition of r into m_p parts, in `compositions` order, as its
+    path count multinomial(comp) and its boost float(prod gains_j^{comp_j}).
+    Neither depends on the SNR, so a sweep builds them once."""
+    nums = [[g.numerator**e for e in range(r + 1)] for g in gains]
+    dens = [[g.denominator**e for e in range(r + 1)] for g in gains]
+    # int / int is correctly rounded, so each boost is float(Fraction(num, den))
+    boosts = np.array([
+        math.prod(map(list.__getitem__, nums, comp)) / math.prod(map(list.__getitem__, dens, comp))
+        for comp in compositions(r, m_p)
+    ])
+    boosts.flags.writeable = False
+    return tuple(_multinomials(r, m_p)), boosts
+
+
 def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float) -> float:
     """Average per-RE sum rate of recursive detection over `chain` with
     per-branch combining gains `gains` (exact rationals preferred)."""
@@ -83,17 +116,21 @@ def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float) -> float
     F = chain.F.entries.astype(float)
     gram = F @ F.T
     peak = float(gram.max())
-    eye = np.eye(chain.m_f)
-    total = 0.0
     try:
-        for comp in compositions(chain.r, chain.m_p):
-            boost = Fraction(1)
-            for g, e in zip(gains, comp):
-                boost *= g**e
-            coeff = snr * float(boost)
-            if not math.isfinite(coeff * peak):
-                raise OverflowError("snr * gain * F F^T is not finite")
-            total += multinomial(comp) * _log2_det_posdef(eye + coeff * gram)
+        # every boost is at most max(gains)^r and float() is monotone, so
+        # this refuses a chain before any composition is enumerated
+        if not math.isfinite(snr * float(max(gains) ** chain.r) * peak):
+            raise OverflowError("snr * gain * F F^T is not finite")
+        mults, boosts = _path_gain_profile(chain.m_p, chain.r, gains)
+        coeffs = snr * boosts
+        if not np.isfinite(coeffs * peak).all():
+            raise OverflowError("snr * gain * F F^T is not finite")
+        signs, logdets = np.linalg.slogdet(np.eye(chain.m_f) + coeffs[:, None, None] * gram)
+        total = 0.0
+        for mult, sign, logdet in zip(mults, signs.tolist(), logdets.tolist()):
+            if sign <= 0:
+                raise ValueError("matrix is not positive definite")
+            total += mult * (logdet / LOG2)
             if not math.isfinite(total):
                 raise OverflowError("a log-det term is not finite")
         return total / (2 * chain.M)

@@ -327,12 +327,17 @@ class TestRate:
 
 
 def _rate_with_designs(tmp_path, chain_file, records, name="designs.json"):
-    """Run `rate --gains` on a file holding `records`; (exit code, CSV)."""
+    """Run `rate --gains` on a file holding `records` (or this text);
+    (exit code, CSV)."""
     path, out = tmp_path / name, tmp_path / f"{name}.csv"
-    path.write_text(json.dumps(records))
+    path.write_text(records if isinstance(records, str) else json.dumps(records))
     code = main(["rate", "--chain", chain_file, "--gains", str(path),
                  "--snr-db-max", "10", "--snr-db-step", "5", "--csv-out", str(out)])
     return code, out.read_text() if code == 0 else None
+
+
+# a design record whose 1x1 P matches no chain of the tests
+_OTHER_P = '{"P": {"rows": 1, "cols": 1, "data": [1]}}'
 
 
 class TestResolveDesign:
@@ -379,6 +384,63 @@ class TestResolveDesign:
         got = _rate_with_designs(tmp_path, chain_file,
                                  [design3.to_json_dict(), 3, {"P": "x"}, {}])
         assert got == want and got[0] == 0
+
+    @pytest.mark.parametrize("tail", [", 3, {\"P\": \"x\"", ", this is not JSON", "]]] trailing",
+                                      ""])
+    def test_text_after_match_is_not_parsed(self, tmp_path, chain_file, design3, records,
+                                            tail):
+        # a truncated or garbled tail after the matching record is never
+        # reached, so the file rates as the single record does
+        want = _rate_with_designs(tmp_path, chain_file, design3.to_json_dict(), "one.json")
+        text = " [\n" + json.dumps(design3.to_json_dict(), indent=2) + tail
+        assert _rate_with_designs(tmp_path, chain_file, text) == want and want[0] == 0
+        # the same record last in the search file, then cut after it
+        text = json.dumps(records)[:-1] + tail
+        assert _rate_with_designs(tmp_path, chain_file, text, "cut.json") == want
+
+    @pytest.mark.parametrize("cut", [2, 40, 400])
+    def test_truncated_before_match_exit_2(self, tmp_path, chain_file, records, capsys, cut):
+        # the match is the file's last record; cutting 2 or more characters
+        # cuts into it
+        text = json.dumps(records)
+        assert _rate_with_designs(tmp_path, chain_file, text[:-cut])[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[]", " [ ]\n", f"[{_OTHER_P}]", _OTHER_P])
+    def test_no_match_exit_2(self, tmp_path, chain_file, capsys, text):
+        assert _rate_with_designs(tmp_path, chain_file, text)[0] == 2
+        assert "no design in the file matches" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[] x", "Extra data"),
+        (f"[{_OTHER_P}] x", "Extra data"),
+        (f"[{_OTHER_P} {_OTHER_P}]", "Expecting ',' delimiter"),
+        (f"[{_OTHER_P},]", "Expecting value"),
+        (f"[{_OTHER_P}", "Expecting ',' delimiter"),
+        ("", "Expecting value"),
+        (f"{_OTHER_P} x", "Extra data"),
+    ])
+    def test_malformed_text_before_match_exit_2(self, tmp_path, chain_file, capsys, text,
+                                                message):
+        # refused with the message json.loads gives for the same text
+        with pytest.raises(json.JSONDecodeError, match=message) as exc:
+            json.loads(text)
+        assert _rate_with_designs(tmp_path, chain_file, text)[0] == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_match_in_cut_file_simulates_as_whole_file(self, tmp_path, chain_file, design3,
+                                                       capsys):
+        # `simulate --design` reads the file the same way
+        rec = json.dumps(design3.to_json_dict())
+        outs = []
+        for name, text in (("whole.json", f"[{rec}]"), ("cut.json", f"[{rec}, {rec[:30]}")):
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["simulate", "--chain", chain_file, "--snr-db", "5", "--trials", "5",
+                         "--seed", "3", "--design", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 # one field of a valid record, and replacements of the kinds a hand-edited

@@ -1,5 +1,6 @@
 """Closed-form sum rates against independent oracles."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from kronnoma import (
     sum_rate_recursive,
     sum_rate_sic_reference,
 )
+from kronnoma import cli, rate
 
 SNR_SWEEP = [10.0**e for e in range(-3, 4)]  # 0.001 ... 1000
 
@@ -119,6 +121,89 @@ class TestSumRateRecursive:
         lo = sum_rate_recursive(chain_9x18, design3.gains, snr)
         hi = sum_rate_recursive(chain_9x18, design3.gains, snr * factor)
         assert hi >= lo
+
+
+def _per_composition_rate(chain, gains, snr):
+    """The per-composition loop `sum_rate_recursive` ran before it built a
+    path-gain profile: exact `Fraction` boosts and one log-det per term."""
+    gains = tuple(Fraction(g) for g in gains)
+    F = chain.F.entries.astype(float)
+    gram = F @ F.T
+    peak = float(gram.max())
+    eye = np.eye(chain.m_f)
+    total = 0.0
+    for comp in compositions(chain.r, chain.m_p):
+        boost = Fraction(1)
+        for g, e in zip(gains, comp):
+            boost *= g**e
+        coeff = snr * float(boost)
+        assert math.isfinite(coeff * peak)
+        sign, logdet = np.linalg.slogdet(eye + coeff * gram)
+        assert sign > 0
+        total += multinomial(comp) * (logdet / rate.LOG2)
+        assert math.isfinite(total)
+    return total / (2 * chain.M)
+
+
+# wide seed factors with m_f = 1 and 2, so the stacked log-dets cover 1x1
+# and 2x2 Gram matrices
+_SEEDS = [[[1, 1]], [[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [1, 1, 1]]]
+_GAINS = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64)
+
+
+class TestPathGainProfile:
+    """`sum_rate_recursive` builds each (m_p, r, gains) profile once and
+    equals the per-composition loop bit for bit."""
+
+    @given(data=st.data(), m_p=st.integers(2, 5), r=st.integers(0, 6),
+           seed=st.sampled_from(_SEEDS),
+           snr=st.one_of(st.sampled_from([0.0, 1.0, 1e12]),
+                         st.floats(min_value=0.0, max_value=1e12)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_composition_loop(self, data, m_p, r, seed, snr):
+        gains = data.draw(st.lists(_GAINS, min_size=m_p, max_size=m_p))
+        chain = FactorChain(PatternMatrix(np.array(seed)),
+                            PatternMatrix(np.eye(m_p, dtype=np.int64)), r)
+        assert sum_rate_recursive(chain, gains, snr) == _per_composition_rate(chain, gains, snr)
+
+    def test_multinomials_follow_composition_order(self):
+        for total in range(0, 9):
+            for parts in range(1, 6):
+                assert rate._multinomials(total, parts) == [
+                    multinomial(c) for c in compositions(total, parts)
+                ]
+
+    def test_sweep_builds_profile_once(self, tmp_path, chain_9x18):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_9x18.to_json_dict()))
+        rate._path_gain_profile.cache_clear()
+        assert cli.main(["rate", "--chain", str(path), "--baselines", "oma",
+                         "--csv-out", str(tmp_path / "out.csv")]) == 0
+        info = rate._path_gain_profile.cache_info()
+        assert (info.misses, info.hits) == (1, 30)
+
+    def test_profile_is_read_only(self, design3):
+        mults, boosts = rate._path_gain_profile(3, 2, tuple(design3.gains))
+        assert isinstance(mults, tuple)
+        with pytest.raises(ValueError):
+            boosts[0] = 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_deep_chain_refused_before_enumeration(self, monkeypatch, tmp_path, F12, P3,
+                                                   capsys):
+        # (4/3)^3000 is beyond the float range: the bound max(gains)^r
+        # refuses the chain without enumerating a single composition
+        def refuse(*args):
+            raise AssertionError("a composition was enumerated")
+
+        monkeypatch.setattr(rate, "compositions", refuse)
+        monkeypatch.setattr(rate, "_multinomials", refuse)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(FactorChain(F12, P3, 3000).to_json_dict()))
+        assert cli.main(["rate", "--chain", str(path), "--baselines", "oma"]) == 2
+        assert "depth-3000 chain at snr=1000 exceeds the float range" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            sum_rate_recursive(FactorChain(F12, P3, 3000), (Fraction(4, 3),) * 3, 0.0)
 
 
 class TestSumRatePdma:

@@ -22,6 +22,16 @@ def test_tracer_layers_resolve():
         assert callable(getattr(module, fn, None)), f"{tracer.PACKAGE}.{mod}.{fn} is gone"
 
 
+def test_rate_is_one_function_under_every_name():
+    # the tracer wraps `rate.sum_rate_recursive` together with the names
+    # that `from .rate import` binds in combiner and cli; a local copy or a
+    # wrapper under either name would escape that layer
+    from kronnoma import cli, combiner, rate
+
+    assert combiner.sum_rate_recursive is rate.sum_rate_recursive
+    assert cli.sum_rate_recursive is rate.sum_rate_recursive
+
+
 def test_oracle_agreement_output_pinned(capsys):
     # the paired recursive-vs-MAP table of the r = 1 chain at the default
     # seed, byte for byte
