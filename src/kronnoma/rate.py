@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -71,36 +72,34 @@ def _log2_det_posdef(A: np.ndarray) -> float:
     return logdet / LOG2
 
 
-def _multinomials(total: int, parts: int) -> list[int]:
-    """multinomial(comp) for each comp of compositions(total, parts), in that
-    order: multinomial(head + (last,)) = comb(total, last) * multinomial(head),
-    with comb(total, last) stepped along its row.  At r = 800 and 3 parts
-    this takes 0.6 s where `multinomial` per composition takes 10 s."""
-    if parts == 1:
-        return [1]
-    out, c = [], 1
-    for last in range(total + 1):
-        out.extend(c * m for m in _multinomials(total - last, parts - 1))
-        c = c * (total - last) // (last + 1)
-    return out
+# compositions per stacked log-det, so a deep chain's per-point arrays stay
+# a few MB
+_BLOCK_COMPOSITIONS = 1 << 14
 
 
-@functools.lru_cache(maxsize=32)
+# a `rate` sweep reads two profiles, its chain's and the SIC reference's
+@functools.lru_cache(maxsize=4)
 def _path_gain_profile(
     m_p: int, r: int, gains: tuple[Fraction, ...]
-) -> tuple[tuple[int, ...], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each composition of r into m_p parts, in `compositions` order, as its
-    path count multinomial(comp) and its boost float(prod gains_j^{comp_j}).
-    Neither depends on the SNR, so a sweep builds them once."""
+    path count float(multinomial(comp)) and its boost float(prod gains_j^{comp_j}).
+    Neither depends on the SNR, so a sweep builds them once.
+
+    A path count is stored as a float: a Python int multiplied into a float
+    is converted with float() first, so the products are the same.  The
+    caller has checked that every path count converts."""
     nums = [[g.numerator**e for e in range(r + 1)] for g in gains]
     dens = [[g.denominator**e for e in range(r + 1)] for g in gains]
-    # int / int is correctly rounded, so each boost is float(Fraction(num, den))
-    boosts = np.array([
-        math.prod(map(list.__getitem__, nums, comp)) / math.prod(map(list.__getitem__, dens, comp))
-        for comp in compositions(r, m_p)
-    ])
-    boosts.flags.writeable = False
-    return tuple(_multinomials(r, m_p)), boosts
+    mults, boosts = array("d"), array("d")
+    for comp in compositions(r, m_p):
+        mults.append(float(multinomial(comp)))
+        # int / int is correctly rounded, so this is float(Fraction(num, den))
+        boosts.append(math.prod(map(list.__getitem__, nums, comp))
+                      / math.prod(map(list.__getitem__, dens, comp)))
+    mults, boosts = np.frombuffer(mults), np.frombuffer(boosts)
+    mults.flags.writeable = boosts.flags.writeable = False
+    return mults, boosts
 
 
 def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float) -> float:
@@ -116,23 +115,29 @@ def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float) -> float
     F = chain.F.entries.astype(float)
     gram = F @ F.T
     peak = float(gram.max())
+    eye = np.eye(chain.m_f)
     try:
-        # every boost is at most max(gains)^r and float() is monotone, so
-        # this refuses a chain before any composition is enumerated
+        # both checks refuse a chain before any composition is enumerated.
+        # Every boost is at most max(gains)^r and float() is monotone, so
+        # this bound covers every snr * boost * F F^T term
         if not math.isfinite(snr * float(max(gains) ** chain.r) * peak):
             raise OverflowError("snr * gain * F F^T is not finite")
+        # the sum ends dividing by 2M, which float() must convert; M = m_p^r
+        # * m_f bounds every path count, so each of those converts too
+        float(2 * chain.M)
         mults, boosts = _path_gain_profile(chain.m_p, chain.r, gains)
-        coeffs = snr * boosts
-        if not np.isfinite(coeffs * peak).all():
-            raise OverflowError("snr * gain * F F^T is not finite")
-        signs, logdets = np.linalg.slogdet(np.eye(chain.m_f) + coeffs[:, None, None] * gram)
         total = 0.0
-        for mult, sign, logdet in zip(mults, signs.tolist(), logdets.tolist()):
-            if sign <= 0:
-                raise ValueError("matrix is not positive definite")
-            total += mult * (logdet / LOG2)
-            if not math.isfinite(total):
-                raise OverflowError("a log-det term is not finite")
+        for start in range(0, len(boosts), _BLOCK_COMPOSITIONS):
+            block = slice(start, start + _BLOCK_COMPOSITIONS)
+            coeffs = snr * boosts[block]
+            signs, logdets = np.linalg.slogdet(eye + coeffs[:, None, None] * gram)
+            for mult, sign, logdet in zip(mults[block].tolist(), signs.tolist(),
+                                          logdets.tolist()):
+                if sign <= 0:
+                    raise ValueError("matrix is not positive definite")
+                total += mult * (logdet / LOG2)
+                if not math.isfinite(total):
+                    raise OverflowError("a log-det term is not finite")
         return total / (2 * chain.M)
     except OverflowError as exc:
         raise ValueError(

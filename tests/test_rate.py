@@ -166,44 +166,67 @@ class TestPathGainProfile:
                             PatternMatrix(np.eye(m_p, dtype=np.int64)), r)
         assert sum_rate_recursive(chain, gains, snr) == _per_composition_rate(chain, gains, snr)
 
-    def test_multinomials_follow_composition_order(self):
-        for total in range(0, 9):
-            for parts in range(1, 6):
-                assert rate._multinomials(total, parts) == [
-                    multinomial(c) for c in compositions(total, parts)
-                ]
+    @pytest.mark.parametrize("m_p, r", [(2, 60), (3, 40)])
+    def test_equals_per_composition_loop_past_2_53(self, monkeypatch, m_p, r):
+        # path counts above 2^53 are rounded when converted to floats; the
+        # profile stores them converted, as the sum would.  Blocks of 10
+        # compositions leave a short last block
+        monkeypatch.setattr(rate, "_BLOCK_COMPOSITIONS", 10)
+        assert max(multinomial(c) for c in compositions(r, m_p)) > 2**53
+        chain = FactorChain(PatternMatrix(np.array([[1, 1, 0], [0, 1, 1]])),
+                            PatternMatrix(np.eye(m_p, dtype=np.int64)), r)
+        gains = [Fraction(4, 3), Fraction(1, 2), Fraction(5, 4), Fraction(3, 2)][:m_p]
+        for snr in (0.0, 1e-3, 1.0, 1e6):
+            assert sum_rate_recursive(chain, gains, snr) == _per_composition_rate(chain, gains, snr)
 
     def test_sweep_builds_profile_once(self, tmp_path, chain_9x18):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(chain_9x18.to_json_dict()))
         rate._path_gain_profile.cache_clear()
-        assert cli.main(["rate", "--chain", str(path), "--baselines", "oma",
+        # each of the 31 points reads the chain's profile and the SIC
+        # reference's (example4)
+        assert cli.main(["rate", "--chain", str(path), "--baselines", "oma,example4",
                          "--csv-out", str(tmp_path / "out.csv")]) == 0
         info = rate._path_gain_profile.cache_info()
-        assert (info.misses, info.hits) == (1, 30)
+        assert (info.misses, info.hits) == (2, 60)
 
     def test_profile_is_read_only(self, design3):
         mults, boosts = rate._path_gain_profile(3, 2, tuple(design3.gains))
-        assert isinstance(mults, tuple)
-        with pytest.raises(ValueError):
-            boosts[0] = 0.0
+        for values in (mults, boosts):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r, reason", [
+        (3000, "integer division result too large for a float"),
+        (2000, "int too large to convert to float"),
+    ])
     def test_deep_chain_refused_before_enumeration(self, monkeypatch, tmp_path, F12, P3,
-                                                   capsys):
-        # (4/3)^3000 is beyond the float range: the bound max(gains)^r
+                                                   capsys, r, reason):
+        # (4/3)^3000 is beyond the float range; (4/3)^2000 is not, but 2M =
+        # 2 * 3^2000, by which the sum ends dividing, is.  Either bound
         # refuses the chain without enumerating a single composition
         def refuse(*args):
             raise AssertionError("a composition was enumerated")
 
         monkeypatch.setattr(rate, "compositions", refuse)
-        monkeypatch.setattr(rate, "_multinomials", refuse)
         path = tmp_path / "deep.json"
-        path.write_text(json.dumps(FactorChain(F12, P3, 3000).to_json_dict()))
+        path.write_text(json.dumps(FactorChain(F12, P3, r).to_json_dict()))
         assert cli.main(["rate", "--chain", str(path), "--baselines", "oma"]) == 2
-        assert "depth-3000 chain at snr=1000 exceeds the float range" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="exceeds the float range"):
-            sum_rate_recursive(FactorChain(F12, P3, 3000), (Fraction(4, 3),) * 3, 0.0)
+        err = capsys.readouterr().err
+        assert f"depth-{r} chain at snr=1000 exceeds the float range ({reason})" in err
+        with pytest.raises(ValueError, match=reason):
+            sum_rate_recursive(FactorChain(F12, P3, r), (Fraction(4, 3),) * 3, 0.0)
+
+    def test_most_paths_that_fit_are_rated(self, F12):
+        # 2M = 2^1023 converts, and so does every comb(1022, k); 2^1024 does not
+        P2 = PatternMatrix(np.eye(2, dtype=np.int64))
+        chain = FactorChain(F12, P2, 1022)
+        got = sum_rate_recursive(chain, (1, 1), 1.0)
+        assert got == _per_composition_rate(chain, (1, 1), 1.0)
+        assert got == pytest.approx(0.5 * math.log2(3), rel=1e-12)
+        with pytest.raises(ValueError, match="int too large to convert to float"):
+            sum_rate_recursive(FactorChain(F12, P2, 1023), (1, 1), 1.0)
 
 
 class TestSumRatePdma:
