@@ -116,30 +116,70 @@ def _load_json(path: str):
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_NUMBER_CHARS = re.compile(r"[0-9+\-.eE]*")
 
 
-def _design_records(text: str):
-    """The records of a design file in order: the elements of a top-level
-    array, each decoded only when it is reached, or else the file's one
-    value.  Malformed text is refused when the walk reaches it, with the
-    message `json.loads` gives."""
-    i = _JSON_SPACE.match(text).end()
+# characters of a design file read at first; each later read doubles what
+# is held, so reading a whole file copies its text about twice in all
+_READ_CHARS = 1 << 20
+
+
+def _design_records(fh):
+    """The records of the design file `fh` in order: the elements of a
+    top-level array, each decoded only when it is reached, or else the
+    file's one value.  The file is read only as far as the records asked
+    for.  Malformed text is refused when the walk reaches it, with the
+    message `json.loads` gives: the text read so far is kept whole, so
+    positions are the file's, and a decode error is raised only once the
+    file is read to its end, when it cannot be text cut short."""
+    text, eof = "", False
+
+    def more() -> bool:
+        nonlocal text, eof
+        chunk = fh.read(max(_READ_CHARS, len(text)))
+        text += chunk
+        eof = not chunk
+        return not eof
+
+    def skip(i: int) -> int:
+        # the first non-blank character at or after i, or the end of the file
+        while True:
+            j = _JSON_SPACE.match(text, i).end()
+            if j < len(text) or not more():
+                return j
+
+    def decode(i: int):
+        # a number cut by the end of the text read so far decodes short, so
+        # a value followed by nothing but number characters is read on
+        while True:
+            try:
+                record, j = decoder.raw_decode(text, i)
+                if eof or _NUMBER_CHARS.match(text, j).end() < len(text):
+                    return record, j
+            except json.JSONDecodeError:
+                if eof:
+                    raise
+            more()
+
+    decoder = json.JSONDecoder()
+    i = skip(0)
     if not text.startswith("[", i):
+        while more():
+            pass
         yield json.loads(text)
         return
-    decoder = json.JSONDecoder()
-    i = _JSON_SPACE.match(text, i + 1).end()
+    i = skip(i + 1)
     if not text.startswith("]", i):
         while True:
-            record, i = decoder.raw_decode(text, i)
+            record, i = decode(i)
             yield record
-            i = _JSON_SPACE.match(text, i).end()
+            i = skip(i)
             if text.startswith("]", i):
                 break
             if not text.startswith(",", i):
                 raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-            i = _JSON_SPACE.match(text, i + 1).end()
-    end = _JSON_SPACE.match(text, i + 1).end()
+            i = skip(i + 1)
+    end = skip(i + 1)
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
 
@@ -159,7 +199,7 @@ def _design_for(cfg_path: str | None, chain: FactorChain) -> CombinerDesign:
     if cfg_path is None:
         return find_combiners(chain.P)
     with open(cfg_path, "r", encoding="utf-8") as fh:
-        return _resolve_design(_design_records(fh.read()), chain.P)
+        return _resolve_design(_design_records(fh), chain.P)
 
 
 def cmd_search(cfg: RunConfig) -> int:

@@ -1,6 +1,7 @@
 """CLI subcommands: JSON/CSV contracts, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -327,10 +328,13 @@ class TestRate:
 
 
 def _rate_with_designs(tmp_path, chain_file, records, name="designs.json"):
-    """Run `rate --gains` on a file holding `records` (or this text);
-    (exit code, CSV)."""
+    """Run `rate --gains` on a file holding `records` (or this text, or these
+    bytes); (exit code, CSV)."""
     path, out = tmp_path / name, tmp_path / f"{name}.csv"
-    path.write_text(records if isinstance(records, str) else json.dumps(records))
+    if isinstance(records, bytes):
+        path.write_bytes(records)
+    else:
+        path.write_text(records if isinstance(records, str) else json.dumps(records))
     code = main(["rate", "--chain", chain_file, "--gains", str(path),
                  "--snr-db-max", "10", "--snr-db-step", "5", "--csv-out", str(out)])
     return code, out.read_text() if code == 0 else None
@@ -428,6 +432,34 @@ class TestResolveDesign:
             json.loads(text)
         assert _rate_with_designs(tmp_path, chain_file, text)[0] == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_bytes_after_match_are_not_read(self, tmp_path, chain_file, design3):
+        # the match first, then invalid UTF-8 past the first MiB: the file is
+        # read no further than a little past the match
+        want = _rate_with_designs(tmp_path, chain_file, design3.to_json_dict(), "one.json")
+        data = b"[" + json.dumps(design3.to_json_dict()).encode() + b"," + b" " * (2 << 20)
+        got = _rate_with_designs(tmp_path, chain_file, data + b"\xff\xfe]")
+        assert got == want and want[0] == 0
+
+    @pytest.mark.parametrize("chars", [1, 2, 7])
+    def test_read_in_pieces_as_whole(self, tmp_path, chain_file, design3, records, capsys,
+                                     monkeypatch, chars):
+        # a file read a few characters at a time, so that values, blanks and
+        # delimiters are cut between reads, gives the outcome and message the
+        # whole text gives
+        rec = json.dumps(design3.to_json_dict(), indent=1)
+        texts = [json.dumps(records), json.dumps(records, indent=2)[:-3], f" [ {rec} , 3",
+                 f"[{_OTHER_P}, 12]", f"[{_OTHER_P}, 12.5e3 ]", f"[{_OTHER_P}, nul",
+                 f"[\n{_OTHER_P}\n]\n  x", "[] ", "", "  ", rec]
+        want = []
+        for text in texts:
+            want.append((_rate_with_designs(tmp_path, chain_file, text), capsys.readouterr().err))
+        monkeypatch.setattr(cli, "_READ_CHARS", chars)
+        for text, expected in zip(texts, want):
+            got = _rate_with_designs(tmp_path, chain_file, text), capsys.readouterr().err
+            assert got == expected
+        # a number cut between reads is read on to its end
+        assert list(cli._design_records(io.StringIO("[1, 12.5e3 ,-7]"))) == [1, 12500.0, -7]
 
     def test_match_in_cut_file_simulates_as_whole_file(self, tmp_path, chain_file, design3,
                                                        capsys):

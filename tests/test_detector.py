@@ -1,7 +1,9 @@
 """Recursive detection: exact algebra, op accounting, SIC, and the oracle."""
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -479,18 +481,29 @@ class TestBruteForceOracle:
             brute_force_map_oracle(np.zeros(2), P3, BPSK)
 
 
+def _offsets(kind: str, K: int, rng) -> np.ndarray:
+    """Power offsets: unit, uniform in [0.5, 1.5], or integers from {1, 2}
+    (exact sums, so users sharing a column merge into classes, in groups of
+    equal and of unequal offsets)."""
+    if kind == "unit":
+        return np.ones(K)
+    if kind == "random":
+        return rng.uniform(0.5, 1.5, K)
+    return rng.integers(1, 3, K).astype(float)
+
+
 class TestBatchedOracle:
     @pytest.mark.parametrize(
         "r, con", [(0, BPSK), (0, QPSK), (1, BPSK), (1, QPSK), (2, BPSK)],
         ids=["r0-bpsk", "r0-qpsk", "r1-bpsk", "r1-qpsk", "r2-bpsk"],
     )
-    @pytest.mark.parametrize("offsets", ["unit", "random"])
+    @pytest.mark.parametrize("offsets", ["unit", "random", "integer"])
     def test_matches_per_row_calls(self, F12, P3, r, con, offsets, monkeypatch):
         from kronnoma import detector
 
         G = build_chain(FactorChain(F12, P3, r))
         rng = np.random.default_rng(100 + 10 * r + con.size)
-        offs = None if offsets == "unit" else rng.uniform(0.5, 1.5, G.cols)
+        offs = None if offsets == "unit" else _offsets(offsets, G.cols, rng)
         X = con.symbols[rng.integers(0, con.size, (3 if r == 2 else 9, G.cols))]
         Y = (X * (1.0 if offs is None else offs)) @ G.entries.T
         noisy = Y + 0.6 * rng.standard_normal(Y.shape)
@@ -508,9 +521,9 @@ class TestBatchedOracle:
             assert np.array_equal(got_ties, want[1])
 
     def test_noiseless_ties_accumulate_across_chunks(self, chain_9x18, monkeypatch):
-        # users i and i + 9 share a pattern column; user 0 is the most
-        # significant digit, so swapping x_0 and x_9 moves a hypothesis to
-        # another 65,536-hypothesis chunk
+        # users i and i + 9 share a pattern column, so swapping the opposite
+        # symbols of a pair keeps the score: 2^(opposite pairs) hypotheses
+        # tie, one class with that many members, and the lowest index wins
         from kronnoma import detector
 
         G = build_chain(chain_9x18)
@@ -550,17 +563,147 @@ def _reference_oracle(Y, G, con, offs):
     return np.array([hyps[b] for b in best]), (score == low).sum(axis=1)
 
 
+def _per_hypothesis_oracle(Y, G, con, offs):
+    """The oracle with every hypothesis its own class: tables of up to
+    65,536 hypotheses in index order, the leading users holding a constant
+    digit per table, scored one row at a time, the first minimum of each
+    table kept."""
+    q, K = con.size, G.cols
+    j = 0
+    while j < K and q ** (j + 1) <= 1 << 16:
+        j += 1
+    chunk, n_const = q**j, K - j
+    scaled = con.symbols * offs[:, None]
+    stride = [q ** (K - 1 - k) for k in range(K)]
+    column = {
+        k: np.tile(np.repeat(scaled[k], stride[k]), q ** (k - n_const)) for k in range(n_const, K)
+    }
+    row_users = [np.flatnonzero(row).tolist() for row in G.entries]
+    pred = np.empty((G.rows, chunk), dtype=scaled.dtype)
+    T = Y.shape[0]
+    step = max(1, (1 << 17) // chunk)
+    score = np.empty((min(step, T), chunk))
+    resid = np.empty(score.shape, dtype=np.result_type(Y, pred))
+    magnitude = np.empty(score.shape) if resid.dtype.kind == "c" else None
+    best_score = np.full(T, math.inf)
+    best_idx = np.full(T, -1, dtype=np.int64)
+    ties = np.zeros(T, dtype=np.int64)
+    for start in range(0, q**K, chunk):
+        for m, users in enumerate(row_users):
+            const = [scaled[k, start // stride[k] % q] for k in users if k < n_const]
+            if start and not const:
+                continue
+            pred[m] = functools.reduce(operator.add, const, 0)
+            for k in users[len(const) :]:
+                pred[m] += column[k]
+        for lo in range(0, T, step):
+            rows = slice(lo, lo + step)
+            n = min(step, T - lo)
+            s, d = score[:n], resid[:n]
+            for m in range(G.rows):
+                np.subtract(Y[rows, m, None], pred[m], out=d)
+                r = d if magnitude is None else np.abs(d, out=magnitude[:n])
+                np.multiply(r, r, out=s if m == 0 else r)
+                if m:
+                    s += r
+            first = s.argmin(axis=-1)
+            low = s[np.arange(s.shape[0]), first]
+            count = (s == low[:, None]).sum(axis=-1)
+            better = low < best_score[rows]
+            equal = low == best_score[rows]
+            ties[rows] = np.where(better, count, ties[rows] + equal * count)
+            best_idx[rows] = np.where(better, start + first, best_idx[rows])
+            best_score[rows] = np.where(better, low, best_score[rows])
+    return con.symbols[(best_idx[:, None] // np.array(stride)) % q], ties
+
+
+class TestClassOracle:
+    """Scoring classes of hypotheses gives the per-hypothesis sweep's
+    decisions and tie counts bit for bit on the 9x18 BPSK chain."""
+
+    OFFSETS = {
+        "unit": np.ones(18),
+        "ramp": np.linspace(0.6, 1.4, 18),
+        "integer": np.random.default_rng(5).integers(1, 3, 18).astype(float),
+        # the magnitudes sum to exactly 2^53 (merged), then to 2^53 + 1
+        "at-2^53": np.r_[2.0**53 - 17, np.ones(17)],
+        "past-2^53": np.r_[2.0**53 - 16, np.ones(17)],
+    }
+
+    @pytest.mark.parametrize("offsets", list(OFFSETS))
+    @pytest.mark.parametrize("noise", ["noiseless", "noisy", "midway"])
+    def test_matches_per_hypothesis_sweep(self, chain_9x18, offsets, noise, monkeypatch):
+        from kronnoma import detector
+
+        G = build_chain(chain_9x18)
+        offs = self.OFFSETS[offsets]
+        rng = np.random.default_rng(17)
+        X = rng.choice([-1.0, 1.0], size=(8, 18))
+        if noise == "midway":
+            # halfway between two hypotheses that differ in user 0, whose
+            # group (users 0 and 9) holds a constant class per table once
+            # tables are smaller than all 3^9 classes: tied classes then
+            # fall in different tables
+            X1 = X.copy()
+            X1[:, 0] *= -1
+            Y = ((X + X1) / 2 * offs) @ G.entries.T
+        else:
+            Y = (X * offs) @ G.entries.T
+        if noise == "noisy":
+            Y = Y + 0.6 * rng.standard_normal(Y.shape)
+        want_sym, want_ties = _per_hypothesis_oracle(Y, G, BPSK, offs)
+        if offsets in ("unit", "integer") and noise != "noisy":
+            assert (want_ties > 1).all()
+        merged = []
+        real_classes = detector._group_classes
+
+        def spy(scaled, users, stride, merge):
+            merged.append(merge)
+            return real_classes(scaled, users, stride, merge)
+
+        monkeypatch.setattr(detector, "_group_classes", spy)
+        for chunk, values in ((1 << 16, 1 << 17), (6561, 1 << 40), (729, 1)):
+            monkeypatch.setattr(detector, "_ORACLE_CHUNK", chunk)
+            monkeypatch.setattr(detector, "_SWEEP_VALUES", values)
+            sym, ties = brute_force_map_oracle(Y, G, BPSK, power_offsets=offs)
+            assert np.array_equal(sym, want_sym)
+            assert np.array_equal(ties, want_ties)
+        assert set(merged) == {offsets in ("unit", "integer", "at-2^53")}
+
+    def test_lower_index_scored_later_wins(self, chain_9x18, monkeypatch):
+        # users 0 and 9 share a column; with offsets 1 and 2 the class of
+        # (x_0, x_9) = (+1, -1), sum -1, comes before that of (-1, +1), sum
+        # +1, but has the higher index (2^17 against 2^8).  Halfway between
+        # them both score the same, in one table or, once group (0, 9)
+        # holds one class per table, in two, the lower index scored second
+        from kronnoma import detector
+
+        G = build_chain(chain_9x18)
+        offs = np.ones(18)
+        offs[9] = 2.0
+        X = np.random.default_rng(23).choice([-1.0, 1.0], size=(8, 18))
+        X[:, 0], X[:, 9] = 0.0, 0.0
+        Y = (X * offs) @ G.entries.T
+        want_sym, want_ties = _per_hypothesis_oracle(Y, G, BPSK, offs)
+        assert (want_sym[:, [0, 9]] == [-1.0, 1.0]).all() and (want_ties >= 2).all()
+        for chunk in (1 << 16, 6561):
+            monkeypatch.setattr(detector, "_ORACLE_CHUNK", chunk)
+            sym, ties = brute_force_map_oracle(Y, G, BPSK, power_offsets=offs)
+            assert np.array_equal(sym, want_sym)
+            assert np.array_equal(ties, want_ties)
+
+
 class TestOracleReference:
     @pytest.mark.parametrize("r", [0, 1])
     @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
-    @pytest.mark.parametrize("offsets", ["unit", "random"])
+    @pytest.mark.parametrize("offsets", ["unit", "random", "integer"])
     @pytest.mark.parametrize("noise", ["noiseless", "noisy"])
     def test_matches_enumeration(self, F12, P3, r, con, offsets, noise, monkeypatch):
         from kronnoma import detector
 
         G = build_chain(FactorChain(F12, P3, r))
         rng = np.random.default_rng(300 + 10 * r + con.size)
-        offs = np.ones(G.cols) if offsets == "unit" else rng.uniform(0.5, 1.5, G.cols)
+        offs = _offsets(offsets, G.cols, rng)
         X = con.symbols[rng.integers(0, con.size, (12, G.cols))]
         Y = (X * offs) @ G.entries.T
         if noise == "noisy":
@@ -573,9 +716,10 @@ class TestOracleReference:
             assert (want_ties > 1).any()
         n_hyp = con.size**G.cols
         assert n_hyp < detector._ORACLE_CHUNK
-        # one table for all hypotheses, then tables of q, q^2 and one
-        # hypothesis (8 rounds down to a power of q), so the leading users
-        # hold a constant digit per table and ties accumulate across tables
+        # one table for all classes, then tables of at most 16, 8, q and one
+        # class, each rounded down to a product of whole groups' class
+        # counts (mixed radix), so the leading groups hold a constant class
+        # per table and ties accumulate across tables
         for chunk in (detector._ORACLE_CHUNK, 16, 8, con.size, 1):
             monkeypatch.setattr(detector, "_ORACLE_CHUNK", chunk)
             sym, ties = brute_force_map_oracle(Y, G, con, power_offsets=offs)
@@ -583,8 +727,9 @@ class TestOracleReference:
             assert np.array_equal(ties, want_ties)
 
     def test_peak_memory_9x18(self, chain_9x18):
-        # one 2^18-hypothesis call on 8 trials: per-user columns, one
-        # prediction table and one score block, far below the 2^18 x 9 table
+        # one 2^18-hypothesis call on 8 trials: 3^9 classes, so per-user
+        # columns, one prediction table and one score block of 19,683
+        # classes (about 6.4 MiB), far below the 2^18 x 9 table
         import tracemalloc
 
         G = build_chain(chain_9x18)
@@ -596,7 +741,7 @@ class TestOracleReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert peak < 8 * 2**20
 
 
 class TestSic:
