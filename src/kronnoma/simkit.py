@@ -4,7 +4,11 @@ Randomness policy: everything is driven by a counter-based generator
 (numpy Philox) keyed with an explicit 64-bit seed.  Monte Carlo trials draw
 from per-trial streams, the stream of Philox.jumped(trial_index), so results
 are bit-reproducible and independent of batching or parallel scheduling.
-Trials are drawn one stream at a time and detected in batches.
+A run keeps one generator and moves it to each trial's stream before that
+trial's draws; the received values of a chunk are then formed and detected
+together.  G is applied one trial at a time, as a matrix-vector product: a
+single matrix-matrix product over the chunk sums in another order and would
+change the last bits of non-integer received values.
 SNR is linear throughout and means P_x / sigma^2 with P_x the mean squared
 symbol magnitude of the constellation; dB conversion is a CLI-boundary
 concern.
@@ -65,17 +69,40 @@ _WORD = (1 << 64) - 1
 _CHUNK_VALUES = 1 << 16
 
 
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-trial stream: Philox keyed by `seed`, jumped by index.
+class _TrialStreams:
+    """One Philox generator keyed by `seed`, moved to the start of any
+    trial's stream.
 
-    Philox.jumped(i) advances the 256-bit counter by i * 2^128, so the
-    stream starts at counter words (0, 0, lo64(i), hi64(i)); building it
-    there directly gives the same bits without the jump."""
-    index = operator.index(index)
-    if index < 0:
-        raise ValueError("trial index must be nonnegative")
-    counter = [0, 0, index & _WORD, (index >> 64) & _WORD]
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    Philox.jumped(i) advances the 256-bit counter by i * 2^128, so trial i's
+    stream starts at counter words (0, 0, lo64(i), hi64(i)) with nothing
+    buffered; setting that state gives the same bits without the jump or a
+    new generator."""
+
+    def __init__(self, seed: int):
+        bitgen = np.random.Philox(key=seed)
+        self._bitgen = bitgen
+        self._key = tuple(int(k) for k in bitgen.state["state"]["key"])
+        self._gen = np.random.Generator(bitgen)
+
+    def seek(self, index: int) -> np.random.Generator:
+        index = operator.index(index)
+        if not 0 <= index < 1 << 128:
+            raise ValueError("trial index must be nonnegative and below 2^128")
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, index & _WORD, index >> 64), "key": self._key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen
+
+
+def trial_rng(seed: int, index: int) -> np.random.Generator:
+    """Independent per-trial stream: Philox keyed by `seed`, jumped by index
+    (0 <= index < 2^128)."""
+    return _TrialStreams(seed).seek(index)
 
 
 def _noise(rng: np.random.Generator, n: int, variance: float, complex_valued: bool):
@@ -257,6 +284,9 @@ def run_monte_carlo(
     points = []
     if trials == 0:
         return points
+    streams = _TrialStreams(seed)
+    rx_dtype = np.result_type(con.symbols, cfg.power_offsets)
+    Gf = G.entries.astype(float)
     # an overflow anywhere in synthesis or detection would leave a meaningless
     # decision behind, so it stops the run instead of warning
     try:
@@ -273,13 +303,18 @@ def run_monte_carlo(
                 records = []
                 for start in range(si * trials, (si + 1) * trials, chunk):
                     index = range(start, min(start + chunk, (si + 1) * trials))
-                    xs, ys = [], []
-                    for i in index:
-                        rng = trial_rng(seed, i)
-                        x = con.symbols[rng.integers(0, q, size=G.cols)]
-                        xs.append(x)
-                        ys.append(synthesize_rx(cfg.power_offsets * x, G, noise_variance, rng=rng))
-                    X, Y = np.array(xs), np.array(ys)
+                    drawn = np.empty((len(index), G.cols), dtype=np.int64)
+                    N = np.empty((len(index), G.rows), dtype=rx_dtype)
+                    for row, i in enumerate(index):
+                        gen = streams.seek(i)
+                        drawn[row] = gen.integers(0, q, size=G.cols)
+                        N[row] = _noise(gen, G.rows, noise_variance, con.is_complex)
+                    X = con.symbols[drawn]
+                    S = cfg.power_offsets * X
+                    Y = np.empty_like(N)
+                    for row in range(len(index)):
+                        Y[row] = Gf @ S[row]
+                    Y += N
 
                     decisions: dict[str, np.ndarray] = {}
                     amb: dict[str, np.ndarray] = {}

@@ -746,6 +746,21 @@ class TestSimulate:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_golden_27x54_qpsk_offsets_csv(self, tmp_path, F12, P3):
+        # QPSK with a power-offset ramp: received values that are not
+        # integers, pinned byte for byte
+        chain_file = tmp_path / "chain27.json"
+        dump_chain(FactorChain(F12, P3, 3), str(chain_file))
+        offs = ",".join(repr(float(v)) for v in np.linspace(0.6, 1.4, 54))
+        out = tmp_path / "qpsk.csv"
+        code = main(["simulate", "--chain", str(chain_file), "--snr-db", "0,2,4",
+                     "--trials", "100", "--seed", "20261018", "--constellation", "qpsk",
+                     "--power-offsets", offs, "--csv-out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b790a076d3ff887d5ba97b2a79819261898ba95b3a78736206034e79f53e7c38"
+        )
+
     def test_golden_oracle_9x18_csv(self, tmp_path, chain_file):
         # fixed-seed output of the 2^18-hypothesis MAP oracle as the primary
         # detector, pinned byte for byte

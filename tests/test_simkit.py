@@ -24,6 +24,7 @@ from kronnoma import (
     trial_rng,
     wilson_interval,
 )
+from kronnoma import simkit
 
 
 class TestConstellation:
@@ -67,6 +68,29 @@ class TestTrialRng:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             trial_rng(0, -1)
+
+    def test_index_beyond_counter_rejected(self):
+        # the counter holds the index in two 64-bit words; 2^128 would wrap
+        # to the stream of index 0
+        trial_rng(5, 2**128 - 1)
+        with pytest.raises(ValueError):
+            trial_rng(5, 2**128)
+
+    @pytest.mark.parametrize("q, K", [(2, 17), (2, 54), (4, 17), (4, 54)])
+    @pytest.mark.parametrize("seed", [0, 1, 123456789, 2**64 - 1])
+    def test_repositioned_generator_is_the_trial_stream(self, seed, q, K):
+        # one generator moved from stream to stream in shuffled order draws
+        # what a fresh trial_rng draws; an odd K leaves half a 64-bit word
+        # buffered, which moving must drop
+        indices = [0, 1, 7, 1000, 2**40, 2**64, 2**64 + 5, 2**100 + 3]
+        np.random.default_rng(seed % 97).shuffle(indices)
+        streams = simkit._TrialStreams(seed)
+        for index in indices:
+            got = streams.seek(index)
+            ref = trial_rng(seed, index)
+            assert np.array_equal(got.integers(0, q, size=K), ref.integers(0, q, size=K))
+            assert np.array_equal(got.standard_normal(27), ref.standard_normal(27))
+            assert got.bit_generator.state["has_uint32"] == K % 2
 
 
 class TestSynthesizeRx:
@@ -269,6 +293,38 @@ class TestRunMonteCarlo:
         )
         for p, s in zip(plain, sic):
             assert s.coupled_ser_interval[0] <= p.coupled_ser_interval[1]
+
+    @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    def test_records_match_synthesize_rx(self, chain_9x18, design3, con):
+        # non-integer received values: each record is the trial's own
+        # stream through synthesize_rx, bit for bit
+        offs = np.linspace(0.6, 1.4, 18)
+        cfg = DetectionConfig(chain_9x18, design3, con, power_offsets=offs)
+        G = build_chain(chain_9x18)
+        snrs = [0.5, 4.0]
+        pts = run_monte_carlo(cfg, snrs, 12, 20261019, keep_records=True)
+        for pt in pts:
+            variance = con.average_power / pt.snr
+            for rec in pt.records:
+                rng = trial_rng(20261019, rec.index)
+                x = con.symbols[rng.integers(0, con.size, size=18)]
+                assert x.tobytes() == rec.transmitted.tobytes()
+                y = synthesize_rx(offs * x, G, variance, rng=rng)
+                assert y.dtype == rec.received.dtype
+                assert y.tobytes() == rec.received.tobytes()
+
+    def test_one_bit_generator_per_run(self, mc_cfg, monkeypatch):
+        built = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        pts = run_monte_carlo(mc_cfg, [1.0, 10.0, 100.0], 50, seed=8)
+        assert [pt.trials for pt in pts] == [50, 50, 50]
+        assert len(built) <= 1
 
     def test_zero_trials_empty(self, mc_cfg):
         assert run_monte_carlo(mc_cfg, [1.0], 0, seed=0) == []
