@@ -915,13 +915,19 @@ def brute_force_map_oracle(
         chunk *= len(classes[-n_vary].term)
     fixed, varying = classes[: len(classes) - n_vary], classes[len(classes) - n_vary :]
     column = {}
-    vary_idx, vary_mult = np.zeros(1, np.int64), np.ones(1, np.int64)
+    # per class of a table: its representative's index term and its members;
+    # unmerged, the varying users are the last ones, so these are the class's
+    # position and one, and are not built
+    vary_idx, vary_mult = (np.zeros(1, np.int64), np.ones(1, np.int64)) if merge else (None, None)
+    outer = 1
     for c in varying:
-        inner = chunk // (len(vary_idx) * len(c.term))
+        inner = chunk // (outer * len(c.term))
         for k in c.users:
-            column[k] = np.tile(np.repeat(scaled[k, c.term // stride[k] % q], inner), len(vary_idx))
-        vary_idx = (vary_idx[:, None] + c.term).ravel()
-        vary_mult = (vary_mult[:, None] * c.mult).ravel()
+            column[k] = np.tile(np.repeat(scaled[k, c.term // stride[k] % q], inner), outer)
+        outer *= len(c.term)
+        if merge:
+            vary_idx = (vary_idx[:, None] + c.term).ravel()
+            vary_mult = (vary_mult[:, None] * c.mult).ravel()
     row_users = [
         ([k for k in users if k not in column], [k for k in users if k in column])
         for users in (np.flatnonzero(row).tolist() for row in G.entries)
@@ -960,12 +966,15 @@ def brute_force_map_oracle(
             first = s.argmin(axis=-1)
             low = s[np.arange(n), first]
             tied = s == low[:, None]
-            count, rep = vary_mult[first], vary_idx[first]
-            many = np.flatnonzero(tied.sum(axis=-1) > 1)  # trials with tied classes
-            if many.size:
-                tied = tied[many]
-                count[many] = tied @ vary_mult
-                rep[many] = np.where(tied, vary_idx, n_hyp).min(axis=-1)
+            if not merge:  # the first minimum is the lowest tied hypothesis
+                count, rep = tied.sum(axis=-1), first
+            else:
+                count, rep = vary_mult[first], vary_idx[first]
+                many = np.flatnonzero(tied.sum(axis=-1) > 1)  # trials with tied classes
+                if many.size:
+                    tied = tied[many]
+                    count[many] = tied @ vary_mult
+                    rep[many] = np.where(tied, vary_idx, n_hyp).min(axis=-1)
             count, rep = const_mult * count, const_idx + rep
             # per trial: a lower minimum restarts the count and the decision;
             # an equal one adds to the count of an earlier table and keeps

@@ -6,9 +6,11 @@ from per-trial streams, the stream of Philox.jumped(trial_index), so results
 are bit-reproducible and independent of batching or parallel scheduling.
 A run keeps one generator and moves it to each trial's stream before that
 trial's draws; the received values of a chunk are then formed and detected
-together.  G is applied one trial at a time, as a matrix-vector product: a
-single matrix-matrix product over the chunk sums in another order and would
-change the last bits of non-integer received values.
+together.  Chunks follow the trial indices across SNR points, so a short
+grid is detected in one chunk.  G is applied one trial at a time, as a
+matrix-vector product: a single matrix-matrix product over the chunk sums
+in another order and would change the last bits of non-integer received
+values.
 SNR is linear throughout and means P_x / sigma^2 with P_x the mean squared
 symbol magnitude of the constellation; dB conversion is a CLI-boundary
 concern.
@@ -65,7 +67,8 @@ QPSK = Constellation(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.
 
 
 _WORD = (1 << 64) - 1
-# received values gathered per detection call of run_monte_carlo; bounds memory
+# received values gathered per detection call of run_monte_carlo, across SNR
+# points; bounds memory
 _CHUNK_VALUES = 1 << 16
 
 
@@ -255,9 +258,17 @@ def run_monte_carlo(
     the primary.  with_oracle additionally scores agreement of the primary's
     coupled-sum decisions against the oracle; if the hypothesis count exceeds
     DEFAULT_ORACLE_CAP the run proceeds with agreement marked unavailable.
-    Trials are drawn from their own streams and detected a chunk at a time,
-    so results do not depend on the chunking.  A noise variance, received
-    value or detection metric beyond the float range raises ValueError."""
+
+    Point si owns trials si*trials ... (si+1)*trials - 1, each drawn from its
+    own stream with its point's noise variance.  The run walks these indices
+    in one pass, in chunks of _CHUNK_VALUES // M trials that may span
+    points, so the detector and the oracle run once per chunk, not once per
+    point; each point's tallies and records come from its rows of the
+    chunks.  Detection is row by row, so results do not depend on the
+    chunking.  A noise variance, received value or detection metric beyond
+    the float range raises ValueError naming the first point, in grid
+    order, that fails: a chunk that overflows is run again one point at a
+    time to find it."""
     from . import detector as det  # deferred: detector imports simkit
 
     if detector not in ("recursive", "oracle"):
@@ -284,95 +295,124 @@ def run_monte_carlo(
     points = []
     if trials == 0:
         return points
+    variances = [con.average_power / snr for snr in snr_grid]
+    # the run ends before the first point whose noise variance has no float,
+    # so a failure at an earlier point is still the one reported
+    n_points = next((si for si, v in enumerate(variances) if not math.isfinite(v)), len(snr_grid))
+    n_trials = n_points * trials
     streams = _TrialStreams(seed)
     rx_dtype = np.result_type(con.symbols, cfg.power_offsets)
+    complex_valued = con.is_complex
     Gf = G.entries.astype(float)
+    check_agreement = with_oracle and oracle_feasible and detector != "oracle"
+
+    def run_chunk(index: range):
+        """Draw, synthesize and detect the trials of `index`, whose rows may
+        belong to several points; per trial, tally its symbol errors, coupled
+        errors, ambiguity and agreement with the oracle."""
+        drawn = np.empty((len(index), G.cols), dtype=np.int64)
+        N = np.empty((len(index), G.rows), dtype=rx_dtype)
+        for row, i in enumerate(index):
+            gen = streams.seek(i)
+            drawn[row] = gen.integers(0, q, size=G.cols)
+            N[row] = _noise(gen, G.rows, variances[i // trials], complex_valued)
+        X = con.symbols[drawn]
+        S = cfg.power_offsets * X
+        Y = np.empty_like(N)
+        for row in range(len(index)):
+            Y[row] = Gf @ S[row]
+        Y += N
+
+        decisions: dict[str, np.ndarray] = {}
+        amb: dict[str, np.ndarray] = {}
+        measured = (0, 0)  # the oracle is not part of the op budget
+        if detector == "recursive":
+            batch = det.detect_batch(Y, cfg)
+            decisions["recursive"] = batch.symbols
+            amb["recursive"] = batch.ambiguous
+            measured = (batch.report.measured_adds, batch.report.measured_muls)
+        if need_oracle and oracle_feasible:
+            osym, oties = det.brute_force_map_oracle(Y, G, con, power_offsets=cfg.power_offsets)
+            decisions["oracle"] = osym
+            amb["oracle"] = oties > 1
+
+        got = decisions[detector]
+        got_coupled = det.coupled_sums(got, groups, cfg.power_offsets)
+        tally = np.zeros((len(index), 4), dtype=np.int64)
+        tally[:, 0] = (got != X).sum(axis=1)
+        tally[:, 1] = (got_coupled != det.coupled_sums(X, groups, cfg.power_offsets)).sum(axis=1)
+        tally[:, 2] = amb[detector]
+        if check_agreement:
+            oc = det.coupled_sums(decisions["oracle"], groups, cfg.power_offsets)
+            tally[:, 3] = (got_coupled == oc).all(axis=1)
+        return X, Y, decisions, amb, measured, tally
+
+    def first_failure(index: range, exc: FloatingPointError) -> ValueError:
+        """The error a run of one point at a time reports: the first point
+        of `index` whose own trials fail, in the chunks such a run takes."""
+        failed, reason = index.start // trials, exc
+        for si in range(index.start // trials, (index.stop - 1) // trials + 1):
+            try:
+                for lo in range(si * trials, (si + 1) * trials, chunk):
+                    run_chunk(range(lo, min(lo + chunk, (si + 1) * trials)))
+            except FloatingPointError as point_exc:
+                failed, reason = si, point_exc
+                break
+        return ValueError(
+            f"at snr={snr_grid[failed]:.6g} the model's values exceed the float range ({reason})"
+        )
+
+    totals = np.zeros((n_points, 4), dtype=np.int64)
+    records: list[list[TrialRecord]] = [[] for _ in range(n_points)]
+    n_coup = trials * len(groups)
     # an overflow anywhere in synthesis or detection would leave a meaningless
     # decision behind, so it stops the run instead of warning
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for si, snr in enumerate(snr_grid):
-                noise_variance = con.average_power / snr
-                if not math.isfinite(noise_variance):
-                    raise ValueError(f"at snr={snr:.6g} the noise variance exceeds the float range")
-                sym_err = 0
-                coup_err = 0
-                ambiguous = 0
-                agree = 0
-                measured = None
-                records = []
-                for start in range(si * trials, (si + 1) * trials, chunk):
-                    index = range(start, min(start + chunk, (si + 1) * trials))
-                    drawn = np.empty((len(index), G.cols), dtype=np.int64)
-                    N = np.empty((len(index), G.rows), dtype=rx_dtype)
-                    for row, i in enumerate(index):
-                        gen = streams.seek(i)
-                        drawn[row] = gen.integers(0, q, size=G.cols)
-                        N[row] = _noise(gen, G.rows, noise_variance, con.is_complex)
-                    X = con.symbols[drawn]
-                    S = cfg.power_offsets * X
-                    Y = np.empty_like(N)
-                    for row in range(len(index)):
-                        Y[row] = Gf @ S[row]
-                    Y += N
-
-                    decisions: dict[str, np.ndarray] = {}
-                    amb: dict[str, np.ndarray] = {}
-                    if detector == "recursive":
-                        batch = det.detect_batch(Y, cfg)
-                        decisions["recursive"] = batch.symbols
-                        amb["recursive"] = batch.ambiguous
-                        measured = (batch.report.measured_adds, batch.report.measured_muls)
-                        primary = "recursive"
-                    if need_oracle and oracle_feasible:
-                        osym, oties = det.brute_force_map_oracle(Y, G, con, power_offsets=cfg.power_offsets)
-                        decisions["oracle"] = osym
-                        amb["oracle"] = oties > 1
-                    if detector == "oracle":
-                        primary = "oracle"
-                        measured = (0, 0)  # the oracle is not part of the op budget
-
-                    got = decisions[primary]
-                    got_coupled = det.coupled_sums(got, groups, cfg.power_offsets)
-                    sym_err += int((got != X).sum())
-                    coup_err += int((got_coupled != det.coupled_sums(X, groups, cfg.power_offsets)).sum())
-                    ambiguous += int(amb[primary].sum())
-                    if with_oracle and oracle_feasible and primary != "oracle":
-                        oc = det.coupled_sums(decisions["oracle"], groups, cfg.power_offsets)
-                        agree += int((got_coupled == oc).all(axis=1).sum())
-                    if keep_records:
-                        records.extend(
-                            TrialRecord(
-                                seed=seed,
-                                index=i,
-                                snr=snr,
-                                transmitted=X[row],
-                                received=Y[row],
-                                decisions={name: d[row] for name, d in decisions.items()},
-                                ambiguous={name: bool(a[row]) for name, a in amb.items()},
-                            )
-                            for row, i in enumerate(index)
+    with np.errstate(over="raise", invalid="raise"):
+        for start in range(0, n_trials, chunk):
+            index = range(start, min(start + chunk, n_trials))
+            try:
+                X, Y, decisions, amb, measured, tally = run_chunk(index)
+            except FloatingPointError as exc:
+                raise first_failure(index, exc) from None
+            for si in range(start // trials, (index.stop - 1) // trials + 1):
+                # the point's rows of the chunk
+                lo = max(start, si * trials) - start
+                hi = min(index.stop, (si + 1) * trials) - start
+                totals[si] += tally[lo:hi].sum(axis=0)
+                if keep_records:
+                    records[si].extend(
+                        TrialRecord(
+                            seed=seed,
+                            index=start + row,
+                            snr=snr_grid[si],
+                            transmitted=X[row],
+                            received=Y[row],
+                            decisions={name: d[row] for name, d in decisions.items()},
+                            ambiguous={name: bool(a[row]) for name, a in amb.items()},
                         )
-                n_coup = trials * len(groups)
-                agreement = None
-                if with_oracle and oracle_feasible and detector != "oracle":
-                    agreement = agree / trials
+                        for row in range(lo, hi)
+                    )
+                if start + hi < (si + 1) * trials:
+                    continue  # the point goes on in the next chunk
+                sym_err, coup_err, ambiguous, agree = (int(v) for v in totals[si])
                 points.append(
                     MonteCarloPoint(
-                        snr=snr,
+                        snr=snr_grid[si],
                         trials=trials,
                         ser=sym_err / (trials * G.cols),
                         coupled_ser=coup_err / n_coup,
                         ambiguity_rate=ambiguous / trials,
                         coupled_ser_interval=wilson_interval(coup_err, n_coup),
-                        oracle_agreement=agreement,
+                        oracle_agreement=agree / trials if check_agreement else None,
                         measured_adds=measured[0],
                         measured_muls=measured[1],
                         bound_adds=bounds.total_adds,
                         bound_muls=bounds.total_muls,
-                        records=tuple(records),
+                        records=tuple(records[si]),
                     )
                 )
-    except FloatingPointError as exc:
-        raise ValueError(f"at snr={snr:.6g} the model's values exceed the float range ({exc})") from None
+    if n_points < len(snr_grid):
+        raise ValueError(
+            f"at snr={snr_grid[n_points]:.6g} the noise variance exceeds the float range"
+        )
     return points

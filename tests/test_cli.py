@@ -708,6 +708,25 @@ class TestSimulate:
             "error: at snr=1e-309 the noise variance exceeds the float range\n"
         )
 
+    @pytest.mark.parametrize("detector", ["recursive", "sic"])
+    @pytest.mark.parametrize(
+        "snr_db, snr",
+        [("-3066,-3065", "3.16228e-307"), ("-3070,-3065", "1e-307")],
+        ids=["later_point", "both_points"],
+    )
+    def test_model_overflow_names_first_failing_point(self, chain_file, capsys, detector,
+                                                      snr_db, snr):
+        # both points' trials share one detection chunk; at seed 8 the trials
+        # of -3066 dB run and those of -3065 dB overflow, while at -3070 dB
+        # the first point already overflows.  The grid must ascend, so a
+        # later point with more noise is tested in test_simkit
+        assert main(["simulate", "--chain", chain_file, "--snr-db", snr_db, "--trials", "5",
+                     "--seed", "8", "--detector", detector]) == 2
+        assert capsys.readouterr().err == (
+            f"error: at snr={snr} the model's values exceed the float range "
+            "(overflow encountered in square)\n"
+        )
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("offset, code", [("1e150", 0), ("1e160", 2), ("1e308", 2)])
     def test_huge_power_offsets(self, tmp_path, chain_file, capsys, offset, code):

@@ -743,6 +743,25 @@ class TestOracleReference:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_peak_memory_9x18_unmerged(self, chain_9x18):
+        # non-integer offsets: every hypothesis is its own class, in four
+        # tables of 65,536; a table's classes are then numbered by position,
+        # so no chunk-long arrays of representatives and multiplicities are
+        # built (with them the call peaked at 15.77 MiB)
+        import tracemalloc
+
+        G = build_chain(chain_9x18)
+        offs = np.linspace(0.6, 1.4, 18)
+        rng = np.random.default_rng(11)
+        Y = (rng.choice([-1.0, 1.0], size=(8, 18)) * offs) @ G.entries.T + rng.standard_normal((8, 9))
+        tracemalloc.start()
+        try:
+            brute_force_map_oracle(Y, G, BPSK, power_offsets=offs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
+
 
 class TestSic:
     def test_noiseless_equals_plain_r1_exhaustive(self, chain_3x6, design3):

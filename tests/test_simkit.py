@@ -1,5 +1,6 @@
 """Constellations, seeded synthesis, calibration, and the Monte Carlo loop."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -19,11 +20,13 @@ from kronnoma import (
     build_chain,
     estimate_gain,
     find_combiners,
+    pattern_groups,
     run_monte_carlo,
     synthesize_rx,
     trial_rng,
     wilson_interval,
 )
+from kronnoma import detector as det
 from kronnoma import simkit
 
 
@@ -196,6 +199,136 @@ class TestWilsonInterval:
         assert hi == 1.0 and lo > 0.85
 
 
+def _per_point_monte_carlo(
+    cfg: DetectionConfig,
+    snr_grid,
+    trials: int,
+    seed: int,
+    *,
+    detector: str = "recursive",
+    with_oracle: bool = False,
+    keep_records: bool = False,
+) -> list[simkit.MonteCarloPoint]:
+    """The loop of one SNR point at a time that run_monte_carlo replaced,
+    kept as its reference: each point detects its own trials in chunks."""
+    if detector not in ("recursive", "oracle"):
+        raise ValueError("detector must be 'recursive' or 'oracle'")
+    if trials < 0:
+        raise ValueError("trial count must be nonnegative")
+    snr_grid = [float(s) for s in snr_grid]
+    if any(s <= 0 for s in snr_grid):
+        raise ValueError("linear SNRs must be positive")
+
+    G = build_chain(cfg.chain)
+    groups = pattern_groups(G)
+    con = cfg.constellation
+    q = con.size
+    oracle_feasible = q**G.cols <= det.DEFAULT_ORACLE_CAP
+    need_oracle = detector == "oracle" or with_oracle
+    if detector == "oracle" and not oracle_feasible:
+        raise det.HypothesisCapExceeded(
+            f"oracle needs {q}^{G.cols} hypotheses, above the cap ({det.DEFAULT_ORACLE_CAP})"
+        )
+    bounds = cfg.op_bounds()
+    chunk = max(1, simkit._CHUNK_VALUES // G.rows)
+
+    points = []
+    if trials == 0:
+        return points
+    streams = simkit._TrialStreams(seed)
+    rx_dtype = np.result_type(con.symbols, cfg.power_offsets)
+    Gf = G.entries.astype(float)
+    # an overflow anywhere in synthesis or detection would leave a meaningless
+    # decision behind, so it stops the run instead of warning
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for si, snr in enumerate(snr_grid):
+                noise_variance = con.average_power / snr
+                if not math.isfinite(noise_variance):
+                    raise ValueError(f"at snr={snr:.6g} the noise variance exceeds the float range")
+                sym_err = 0
+                coup_err = 0
+                ambiguous = 0
+                agree = 0
+                measured = None
+                records = []
+                for start in range(si * trials, (si + 1) * trials, chunk):
+                    index = range(start, min(start + chunk, (si + 1) * trials))
+                    drawn = np.empty((len(index), G.cols), dtype=np.int64)
+                    N = np.empty((len(index), G.rows), dtype=rx_dtype)
+                    for row, i in enumerate(index):
+                        gen = streams.seek(i)
+                        drawn[row] = gen.integers(0, q, size=G.cols)
+                        N[row] = simkit._noise(gen, G.rows, noise_variance, con.is_complex)
+                    X = con.symbols[drawn]
+                    S = cfg.power_offsets * X
+                    Y = np.empty_like(N)
+                    for row in range(len(index)):
+                        Y[row] = Gf @ S[row]
+                    Y += N
+
+                    decisions: dict[str, np.ndarray] = {}
+                    amb: dict[str, np.ndarray] = {}
+                    if detector == "recursive":
+                        batch = det.detect_batch(Y, cfg)
+                        decisions["recursive"] = batch.symbols
+                        amb["recursive"] = batch.ambiguous
+                        measured = (batch.report.measured_adds, batch.report.measured_muls)
+                        primary = "recursive"
+                    if need_oracle and oracle_feasible:
+                        osym, oties = det.brute_force_map_oracle(Y, G, con, power_offsets=cfg.power_offsets)
+                        decisions["oracle"] = osym
+                        amb["oracle"] = oties > 1
+                    if detector == "oracle":
+                        primary = "oracle"
+                        measured = (0, 0)  # the oracle is not part of the op budget
+
+                    got = decisions[primary]
+                    got_coupled = det.coupled_sums(got, groups, cfg.power_offsets)
+                    sym_err += int((got != X).sum())
+                    coup_err += int((got_coupled != det.coupled_sums(X, groups, cfg.power_offsets)).sum())
+                    ambiguous += int(amb[primary].sum())
+                    if with_oracle and oracle_feasible and primary != "oracle":
+                        oc = det.coupled_sums(decisions["oracle"], groups, cfg.power_offsets)
+                        agree += int((got_coupled == oc).all(axis=1).sum())
+                    if keep_records:
+                        records.extend(
+                            simkit.TrialRecord(
+                                seed=seed,
+                                index=i,
+                                snr=snr,
+                                transmitted=X[row],
+                                received=Y[row],
+                                decisions={name: d[row] for name, d in decisions.items()},
+                                ambiguous={name: bool(a[row]) for name, a in amb.items()},
+                            )
+                            for row, i in enumerate(index)
+                        )
+                n_coup = trials * len(groups)
+                agreement = None
+                if with_oracle and oracle_feasible and detector != "oracle":
+                    agreement = agree / trials
+                points.append(
+                    simkit.MonteCarloPoint(
+                        snr=snr,
+                        trials=trials,
+                        ser=sym_err / (trials * G.cols),
+                        coupled_ser=coup_err / n_coup,
+                        ambiguity_rate=ambiguous / trials,
+                        coupled_ser_interval=wilson_interval(coup_err, n_coup),
+                        oracle_agreement=agreement,
+                        measured_adds=measured[0],
+                        measured_muls=measured[1],
+                        bound_adds=bounds.total_adds,
+                        bound_muls=bounds.total_muls,
+                        records=tuple(records),
+                    )
+                )
+    except FloatingPointError as exc:
+        raise ValueError(f"at snr={snr:.6g} the model's values exceed the float range ({exc})") from None
+    return points
+
+
 @pytest.fixture(scope="module")
 def mc_cfg(chain_3x6, design3):
     return DetectionConfig(chain=chain_3x6, design=design3, constellation=BPSK)
@@ -362,6 +495,124 @@ class TestRunMonteCarlo:
             run_monte_carlo(mc_cfg, [1.0], -1, seed=0)
         with pytest.raises(ValueError):
             run_monte_carlo(mc_cfg, [1.0], 1, seed=0, detector="belief-prop")
+
+
+def _outcome(run, *args, **kwargs):
+    """A run's points, or the type and text of the error it raised."""
+    try:
+        return run(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_run(got, ref):
+    # records hold arrays, so points compare without them and records by bytes
+    if not isinstance(ref, list):
+        assert got == ref
+        return
+    assert [dataclasses.replace(p, records=()) for p in got] == [
+        dataclasses.replace(p, records=()) for p in ref
+    ]
+    for p, r in zip(got, ref):
+        assert len(p.records) == len(r.records) == p.trials
+        for a, b in zip(p.records, r.records):
+            assert (a.seed, a.index, a.snr, a.ambiguous) == (b.seed, b.index, b.snr, b.ambiguous)
+            assert a.decisions.keys() == b.decisions.keys()
+            pairs = [(a.transmitted, b.transmitted), (a.received, b.received)]
+            pairs += [(a.decisions[name], b.decisions[name]) for name in b.decisions]
+            for x, y in pairs:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestChunkedPass:
+    """run_monte_carlo walks the trials of all points in one chunked pass;
+    _per_point_monte_carlo is the loop of one point at a time it replaced."""
+
+    MODES = {
+        # name: (sic_symbols, detector, with_oracle)
+        "plain": ((), "recursive", False),
+        "plain_oracle": ((), "recursive", True),
+        "sic": ((2,), "recursive", False),
+        "sic_oracle": ((2,), "recursive", True),
+        "oracle": ((), "oracle", False),
+    }
+
+    @pytest.mark.parametrize("values", [1 << 16, 18, 99], ids=["one_chunk", "split", "three_points"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("offsets", ["unit", "ramp", "integer"])
+    @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    def test_equals_per_point_loop(self, chain_9x18, design3, monkeypatch, con, offsets, mode,
+                                   values):
+        # 3 points of 5 trials on 9 REs: 18 values are chunks of 2 trials, so
+        # points 0 and 1 each end inside a chunk; 99 values are chunks of 11,
+        # the first holding trials of all three points.  QPSK has 4^18
+        # hypotheses, above the oracle's cap
+        offs = {
+            "unit": None,
+            "ramp": np.linspace(0.6, 1.4, 18),
+            "integer": np.random.default_rng(5).integers(1, 3, size=18).astype(float),
+        }[offsets]
+        sic, detector, with_oracle = self.MODES[mode]
+        cfg = DetectionConfig(chain_9x18, design3, con, power_offsets=offs, sic_symbols=sic)
+        monkeypatch.setattr(simkit, "_CHUNK_VALUES", values)
+        kwargs = dict(detector=detector, with_oracle=with_oracle, keep_records=True)
+        if detector == "oracle" and con is QPSK:
+            for run in (run_monte_carlo, _per_point_monte_carlo):
+                with pytest.raises(HypothesisCapExceeded):
+                    run(cfg, [0.5, 2.0, 8.0], 5, 20261019, **kwargs)
+            return
+        got = run_monte_carlo(cfg, [0.5, 2.0, 8.0], 5, 20261019, **kwargs)
+        ref = _per_point_monte_carlo(cfg, [0.5, 2.0, 8.0], 5, 20261019, **kwargs)
+        _assert_same_run(got, ref)
+
+    def test_oracle_and_detector_run_once(self, chain_9x18, design3, monkeypatch):
+        # the oracle_9x18 benchmark's shape: 3 points x 8 trials in one chunk
+        calls = {"detect_batch": [], "brute_force_map_oracle": []}
+        for name, rows in calls.items():
+            real = getattr(det, name)
+
+            def spy(Y, *args, real=real, rows=rows, **kwargs):
+                rows.append(len(Y))
+                return real(Y, *args, **kwargs)
+
+            monkeypatch.setattr(det, name, spy)
+        cfg = DetectionConfig(chain_9x18, design3, BPSK)
+        pts = run_monte_carlo(cfg, [1.0, 10.0, 100.0], 8, 3, with_oracle=True)
+        assert [pt.trials for pt in pts] == [8, 8, 8]
+        assert calls == {"detect_batch": [24], "brute_force_map_oracle": [24]}
+
+    MODEL_OVERFLOW = "the model's values exceed the float range (overflow encountered in square)"
+
+    @pytest.mark.parametrize("values", [1 << 16, 18], ids=["one_chunk", "split"])
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # the second point overflows, in the chunk the first point shares
+            ([10.0, 1e-307], f"at snr=1e-307 {MODEL_OVERFLOW}"),
+            # the first point's overflow comes before the second's variance
+            ([1e-307, 1e-309], f"at snr=1e-307 {MODEL_OVERFLOW}"),
+            # the first point runs; the second's variance has no float
+            ([10.0, 1e-309], "at snr=1e-309 the noise variance exceeds the float range"),
+        ],
+        ids=["later_point_overflows", "overflow_before_variance", "variance_after_run"],
+    )
+    def test_failure_names_first_failing_point(self, chain_9x18, design3, monkeypatch, values,
+                                               grid, message):
+        monkeypatch.setattr(simkit, "_CHUNK_VALUES", values)
+        cfg = DetectionConfig(chain_9x18, design3, BPSK)
+        for run in (run_monte_carlo, _per_point_monte_carlo):
+            assert _outcome(run, cfg, grid, 5, 1) == (ValueError, message)
+            assert _outcome(run, cfg, grid, 5, 1, with_oracle=True) == (ValueError, message)
+
+    def test_noise_flag_computed_once(self, mc_cfg, monkeypatch):
+        # the constellation's type is looked up once per run, not per trial
+        looked = []
+        real = type(BPSK).is_complex
+
+        monkeypatch.setattr(type(BPSK), "is_complex",
+                            property(lambda con: looked.append(1) or real.fget(con)))
+        run_monte_carlo(mc_cfg, [1.0, 10.0], 20, seed=2)
+        assert len(looked) == 1
 
 
 @given(st.integers(0, 2**63 - 1))
