@@ -12,6 +12,7 @@ Conventions fixed here, at the boundary only:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -184,14 +185,35 @@ def _design_records(fh):
         raise json.JSONDecodeError("Extra data", text, end)
 
 
+def _plain_matrix(obj) -> bool:
+    """Whether `obj` is a pattern matrix that `PatternMatrix.from_json_dict`
+    accepts on sight: int rows and cols >= 1, and a list of rows*cols
+    entries, each the int 0 or 1.  Such a matrix equals another when its
+    raw fields do."""
+    if type(obj) is not dict:
+        return False
+    rows, cols, data = obj.get("rows"), obj.get("cols"), obj.get("data")
+    return (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1
+            and type(data) is list and len(data) == rows * cols
+            and {*map(type, data)} == {int} and {*data} <= {0, 1})
+
+
 def _resolve_design(records, P: PatternMatrix) -> CombinerDesign:
     """Use the first of `records` whose square factor matches the chain's.
     Each record before the match is decoded and checked only as far as its
-    P; the match is built and validated in full; records after it are
-    neither parsed nor validated."""
+    P: a plainly well-formed P is compared as raw fields, any other is
+    built and validated, so it is refused as before.  The match is built
+    and validated in full; records after it are neither parsed nor
+    validated."""
+    raw = [P.rows, P.cols, P.entries.reshape(-1).tolist()]
     for rec in records:
-        if PatternMatrix.from_json_dict(*json_fields(rec, "design record", "P")) == P:
-            return CombinerDesign.from_json_dict(rec)
+        rec_P = rec.get("P") if type(rec) is dict else None
+        if _plain_matrix(rec_P):
+            if [rec_P["rows"], rec_P["cols"], rec_P["data"]] != raw:
+                continue
+        elif PatternMatrix.from_json_dict(*json_fields(rec, "design record", "P")) != P:
+            continue
+        return CombinerDesign.from_json_dict(rec)
     raise ValueError("no design in the file matches the chain's square factor")
 
 
@@ -220,24 +242,22 @@ def cmd_rate(cfg: RunConfig) -> int:
     wanted = [b for b in _BASELINES if b in cfg.baselines]
     G = build_chain(chain) if "pdma" in wanted else None
     header = ["snr_db", "c_recursive"] + [f"c_{b}" for b in wanted]
-
-    def rate_row(snr_db: float) -> list:
-        snr = db_to_linear(snr_db)
-        row = [snr_db, sum_rate_recursive(chain, design.gains, snr)]
-        for b in wanted:
-            if b == "pdma":
-                row.append(sum_rate_pdma(G, snr))
-            elif b == "oma":
-                row.append(sum_rate_oma(snr))
-            else:
-                row.append(sum_rate_sic_reference(snr))
-        return row
-
-    # every float-range refusal grows with the SNR: rating the largest point
-    # first refuses a grid before any other point is computed
-    last = rate_row(cfg.snr_db_grid[-1])
-    rows = [rate_row(snr_db) for snr_db in cfg.snr_db_grid[:-1]] + [last]
-    _write_text(cfg.csv_out, _csv_text(header, rows))
+    # every float-range refusal grows with the SNR, and a refusal names the
+    # first point of the grid that fails: rating the largest point first
+    # names it, and a grid whose largest dB value has no linear value is
+    # refused before any other point is converted
+    grid = cfg.snr_db_grid[-1:] + cfg.snr_db_grid[:-1]
+    snrs = [db_to_linear(snr_db) for snr_db in grid]
+    columns = [sum_rate_recursive(chain, design.gains, snrs)]
+    for b in wanted:
+        if b == "pdma":
+            columns.append(sum_rate_pdma(G, snrs))
+        elif b == "oma":
+            columns.append(sum_rate_oma(snrs))
+        else:
+            columns.append(sum_rate_sic_reference(snrs))
+    rows = list(zip(grid, *(column.tolist() for column in columns)))
+    _write_text(cfg.csv_out, _csv_text(header, rows[1:] + rows[:1]))
     return 0
 
 
@@ -333,7 +353,11 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and only in-process callers (scripts, tests, the
+    benchmark worker) call `main` more than once."""
     parser = argparse.ArgumentParser(
         prog="kronnoma",
         description="Design, rate, and simulate Kronecker-factorized code-domain NOMA.",

@@ -33,8 +33,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pattern import FactorChain, PatternMatrix, json_fields, json_int, json_ints
-from .rate import sum_rate_recursive
+from .pattern import PatternMatrix, json_fields, json_int, json_ints
+# the search scores through the stacked kernel; `sum_rate_recursive`, which
+# gives the same score for one multiset, stays importable from this module
+# (bench/selftest.py checks that tracing wraps it here too)
+from .rate import _single_recursion_rates, sum_rate_recursive  # noqa: F401
 
 # full enumeration is practical up to here; the hard cap bounds what the
 # exhaustive per-column solver (3^m_p vectors) will ever be asked to do
@@ -415,12 +418,9 @@ def run_algorithm1(
     lcm = math.lcm(*range(1, m_p + 1))
     keys = -np.sort(-(weights * weights * (lcm // norms[best])), axis=1)
     multisets, which = np.unique(keys, axis=0, return_inverse=True)
-    # the rate reads only the size of P, so one chain serves every multiset
     F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
-    chain = FactorChain(F, PatternMatrix(np.eye(m_p, dtype=np.int64)), 1)
-    rates = [sum_rate_recursive(chain, [Fraction(k, lcm) for k in row], float(ref_snr))
-             for row in multisets.tolist()]
-    scores = np.array(rates)[which.reshape(-1)]
+    rates = _single_recursion_rates(F, multisets, lcm, float(ref_snr))
+    scores = rates[which.reshape(-1)]
     order = np.lexsort((*cols.T[::-1], -scores))[:top]
     best, weights = best[order], weights[order]
     gains = weights * weights * (lcm // norms[best])

@@ -109,6 +109,13 @@ class TestSearch:
         assert main(["search", "--mp", mp, "--json-out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_golden_search_mp5_top10(self, tmp_path):
+        out = tmp_path / "mp5.json"
+        assert main(["search", "--mp", "5", "--top", "10", "--json-out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "28ddfbed97f53fd2b57b28329803f8eeb12a03f13d33ca2b28fdb1235374cd18"
+        )
+
     def test_writes_from_arrays_building_no_design(self, tmp_path, monkeypatch):
         built, design = [], combiner._design
 
@@ -279,6 +286,27 @@ class TestRate:
                      "--snr-db-max", "4000"]) == 2
         assert "4000 dB exceeds the float range" in capsys.readouterr().err
 
+    def test_grid_past_float_range_names_its_largest_point(self, chain_file, capsys):
+        # 3100 dB is the first point past the float range, but the largest,
+        # 3200 dB, is converted first and named
+        assert main(["rate", "--chain", chain_file, "--snr-db-min", "0",
+                     "--snr-db-max", "3200", "--snr-db-step", "100"]) == 2
+        assert capsys.readouterr().err == "error: an SNR of 3200 dB exceeds the float range\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_running_sum_past_float_range_exit_2(self, tmp_path, F12, P3, capsys):
+        # the sum over compositions leaves the float range at 0 dB; it is
+        # refused with no numpy overflow warning
+        r = 642
+        deep = tmp_path / "deep.json"
+        dump_chain(FactorChain(F12, P3, r), str(deep))
+        assert main(["rate", "--chain", str(deep), "--baselines", "oma",
+                     "--snr-db-max", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the rate of a depth-{r} chain at snr=1 exceeds the float range"
+            " (a log-det term is not finite)\n"
+        )
+
     @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
     def test_grid_cap_exit_3(self, chain_file, capsys, step):
         # refused from the point count alone, before any point is built
@@ -376,6 +404,55 @@ class TestResolveDesign:
         records[0]["P"]["data"][0] = 1.5
         assert _rate_with_designs(tmp_path, chain_file, records)[0] == 2
         assert "integer" in capsys.readouterr().err
+
+    def test_plain_p_before_match_is_not_built(self, tmp_path, chain_file, records,
+                                              monkeypatch):
+        # 28 plainly well-formed records before the match are compared as
+        # raw fields: of the records, only the match builds a PatternMatrix
+        built, from_json = [], PatternMatrix.from_json_dict
+
+        def counting(obj):
+            built.append(obj)
+            return from_json(obj)
+
+        want = _rate_with_designs(tmp_path, chain_file, records, "before.json")
+        monkeypatch.setattr(PatternMatrix, "from_json_dict", staticmethod(counting))
+        assert _rate_with_designs(tmp_path, chain_file, records) == want
+        # the chain file's F and P, then the match's P
+        assert len(built) == 3 and built[2] == records[-1]["P"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("data", True),
+        ("data", 1.0),
+        ("data", 2),
+        ("data", 2**70),
+        ("data", [1, 1, 0]),
+        ("data", "110101011"),
+        ("rows", 3.0),
+        ("rows", True),
+        ("rows", 0),
+        ("cols", None),
+        (None, None),
+    ])
+    def test_other_p_before_match_refused_as_built(self, tmp_path, chain_file, records,
+                                                   capsys, field, value):
+        # a P that is not plainly well formed is built and refused with its
+        # message, also when it would not match: a True or 1.0 entry, too
+        bad = dict(records[0]["P"])
+        assert bad != records[-1]["P"]
+        if field is None:
+            bad = [bad]
+        elif value is None:
+            del bad[field]
+        elif field == "data" and not isinstance(value, list):
+            bad["data"] = [value] + bad["data"][1:]
+        else:
+            bad[field] = value
+        with pytest.raises(ValueError) as exc:
+            PatternMatrix.from_json_dict(bad)
+        records[0]["P"] = bad
+        assert _rate_with_designs(tmp_path, chain_file, records)[0] == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     @pytest.mark.parametrize("record", [3, "x", None])
     def test_non_object_record_exit_2(self, tmp_path, chain_file, records, capsys, record):
@@ -890,3 +967,16 @@ class TestEntryPoint:
 
     def test_help_exit_0(self):
         assert main(["--help"]) == 0
+
+    def test_parser_is_built_once_and_reused(self, chain_file, capsys):
+        # a usage error, then another subcommand, through the one parser:
+        # each call parses as a first call would
+        cli._build_parser.cache_clear()
+        assert main(["rate", "--chain", chain_file, "--snr-db-step"]) == 2
+        assert "--snr-db-step: expected one argument" in capsys.readouterr().err
+        assert main(["count-ops", "--chain", chain_file]) == 0
+        out = capsys.readouterr().out
+        assert "m_p=3\n" in out and "r=2\n" in out
+        assert main(["search", "--mp", "1", "--top", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["weights"] == [1]
+        assert cli._build_parser.cache_info().misses == 1

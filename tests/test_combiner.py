@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from kronnoma import (
     search_space_size,
     sum_rate_recursive,
 )
-from kronnoma import combiner
+from kronnoma import combiner, rate
 from kronnoma.combiner import DEFAULT_REFERENCE_SNR
 from conftest import ALPHA3_ROWS, ALPHA4_ROWS
 
@@ -309,18 +310,36 @@ class TestBlockSearch:
         assert [(sd.design, sd.score) for sd in got] == [(sd.design, sd.score) for sd in want]
 
     def test_default_scorer_rates_each_gain_multiset_once(self, monkeypatch):
-        keys = []
+        calls = []
 
-        def counting(chain, gains, snr):
-            keys.append(tuple(gains))
-            return sum_rate_recursive(chain, gains, snr)
+        def counting(F, gains, denominator, snr):
+            calls.append([tuple(row) for row in gains.tolist()])
+            return rate._single_recursion_rates(F, gains, denominator, snr)
 
-        monkeypatch.setattr(combiner, "sum_rate_recursive", counting)
+        monkeypatch.setattr(combiner, "_single_recursion_rates", counting)
         assert len(run_algorithm1(4)) == 759
-        assert len(keys) == len(set(keys)) == 20
+        # one stacked evaluation rates the 20 multisets, each once
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == 20
         # each search rates its own multisets; nothing is kept between searches
         run_algorithm1(4)
-        assert len(keys) == 40
+        assert len(calls) == 2 and calls[1] == calls[0]
+
+    @pytest.mark.parametrize("m_p", [3, 4, 5])
+    def test_stacked_scores_equal_per_multiset_rates(self, m_p):
+        # every score is the lone sum_rate_recursive of its gain multiset,
+        # sorted descending, bit for bit
+        F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
+        chain = FactorChain(F, PatternMatrix(np.eye(m_p, dtype=np.int64)), 1)
+        lcm = math.lcm(*range(1, m_p + 1))
+        for snr_db in (0.0, -10.0, 10.0, 40.0):
+            snr = 10.0 ** (snr_db / 10.0)
+            ranking = run_algorithm1(m_p, ref_snr=snr)
+            keys = -np.sort(-ranking.gains, axis=1)
+            multisets, which = np.unique(keys, axis=0, return_inverse=True)
+            want = [sum_rate_recursive(chain, [Fraction(k, lcm) for k in row], snr)
+                    for row in multisets.tolist()]
+            assert ranking.scores.tolist() == [want[i] for i in which.reshape(-1).tolist()]
 
     @pytest.mark.parametrize("m_p", [1, 2, 3, 4])
     def test_feasible_columns_have_one_isolating_vector(self, m_p):

@@ -183,12 +183,13 @@ class TestPathGainProfile:
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(chain_9x18.to_json_dict()))
         rate._path_gain_profile.cache_clear()
-        # each of the 31 points reads the chain's profile and the SIC
-        # reference's (example4)
+        # the sweep rates each column over all 31 points at once: the
+        # chain's profile and the SIC reference's (example4) are each read
+        # once
         assert cli.main(["rate", "--chain", str(path), "--baselines", "oma,example4",
                          "--csv-out", str(tmp_path / "out.csv")]) == 0
         info = rate._path_gain_profile.cache_info()
-        assert (info.misses, info.hits) == (2, 60)
+        assert (info.misses, info.hits) == (2, 0)
 
     def test_profile_is_read_only(self, design3):
         mults, boosts = rate._path_gain_profile(3, 2, tuple(design3.gains))
@@ -227,6 +228,128 @@ class TestPathGainProfile:
         assert got == pytest.approx(0.5 * math.log2(3), rel=1e-12)
         with pytest.raises(ValueError, match="int too large to convert to float"):
             sum_rate_recursive(FactorChain(F12, P2, 1023), (1, 1), 1.0)
+
+
+def _pointwise_rate(chain, gains, snr):
+    """One point of `sum_rate_recursive` as it was rated before grids: the
+    path-gain profile, one stacked log-det per block of compositions and a
+    Python float running sum."""
+    gains = tuple(Fraction(g) for g in gains)
+    F = chain.F.entries.astype(float)
+    gram = F @ F.T
+    eye = np.eye(chain.m_f)
+    assert math.isfinite(snr * float(max(gains) ** chain.r) * float(gram.max()))
+    mults, boosts = rate._path_gain_profile(chain.m_p, chain.r, gains)
+    total = 0.0
+    for start in range(0, len(boosts), rate._BLOCK_COMPOSITIONS):
+        block = slice(start, start + rate._BLOCK_COMPOSITIONS)
+        coeffs = snr * boosts[block]
+        signs, logdets = np.linalg.slogdet(eye + coeffs[:, None, None] * gram)
+        for mult, sign, logdet in zip(mults[block].tolist(), signs.tolist(),
+                                      logdets.tolist()):
+            assert sign > 0
+            total += mult * (logdet / rate.LOG2)
+            assert math.isfinite(total)
+    return total / (2 * chain.M)
+
+
+def _pointwise_pdma(A, snr):
+    """One point of `sum_rate_pdma` as it was rated before grids."""
+    gram = A.entries.astype(float) @ A.entries.astype(float).T
+    sign, logdet = np.linalg.slogdet(np.eye(A.rows) + snr * gram)
+    assert sign > 0
+    return logdet / rate.LOG2 / (2 * A.rows)
+
+
+# 0 and points from -30 to 60 dB, with a repeat and a descending stretch
+GRID = [0.0, 1e-3, 0.5, 1.0, 1.0, 37.0, 10.0, 1e3, 1e6]
+
+
+class TestSnrGrid:
+    """A grid call rates every point bit for bit as a lone point does; a
+    number gives a float, a sequence an array."""
+
+    @pytest.mark.parametrize("seed, r", [([[1, 1]], 0), ([[1, 1]], 1), ([[1, 1]], 2),
+                                         ([[1, 1]], 200), ([[1, 1, 0], [0, 1, 1]], 2)])
+    def test_recursive_grid_equals_points(self, P3, seed, r):
+        chain = FactorChain(PatternMatrix(np.array(seed)), P3, r)
+        gains = (Fraction(4, 3), Fraction(1, 2), Fraction(5, 3))
+        grid = GRID if r < 200 else GRID[::2]
+        if r == 200:  # 20,301 compositions: two blocks per point
+            assert len(rate._path_gain_profile(3, r, gains)[0]) > rate._BLOCK_COMPOSITIONS
+        got = sum_rate_recursive(chain, gains, grid)
+        assert isinstance(got, np.ndarray) and got.shape == (len(grid),)
+        want = [_pointwise_rate(chain, gains, snr) for snr in grid]
+        assert got.tolist() == want
+        assert [sum_rate_recursive(chain, gains, snr) for snr in grid] == want
+
+    @pytest.mark.parametrize("block", [1, 4, 7, 100])
+    def test_blocks_do_not_matter(self, monkeypatch, P3, block):
+        # blocks of a few matrices split the grid's points, or a point's
+        # compositions, or both, and leave short last blocks
+        chain = FactorChain(PatternMatrix(np.array([[1, 1, 0], [0, 1, 1]])), P3, 3)
+        gains = (Fraction(4, 3), Fraction(1, 2), Fraction(5, 3))
+        want = [_pointwise_rate(chain, gains, snr) for snr in GRID]
+        monkeypatch.setattr(rate, "_BLOCK_COMPOSITIONS", block)
+        assert sum_rate_recursive(chain, gains, GRID).tolist() == want
+
+    def test_scalar_is_one_point_grid(self, chain_9x18, design3):
+        got = sum_rate_recursive(chain_9x18, design3.gains, 10.0)
+        assert type(got) is float
+        assert sum_rate_recursive(chain_9x18, design3.gains, [10.0]).tolist() == [got]
+        assert sum_rate_recursive(chain_9x18, design3.gains, np.float64(10.0)) == got
+        assert sum_rate_recursive(chain_9x18, design3.gains, []).shape == (0,)
+        for fn in (sum_rate_oma, sum_rate_sic_reference):
+            assert type(fn(10.0)) is float and fn([10.0]).tolist() == [fn(10.0)]
+
+    def test_sic_reference_grid_equals_points(self):
+        want = [_pointwise_rate(rate._SIC_REFERENCE_CHAIN, rate._SIC_REFERENCE_GAINS, snr)
+                for snr in GRID]
+        assert sum_rate_sic_reference(GRID).tolist() == want
+        assert [sum_rate_sic_reference(snr) for snr in GRID] == want
+
+    @pytest.mark.parametrize("budget", [None, 729, 1500])
+    def test_pdma_27x54_grid_equals_points(self, monkeypatch, F12, P3, budget):
+        # the whole grid in one stacked log-det, one matrix, or two
+        G = build_chain(FactorChain(F12, P3, 3))
+        assert G.rows == 27
+        if budget is not None:
+            monkeypatch.setattr(rate, "_BLOCK_PDMA_VALUES", budget)
+        want = [_pointwise_pdma(G, snr) for snr in GRID]
+        assert sum_rate_pdma(G, GRID).tolist() == want
+        assert [sum_rate_pdma(G, snr) for snr in GRID] == want
+
+    def test_oma_grid_equals_points(self):
+        assert sum_rate_oma(GRID).tolist() == [0.5 * math.log2(1.0 + snr) for snr in GRID]
+
+    @pytest.mark.parametrize("fn", ["recursive", "pdma", "oma", "sic"])
+    def test_grid_validation(self, chain_9x18, design3, fn):
+        call = {"recursive": lambda s: sum_rate_recursive(chain_9x18, design3.gains, s),
+                "pdma": lambda s: sum_rate_pdma(build_chain(chain_9x18), s),
+                "oma": sum_rate_oma, "sic": sum_rate_sic_reference}[fn]
+        with pytest.raises(ValueError, match="nonnegative"):
+            call([1.0, -1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            call([[1.0]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refusal_names_first_failing_point(self, chain_9x18, design3):
+        # snr * (4/3)^2 * 2 is finite at 1e300 and 1e307, not at 1e308: a
+        # refusal names the first point of the grid that fails
+        with pytest.raises(ValueError, match=r"snr=1e\+308 exceeds"):
+            sum_rate_recursive(chain_9x18, design3.gains, [1.0, 1e308, 1e300, 1e307])
+        with pytest.raises(ValueError, match=r"snr=1\.5e\+308 exceeds"):
+            sum_rate_recursive(chain_9x18, design3.gains, [1e300, 1.5e308, 1e308])
+        with pytest.raises(ValueError, match=r"PDMA rate at snr=1e\+308 exceeds"):
+            sum_rate_pdma(build_chain(chain_9x18), [1.0, 1e308, 1e300])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_running_sum_refusal_names_first_failing_point(self, F12):
+        # at r = 1022 the sum is 2^1022 * log2(1 + 2 snr), which leaves the
+        # float range once log2(1 + 2 snr) > 4
+        chain = FactorChain(F12, PatternMatrix(np.eye(2, dtype=np.int64)), 1022)
+        with pytest.raises(ValueError, match=r"snr=100 exceeds .*\(a log-det term is not finite\)"):
+            sum_rate_recursive(chain, (1, 1), [1.0, 7.0, 100.0, 1e6, 10.0])
 
 
 class TestSumRatePdma:
