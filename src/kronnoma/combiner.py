@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -48,7 +49,8 @@ DEFAULT_REFERENCE_SNR = 10.0  # linear; equals 10 dB
 
 # (vector, column) responses per block of the search: 3^m_p * m_p per
 # candidate, so about 100 candidates at m_p = 4; larger searches are solved
-# a block at a time, so memory stays bounded
+# a block at a time, so memory stays bounded.  It bounds the blocks of the
+# canonical test the same way: m_p! * k image values per k-set
 _BLOCK_VALUES = 1 << 15
 
 
@@ -311,7 +313,7 @@ def enumerate_square_candidates(m_p: int) -> Iterator[PatternMatrix]:
     """All m_p x m_p binary matrices with distinct nonzero columns, in
     canonical order (ascending column binary values, row 0 = LSB)."""
     _check_cap(m_p)
-    for cols in _candidate_column_values(m_p):
+    for cols in itertools.combinations(range(1, 2**m_p), m_p):
         yield _matrix_from_column_values(m_p, cols)
 
 
@@ -322,14 +324,89 @@ def _check_cap(m_p: int) -> None:
         raise EnumerationCapExceeded(m_p, DEFAULT_ENUMERATION_CAP)
 
 
-def _candidate_column_values(m_p: int) -> Iterator[tuple[int, ...]]:
-    """Column values of every candidate, each ascending, in canonical order."""
-    return itertools.combinations(range(1, 2**m_p), m_p)
-
-
 def _matrix_from_column_values(m_p: int, values: Sequence[int]) -> PatternMatrix:
     bits = np.arange(m_p, dtype=np.int64)[:, None]
     return PatternMatrix((np.asarray(values, dtype=np.int64) >> bits) & 1)
+
+
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """Rows of integers in [0, base) packed into one int64 each, the first
+    entry most significant, so keys order as their rows do
+    lexicographically."""
+    return rows @ base ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+_PERM_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _row_permutation_tables(m_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """How each of the m_p! row permutations acts: pv[k, c] is column value
+    c with its bits moved as permutation k moves rows, and vv[k, v] the
+    index into `coefficient_vectors(m_p)` of vector v with its entries moved
+    alike, so vv[k, v] responds to pv[k, c] as v does to c.  Cached per
+    size."""
+    if m_p not in _PERM_CACHE:
+        perms = np.array(list(itertools.permutations(range(m_p))), dtype=np.int64)
+        bits = (np.arange(2**m_p)[:, None] >> np.arange(m_p)) & 1
+        pv = (bits[None] << perms[:, None]).sum(axis=2)
+        # entry i of v moves to entry perms[k, i]
+        moved = coefficient_vectors(m_p)[0][:, np.argsort(perms, axis=1)]
+        vv = _row_keys(moved + 1, 3).T
+        _PERM_CACHE[m_p] = (pv, vv)
+    return _PERM_CACHE[m_p]
+
+
+def _orbit_representatives(m_p: int) -> np.ndarray:
+    """One candidate per orbit of the row permutations, in canonical order:
+    the column values (ascending) that no permutation maps to a
+    lexicographically smaller sorted tuple.
+
+    Orderly generation (Read, 1978): a canonical set without its largest
+    value is canonical, so the canonical k-sets are among the canonical
+    (k-1)-sets extended by one larger value, and only those are tested, a
+    block at a time.  A set is keyed by the sum of 2^(2^m_p - 1 - c) over
+    its values c: the first value in which two sets of one size differ sets
+    the highest bit in which their keys differ, so the lexicographically
+    smaller set has the larger key, and a set is canonical when none of its
+    images' keys exceeds its own (the identity's, permutation 0).
+    """
+    pv, _ = _row_permutation_tables(m_p)
+    weight = np.left_shift(1, 2**m_p - 1 - pv)
+    reps = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, m_p + 1):
+        # extend by every larger value that leaves room for the rest
+        last = reps[:, -1] if k > 1 else np.zeros(1, dtype=np.int64)
+        room = np.maximum(2**m_p - (m_p - k) - 1 - last, 0)
+        parent = np.repeat(np.arange(len(reps)), room)
+        value = last[parent] + 1 + np.arange(len(parent)) - np.repeat(np.cumsum(room) - room, room)
+        sets = np.column_stack([reps[parent], value])
+        per_block = max(1, _BLOCK_VALUES // (len(pv) * k))
+        canonical = []
+        for i in range(0, len(sets), per_block):
+            images = weight[:, sets[i:i + per_block]].sum(axis=2)
+            canonical.append((images <= images[0]).all(axis=0))
+        reps = sets[np.concatenate(canonical)]
+    return reps
+
+
+def _orbit_members(m_p: int, reps: np.ndarray, best: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members of the orbits of feasible representatives: their column
+    values (ascending) and isolating-vector indices, in canonical order, and
+    the orbit of each, an index into `reps`.
+
+    Row k * len(reps) + i of the images is permutation k's image of orbit i,
+    its columns sorted by value, each carrying its moved vector: a feasible
+    column has only one isolating vector, so this is it.  A member that
+    several permutations reach is kept once.
+    """
+    pv, vv = _row_permutation_tables(m_p)
+    cols = pv[:, reps].reshape(-1, m_p)
+    by_value = np.argsort(cols, axis=1)
+    cols = np.take_along_axis(cols, by_value, axis=1)
+    best = np.take_along_axis(vv[:, best].reshape(-1, m_p), by_value, axis=1)
+    _, members = np.unique(_row_keys(cols, 2**m_p), return_index=True)
+    return cols[members], best[members], members % len(reps)
 
 
 @dataclass(frozen=True)
@@ -384,44 +461,48 @@ def run_algorithm1(
     ref_snr: float = DEFAULT_REFERENCE_SNR,
     top: int | None = None,
 ) -> Ranking:
-    """Enumerate every candidate square factor, solve its combiners, and rank
-    feasible designs by score (descending), ties broken by canonical column
-    encoding ascending.
+    """Rank every feasible candidate square factor by score (descending),
+    ties broken by canonical column encoding ascending.
 
     The score is the closed-form sum rate for a [1 1] seed with one
-    recursion at reference SNR `ref_snr` (linear).  Candidates are solved a
-    block at a time from one response table and ranked as arrays; the
-    ranking keeps the `top` best (all by default) and builds no design
-    until one is read.
+    recursion at reference SNR `ref_snr` (linear).  Permuting the rows of a
+    candidate keeps its feasibility and its gains (alpha Pi^T isolates the
+    columns of Pi P), so only one representative per orbit is solved and
+    rated; the feasible orbits are then expanded into their members.  The
+    ranking keeps the `top` best (all by default) and builds no design until
+    one is read.
     """
     _check_cap(m_p)
+    if top is not None and (isinstance(top, bool) or not isinstance(top, numbers.Integral)
+                            or top < 1):
+        raise ValueError(f"top must be a positive integer, not {top!r}")
     vecs, norms = coefficient_vectors(m_p)
     # the response of every vector to every nonzero column value, shared by
     # all candidates: (3^m, 2^m - 1), value c at index c - 1.  int32 halves
     # the memory traffic; no response exceeds m in magnitude
     bits = _matrix_from_column_values(m_p, range(1, 2**m_p)).entries
     table = (vecs @ bits).astype(np.int32)
+    reps = _orbit_representatives(m_p)
     per_block = max(1, _BLOCK_VALUES // (len(vecs) * m_p))
-    candidates = _candidate_column_values(m_p)
-    cols, best = [], []  # of the feasible candidates
-    while block := list(itertools.islice(candidates, per_block)):
-        block = np.array(block)
-        feasible, b = _isolating_vectors(table[:, block - 1])
-        keep = feasible.all(axis=1)
-        cols.append(block[keep])
-        best.append(b[keep])
-    cols, best = np.concatenate(cols), np.concatenate(best)
-    weights = table[best, cols - 1].astype(np.int64)
+    solved = [_isolating_vectors(table[:, reps[i:i + per_block] - 1])
+              for i in range(0, len(reps), per_block)]
+    feasible = np.concatenate([f for f, _ in solved]).all(axis=1)
+    reps, best = reps[feasible], np.concatenate([b for _, b in solved])[feasible]
     # every nonzero norm divides lcm(1..m), so w^2 * lcm / ||alpha||^2 is the
-    # gain as an exact integer over lcm; sorted descending, a row keys the
-    # gain multiset, on which alone the rate depends
+    # gain as an exact integer over lcm (at most m * lcm); sorted descending,
+    # a row keys the gain multiset, on which alone the rate depends
     lcm = math.lcm(*range(1, m_p + 1))
+    weights = table[best, reps - 1].astype(np.int64)
     keys = -np.sort(-(weights * weights * (lcm // norms[best])), axis=1)
-    multisets, which = np.unique(keys, axis=0, return_inverse=True)
+    _, multisets, which = np.unique(_row_keys(keys, m_p * lcm + 1), return_index=True,
+                                    return_inverse=True)
     F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
-    rates = _single_recursion_rates(F, multisets, lcm, float(ref_snr))
-    scores = rates[which.reshape(-1)]
-    order = np.lexsort((*cols.T[::-1], -scores))[:top]
-    best, weights = best[order], weights[order]
+    orbit_scores = _single_recursion_rates(F, keys[multisets], lcm, float(ref_snr))[which]
+    cols, best, orbit = _orbit_members(m_p, reps, best)
+    # members come in column order, so a stable sort on the score ranks them
+    scores = orbit_scores[orbit]
+    order = np.argsort(-scores, kind="stable")[:top]
+    cols, best, scores = cols[order], best[order], scores[order]
+    weights = table[best, cols - 1].astype(np.int64)
     gains = weights * weights * (lcm // norms[best])
-    return Ranking(m_p, cols[order], best, weights, gains, scores[order])
+    return Ranking(m_p, cols, best, weights, gains, scores)

@@ -101,6 +101,8 @@ class TestSearch:
         [
             ("3", "a18b9108bf65274777a31031f53c557ad5e68077172146137cf5acccdfe7691e"),
             ("4", "4ffdff30e6e905f569c32ac21db7c2b5f08f8b0cef8fee9369b12d5bb2a7f3f4"),
+            # 52,563 designs, 45,687,851 bytes
+            ("5", "e084614e194968ba584e30b732435b2c273c374cb62ae4fc9102a083906cd756"),
         ],
     )
     def test_golden_search_json(self, tmp_path, mp, digest):

@@ -1,5 +1,6 @@
 """Combining-coefficient search: golden designs, tie-break oracle, caps."""
 
+import functools
 import itertools
 import json
 import math
@@ -244,6 +245,16 @@ class TestRunAlgorithm1:
     def test_top_truncation(self):
         assert len(run_algorithm1(3, top=5)) == 5
 
+    @pytest.mark.parametrize("top", [-1, 0, 2.5, True])
+    def test_top_must_be_a_positive_integer(self, top):
+        # -1 used to drop the last design, 0 to return nothing, 2.5 to raise
+        # a bare TypeError from the slice
+        with pytest.raises(ValueError, match="top must be a positive integer"):
+            run_algorithm1(3, top=top)
+
+    def test_top_accepts_numpy_integers(self):
+        assert len(run_algorithm1(3, top=np.int64(4))) == 4
+
     def test_top_builds_only_returned_designs(self, monkeypatch):
         built = _count_designs(monkeypatch)
         got = run_algorithm1(4, top=7)
@@ -371,6 +382,111 @@ class TestBlockSearch:
             find_combiners(P)
         assert exc.value.columns == (2,)
         assert all(type(j) is int for j in exc.value.columns)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_solve(m_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every one of the C(2^m - 1, m) candidates solved, a block at a time:
+    the column values, isolating vectors and weights of the feasible ones."""
+    vecs, _ = coefficient_vectors(m_p)
+    bits = combiner._matrix_from_column_values(m_p, range(1, 2**m_p)).entries
+    table = (vecs @ bits).astype(np.int32)
+    per_block = max(1, combiner._BLOCK_VALUES // (len(vecs) * m_p))
+    candidates = itertools.combinations(range(1, 2**m_p), m_p)
+    cols, best = [], []
+    while block := list(itertools.islice(candidates, per_block)):
+        block = np.array(block)
+        feasible, b = combiner._isolating_vectors(table[:, block - 1])
+        keep = feasible.all(axis=1)
+        cols.append(block[keep])
+        best.append(b[keep])
+    cols, best = np.concatenate(cols), np.concatenate(best)
+    return cols, best, table[best, cols - 1].astype(np.int64)
+
+
+def _block_search(m_p: int, ref_snr: float) -> combiner.Ranking:
+    """Algorithm 1 over every candidate: each feasible candidate's gains
+    keyed and rated, the ranking sorted as arrays.  The reference for the
+    orbit search."""
+    _, norms = coefficient_vectors(m_p)
+    cols, best, weights = _block_solve(m_p)
+    lcm = math.lcm(*range(1, m_p + 1))
+    keys = -np.sort(-(weights * weights * (lcm // norms[best])), axis=1)
+    multisets, which = np.unique(keys, axis=0, return_inverse=True)
+    F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
+    scores = rate._single_recursion_rates(F, multisets, lcm, float(ref_snr))[which.reshape(-1)]
+    order = np.lexsort((*cols.T[::-1], -scores))
+    best, weights = best[order], weights[order]
+    gains = weights * weights * (lcm // norms[best])
+    return combiner.Ranking(m_p, cols[order], best, weights, gains, scores[order])
+
+
+def _orbits(m_p: int) -> list[set[tuple[int, ...]]]:
+    """The orbit of each representative the search solves: every sorted
+    tuple its column values become when the rows of P are permuted."""
+    moves = [[sum(((c >> i) & 1) << perm[i] for i in range(m_p)) for c in range(2**m_p)]
+             for perm in itertools.permutations(range(m_p))]
+    return [{tuple(sorted(move[c] for c in rep)) for move in moves}
+            for rep in combiner._orbit_representatives(m_p).tolist()]
+
+
+class TestOrbitSearch:
+    """The search solves one representative per orbit of the row
+    permutations and expands the feasible orbits into their members."""
+
+    @pytest.mark.parametrize("m_p, orbits, feasible", [
+        (1, 1, 1), (2, 2, 2), (3, 10, 8), (4, 97, 46), (5, 2160, 542)])
+    def test_orbit_counts(self, m_p, orbits, feasible):
+        reps = combiner._orbit_representatives(m_p)
+        assert len(reps) == orbits
+        solvable = 0
+        for cols in reps.tolist():
+            try:
+                find_combiners(combiner._matrix_from_column_values(m_p, cols))
+                solvable += 1
+            except CombinerInfeasible:
+                pass
+        assert solvable == feasible
+
+    @pytest.mark.parametrize("m_p", [1, 2, 3, 4, 5])
+    def test_representatives_are_orbit_minima_and_partition(self, m_p):
+        reps = [tuple(r) for r in combiner._orbit_representatives(m_p).tolist()]
+        orbits = _orbits(m_p)
+        assert reps == sorted(reps)
+        assert all(rep == min(orbit) for rep, orbit in zip(reps, orbits))
+        # disjoint, and together every candidate
+        assert sum(map(len, orbits)) == search_space_size(m_p, m_p)
+        assert set().union(*orbits) == set(itertools.combinations(range(1, 2**m_p), m_p))
+
+    @pytest.mark.parametrize("m_p", [1, 2, 3, 4, 5])
+    def test_equals_block_search(self, m_p):
+        for snr in (0.5, 10.0, 1e4):
+            want, got = _block_search(m_p, snr), run_algorithm1(m_p, ref_snr=snr)
+            for name in ("cols", "best", "weights", "gains", "scores"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_permutation_tables_move_responses(self):
+        # the permuted vector responds to the permuted column as the vector
+        # did to the column, for every permutation, vector and column
+        for m_p in (1, 2, 3, 4):
+            vecs, _ = coefficient_vectors(m_p)
+            pv, vv = combiner._row_permutation_tables(m_p)
+            bits = (np.arange(2**m_p)[:, None] >> np.arange(m_p)) & 1
+            resp = vecs @ bits.T  # resp[v, c]
+            assert (resp[vv[:, :, None], pv[:, None, :]] == resp).all()
+
+    def test_peak_memory_mp5(self):
+        # the block solver over all 169,911 candidates peaked at 15.3 MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            run_algorithm1(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestMatrixFromColumnValues:
