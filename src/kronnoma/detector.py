@@ -13,12 +13,12 @@ nonempty sic_symbols skip the last level's combining and are decided,
 batched over trials and parents, by cancelling the siblings' decided unit
 predictions out of the raw group equations.
 
-detect_batch is that kernel and the only implementation of the receiver:
-recursive_detect runs it on a batch of one and builds the full trace from
-its intermediate arrays, and final_stage_map and sic_enhanced_final are
-single-set entry points into the same sweep and cancellation code.  Every
-arithmetic operation is counted by the code that performs it and checked
-against closed-form bounds on every run.
+detect_batch is that kernel and the only implementation of the receiver;
+final_stage_map (the batched MAP sweep) and sic_enhanced_final (the batched
+cancellation) are its final stages.  recursive_detect runs the same stages
+on a batch of one and keeps the full trace, which detect_batch does not
+hold on to.  Every arithmetic operation is counted by the code that
+performs it and checked against closed-form bounds on every run.
 
 Scalar-operation accounting model (documented contract):
 
@@ -207,7 +207,10 @@ class DetectionConfig:
                 raise DetectionError("power offsets must be positive and finite, one per user")
             offs.setflags(write=False)
         object.__setattr__(self, "power_offsets", offs)
-        sic = tuple(sorted(set(int(j) for j in self.sic_symbols)))
+        try:
+            sic = tuple(sorted({operator.index(j) for j in self.sic_symbols}))
+        except TypeError:
+            raise DetectionError("sic_symbols must hold integer class indexes") from None
         if any(j < 0 or j >= self.chain.m_p for j in sic):
             raise DetectionError("sic_symbols must index inner-factor classes")
         object.__setattr__(self, "sic_symbols", sic)
@@ -277,19 +280,12 @@ class DetectionResult:
 
 
 class BatchDetection(NamedTuple):
-    """One detection pass over T received vectors.
-
-    Final sets are indexed in branch-lexicographic path order (m_p^r of
-    them); op counts in the report are per detection."""
+    """One detection pass over T received vectors; op counts in the report
+    are per detection."""
 
     symbols: np.ndarray  # (T, K) decided symbols
     ambiguous: np.ndarray  # (T,) some final set had tied hypotheses
     report: OpCountReport
-    combined: tuple[np.ndarray, ...]  # per level: (T, paths, equations per path)
-    level_ops: tuple[tuple[int, int], ...]  # per level: (adds, muls) so far
-    final_values: np.ndarray  # (T, m_p^r, m_f) final-set inputs, before any sign flip
-    unit_predictions: np.ndarray  # (T, m_p^r, m_f) winners' F (offs . x), before the weight
-    tie_counts: np.ndarray  # (T, m_p^r)
 
 
 def path_users(chain: FactorChain, path: tuple[int, ...]) -> tuple[int, ...]:
@@ -341,11 +337,12 @@ class _Sweep(NamedTuple):
     unit: np.ndarray  # (S, H, m_f) noiseless F (offs_s . x) per hypothesis
     wunit: np.ndarray  # (S, H, m_f) the same times the set's |weight|
     negative: np.ndarray  # (S,) w_s < 0: the set's equations are negated first
+    positions: np.ndarray  # (S,) index of each set in path order
     adds: int  # per invocation, by the accounting model
     muls: int
 
 
-def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights) -> _Sweep:
+def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights, positions) -> _Sweep:
     """Hypothesis tables for sets with per-set user offsets (S, k_f) and
     nonzero weights (S,)."""
     q, k_f = constellation.size, F.cols
@@ -361,11 +358,21 @@ def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights) -> 
     weights = np.asarray(weights, dtype=float)
     wunit = np.abs(weights)[:, None, None] * unit
     n_add = n_hyp * (int(F.entries.sum()) + F.rows - 1)
-    return _Sweep(hyp, unit, wunit, weights < 0, n_add, n_hyp * (k_f + 2 * F.rows))
+    return _Sweep(hyp, unit, wunit, weights < 0, positions, n_add, n_hyp * (k_f + 2 * F.rows))
 
 
-def _decide(sweep: _Sweep, z, counters: OpCounters):
-    """Winning hypothesis and tie count per (trial, set) for inputs
+class _Solve(NamedTuple):
+    """A sweep's sets decided over T trials."""
+
+    sweep: _Sweep
+    z: np.ndarray  # (T, S, m_f) inputs, before any sign flip
+    best: np.ndarray  # (T, S) winning hypothesis
+    ties: np.ndarray  # (T, S) hypotheses sharing the best score
+    units: np.ndarray  # (T, S, m_f) the winners' F (offs . x), before the weight
+
+
+def final_stage_map(sweep: _Sweep, z, counters: OpCounters) -> _Solve:
+    """Exhaustive MAP decision of every (trial, set) of a sweep for inputs
     z (T, S, m_f).
 
     Hypotheses are equiprobable, so the MAP decision is the nearest one and
@@ -375,19 +382,19 @@ def _decide(sweep: _Sweep, z, counters: OpCounters):
     index wins ties; the tie count is the number of hypotheses sharing the
     best score."""
     T, S = z.shape[:2]
-    z = np.where(sweep.negative[:, None], -z, z)
+    flipped = np.where(sweep.negative[:, None], -z, z)
     best = np.empty((T, S), dtype=np.intp)
     ties = np.empty((T, S), dtype=np.intp)
     step = max(1, _SWEEP_VALUES // max(1, sweep.wunit.size))
     for lo in range(0, T, step):
-        score = (np.abs(z[lo : lo + step, :, None, :] - sweep.wunit) ** 2).sum(axis=-1)
+        score = (np.abs(flipped[lo : lo + step, :, None, :] - sweep.wunit) ** 2).sum(axis=-1)
         b = score.argmin(axis=-1)
         best[lo : lo + step] = b
         ties[lo : lo + step] = (score == np.take_along_axis(score, b[..., None], -1)).sum(axis=-1)
     counters.adds += T * S * sweep.adds
     counters.muls += T * S * sweep.muls
     counters.final_invocations += T * S
-    return best, ties
+    return _Solve(sweep, z, best, ties, sweep.unit[np.arange(S), best])
 
 
 def _cascade(Y, alpha: np.ndarray, level_classes, counters: OpCounters):
@@ -418,20 +425,33 @@ def _cascade(Y, alpha: np.ndarray, level_classes, counters: OpCounters):
         yield state
 
 
-def _cancel(blocks, rows, cancel, units, parent_weights, counters: OpCounters):
-    """Cancellation input of one class for every (trial, parent).
+def sic_enhanced_final(plan: _Plan, parents, plain: _Solve, counters: OpCounters) -> list[_Solve]:
+    """Decide the designated classes of every (trial, last-level parent) by
+    cancellation instead of combining, in the plan's order.
 
-    blocks (T, Pp, m_f, m_p) are the parents' raw group equations: the rows
-    carrying the class are summed and each overlapping decided class jp,
-    sharing `shared` of those rows, is reconstructed from its unit
-    prediction units[jp] (T, Pp, m_f) and subtracted."""
-    zeta = blocks[..., rows].sum(axis=-1)
-    counters.adds += zeta.size * (len(rows) - 1)
-    for jp, shared in cancel:
-        zeta = zeta - (parent_weights * shared)[:, None] * units[jp]
-        counters.adds += zeta.size
-        counters.muls += zeta.size
-    return zeta
+    parents (T, Pp, m_f * m_p) are the last level's inputs and `plain` the
+    sets it combined, in kernel order.  For a designated class j, the rows
+    of each parent's m_f groups that carry class j are summed (gain: the
+    column weight d_j instead of the combining gain), and each overlapping
+    decided class jp, sharing `shared` of those rows, is reconstructed from
+    its unit prediction and subtracted; final_stage_map then decides the
+    result."""
+    T, n_parents = parents.shape[:2]
+    m_f = plain.units.shape[-1]
+    blocks = parents.reshape(T, n_parents, m_f, -1)
+    decided = plain.units.reshape(T, n_parents, -1, m_f)
+    known = {j: decided[:, :, c] for c, j in enumerate(plan.levels[-1].classes)}
+    solves = []
+    for step in plan.sic:
+        zeta = blocks[..., step.rows].sum(axis=-1)
+        counters.adds += zeta.size * (len(step.rows) - 1)
+        for jp, shared in step.cancel:
+            zeta = zeta - (plan.parent_weights * shared)[:, None] * known[jp]
+            counters.adds += zeta.size
+            counters.muls += zeta.size
+        solves.append(final_stage_map(step.sweep, zeta, counters))
+        known[step.j] = solves[-1].units
+    return solves
 
 
 def _sic_schedule(P: PatternMatrix, sic_symbols, decided):
@@ -475,7 +495,6 @@ class _SicStep(NamedTuple):
     rows: np.ndarray
     cancel: tuple[tuple[int, int], ...]
     sweep: _Sweep  # over the last level's parents
-    positions: np.ndarray  # index of each decided set in path order
 
 
 class _Plan(NamedTuple):
@@ -483,7 +502,6 @@ class _Plan(NamedTuple):
 
     levels: tuple[_Level, ...]
     plain: _Sweep  # the sets reached by combining at every level
-    plain_positions: np.ndarray  # their indexes in path order
     parent_weights: np.ndarray  # weights of the last level's parents (SIC)
     sic: tuple[_SicStep, ...]
     sets: tuple[tuple[_SetInfo, bool], ...]  # (set, used_sic) in path order
@@ -513,11 +531,10 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
 
     def sweep(infos):
         offsets = [cfg.power_offsets[list(path_users(chain, s.path))] for s in infos]
-        return _sweep(chain.F, cfg.constellation, offsets, [s.weight for s in infos])
-
-    def positions(infos):
         # branch-lexicographic index: the first branch is the most significant digit
-        return np.array([sum(j * m_p ** (r - 1 - t) for t, j in enumerate(s.path)) for s in infos], dtype=np.intp)
+        positions = [sum(j * m_p ** (r - 1 - t) for t, j in enumerate(s.path)) for s in infos]
+        return _sweep(chain.F, cfg.constellation, offsets, [s.weight for s in infos],
+                      np.array(positions, dtype=np.intp))
 
     by_path = {s.path: (s, False) for s in sets}
     steps = []
@@ -525,12 +542,11 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
         d = rows.size
         infos = [_SetInfo(p.path + (j,), p.weight * d, p.gain * d, p.mult * d) for p in parents]
         by_path.update((s.path, (s, True)) for s in infos)
-        steps.append(_SicStep(j, rows, cancel, sweep(infos), positions(infos)))
+        steps.append(_SicStep(j, rows, cancel, sweep(infos)))
     paths = list(itertools.product(range(m_p), repeat=r))
     return _Plan(
         levels=tuple(levels),
         plain=sweep(sets),
-        plain_positions=positions(sets),
         parent_weights=np.array([p.weight for p in parents], dtype=np.int64),
         sic=tuple(steps),
         sets=tuple(by_path[p] for p in paths),
@@ -539,59 +555,29 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
     )
 
 
-def detect_batch(Y, cfg: DetectionConfig) -> BatchDetection:
-    """Detect all K users of every row of Y (T, M) in one pass.
+def _stages(Y, cfg: DetectionConfig, counters: OpCounters):
+    """The stages of one detection pass over Y (T, M), as they run.
 
-    Recursion level l combines every path's consecutive m_p-equation groups
-    with each class's coefficient vector (child paths in branch-lexicographic
-    order), then one exhaustive MAP sweep decides all m_p^r final sets of
-    all trials.  The classes in a nonempty sic_symbols are decided, for
-    each last-level parent, by cancellation against the sibling decisions
-    instead.  With equiprobable symbols the MAP decision is the nearest
-    hypothesis, whatever the noise variance.  Op counts are tallied over the
-    batch as the work is done and reported per detection."""
-    chain = cfg.chain
-    Y = np.asarray(Y)
-    if Y.ndim != 2 or Y.shape[1] != chain.M:
-        raise ValueError("Y must hold one row of M resource-element values per trial")
+    Yields each recursion level's outputs (T, paths, equations per path),
+    then, last, (solves, batch): the final stage's solves, the plain sweep
+    first and then each cancellation step, and the BatchDetection they
+    decide.  Op counts accumulate in `counters` as the work is done."""
+    chain, plan = cfg.chain, cfg._plan
     T = Y.shape[0]
-    if T == 0:
-        raise ValueError("the batch must hold at least one trial")
-    plan = cfg._plan
     Y = Y.astype(np.result_type(Y.dtype, np.float64), copy=False)
-    counters = OpCounters()
-    combined, level_ops = [], []
+    parents = last = Y.reshape(T, 1, -1)
     for out in _cascade(Y, cfg.design.alpha, [lv.classes for lv in plan.levels], counters):
-        combined.append(out)
-        level_ops.append((counters.adds // T, counters.muls // T))
-    raw = [Y.reshape(T, 1, -1)] + combined  # raw[-2]: the last level's parents
-
-    S = len(plan.sets)
-    dtype = np.result_type(Y.dtype, plan.plain.unit.dtype)
-    values = np.empty((T, S, chain.m_f), dtype=dtype)
-    units = np.empty((T, S, chain.m_f), dtype=plan.plain.unit.dtype)
-    best = np.empty((T, S), dtype=np.intp)
-    ties = np.empty((T, S), dtype=np.intp)
-
-    def solve(sweep: _Sweep, positions, z):
-        values[:, positions] = z
-        best[:, positions], ties[:, positions] = _decide(sweep, z, counters)
-        u = sweep.unit[np.arange(len(positions)), best[:, positions]]
-        units[:, positions] = u
-        return u
-
-    plain = solve(plan.plain, plan.plain_positions, raw[-1])
-    if plan.sic:
-        n_parents = len(plan.parent_weights)
-        blocks = raw[-2].reshape(T, n_parents, chain.m_f, chain.m_p)
-        decided = plain.reshape(T, n_parents, -1, chain.m_f)
-        known = {j: decided[:, :, c] for c, j in enumerate(plan.levels[-1].classes)}
-        for step in plan.sic:
-            zeta = _cancel(blocks, step.rows, step.cancel, known, plan.parent_weights, counters)
-            known[step.j] = solve(step.sweep, step.positions, zeta)
-
-    symbols = np.empty((T, chain.K), dtype=cfg.constellation.symbols.dtype)
-    symbols[:, plan.users.reshape(-1)] = cfg.constellation.symbols[plan.plain.hyp[best]].reshape(T, -1)
+        parents, last = last, out
+        yield out
+    plain = final_stage_map(plan.plain, last, counters)
+    solves = [plain] + (sic_enhanced_final(plan, parents, plain, counters) if plan.sic else [])
+    con = cfg.constellation
+    symbols = np.empty((T, chain.K), dtype=con.symbols.dtype)
+    ambiguous = np.zeros(T, dtype=bool)
+    for solve in solves:
+        sweep = solve.sweep
+        symbols[:, plan.users[sweep.positions].reshape(-1)] = con.symbols[sweep.hyp[solve.best]].reshape(T, -1)
+        ambiguous |= (solve.ties > 1).any(axis=1)
     symbols.setflags(write=False)
     report = OpCountReport(
         measured_adds=counters.adds // T,
@@ -599,16 +585,29 @@ def detect_batch(Y, cfg: DetectionConfig) -> BatchDetection:
         final_invocations=counters.final_invocations // T,
         bounds=plan.bounds,
     )
-    return BatchDetection(
-        symbols=symbols,
-        ambiguous=(ties > 1).any(axis=1),
-        report=report,
-        combined=tuple(combined),
-        level_ops=tuple(level_ops),
-        final_values=values,
-        unit_predictions=units,
-        tie_counts=ties,
-    )
+    yield solves, BatchDetection(symbols, ambiguous, report)
+
+
+def detect_batch(Y, cfg: DetectionConfig) -> BatchDetection:
+    """Detect all K users of every row of Y (T, M) in one pass.
+
+    Recursion level l combines every path's consecutive m_p-equation groups
+    with each class's coefficient vector (child paths in branch-lexicographic
+    order), then one exhaustive MAP sweep (final_stage_map) decides all
+    m_p^r final sets of all trials.  The classes in a nonempty sic_symbols
+    are decided, for each last-level parent, by cancellation against the
+    sibling decisions instead (sic_enhanced_final).  With equiprobable
+    symbols the MAP decision is the nearest hypothesis, whatever the noise
+    variance.  Op counts are tallied over the batch as the work is done and
+    reported per detection."""
+    Y = np.asarray(Y)
+    if Y.ndim != 2 or Y.shape[1] != cfg.chain.M:
+        raise ValueError("Y must hold one row of M resource-element values per trial")
+    if Y.shape[0] == 0:
+        raise ValueError("the batch must hold at least one trial")
+    for stage in _stages(Y, cfg, OpCounters()):
+        pass  # the levels' outputs go by unkept; the last stage holds the result
+    return stage[1]
 
 
 def combine_paths(Y, chain: FactorChain, design: CombinerDesign) -> np.ndarray:
@@ -626,98 +625,10 @@ def combine_paths(Y, chain: FactorChain, design: CombinerDesign) -> np.ndarray:
     return out
 
 
-def final_stage_map(
-    z,
-    F: PatternMatrix,
-    weight,
-    constellation: Constellation,
-    power_offsets=None,
-    *,
-    counters: OpCounters | None = None,
-) -> tuple[tuple, int, np.ndarray]:
-    """Exhaustive MAP decision for one regular set w * F (offs . x) + noise.
-
-    Returns (decided symbol values, tie count, unit prediction F (offs . x^))
-    where the unit prediction is the winning hypothesis's noiseless equation
-    values before the weight.  Ties on the decision metric are broken toward
-    the lowest hypothesis index and reported via tie count; the weight must
-    be positive (flip the sign of z and weight together for a negative
-    weight, the equations are equivalent).  Symbols are equiprobable, so the
-    decision is the nearest hypothesis, whatever the noise variance."""
-    z = np.asarray(z)
-    if z.shape != (F.rows,):
-        raise ValueError("z must have one value per outer-factor row")
-    if not weight > 0:
-        raise ValueError("combined weight must be positive")
-    offs = np.ones(F.cols) if power_offsets is None else np.asarray(power_offsets, dtype=float)
-    if offs.shape != (F.cols,):
-        raise ValueError("power offsets must have one entry per set user")
-    sweep = _sweep(F, constellation, [offs], [weight])
-    best, ties = _decide(sweep, z[None, None], counters or OpCounters())
-    b = int(best[0, 0])
-    return tuple(constellation.symbols[sweep.hyp[b]]), int(ties[0, 0]), sweep.unit[0, b]
-
-
-def sic_enhanced_final(
-    raw_values,
-    decided: dict[int, FinalSet],
-    cfg: DetectionConfig,
-    *,
-    parent_path: tuple[int, ...] = (),
-    parent_weight: int = 1,
-    parent_noise_mult: int = 1,
-    parent_gain: Fraction = Fraction(1),
-    counters: OpCounters | None = None,
-) -> list[FinalSet]:
-    """Decide the designated classes of one last-recursion super-group by
-    cancellation instead of combining.
-
-    raw_values are the super-group's m_f * m_p equations before combining.
-    For a designated class j, the equations carrying class j are summed
-    (gain: the column weight d_j instead of the combining gain) and every
-    overlapping, already-decided class is reconstructed from its final-set
-    decision and subtracted.  Raises SicPredecessorError when an overlapping
-    class has no decision to cancel with."""
-    chain = cfg.chain
-    raw = np.asarray(raw_values)
-    if raw.shape != (chain.m_f * chain.m_p,):
-        raise ValueError("raw_values must hold the full super-group")
-    counters = OpCounters() if counters is None else counters
-    steps = _sic_schedule(chain.P, cfg.sic_symbols, decided)
-    known = {jp: np.asarray(fs.unit_prediction)[None, None] for jp, fs in decided.items()}
-    blocks = raw.reshape(1, 1, chain.m_f, chain.m_p)
-    out: list[FinalSet] = []
-    for j, rows, cancel in steps:
-        zeta = _cancel(blocks, rows, cancel, known, np.array([parent_weight]), counters)
-        d_j = rows.size
-        weight = parent_weight * d_j
-        path = parent_path + (j,)
-        users = path_users(chain, path)
-        sweep = _sweep(chain.F, cfg.constellation, [cfg.power_offsets[list(users)]], [weight])
-        best, ties = _decide(sweep, zeta, counters)
-        b = int(best[0, 0])
-        known[j] = sweep.unit[:, b][None]
-        out.append(
-            FinalSet(
-                path=path,
-                users=users,
-                values=zeta[0, 0],
-                weight=weight,
-                gain=parent_gain * d_j,
-                noise_multiplier=parent_noise_mult * d_j,
-                used_sic=True,
-                decided=tuple(cfg.constellation.symbols[sweep.hyp[b]]),
-                unit_prediction=sweep.unit[0, b],
-                tie_count=int(ties[0, 0]),
-            )
-        )
-    return out
-
-
 def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
     """Detect all K users from y by recursive combining plus small MAP sets.
 
-    The batched kernel on a batch of one, with the full trace: level l
+    The kernel's stages on a batch of one, with the full trace: level l
     starts from m_p^(l-1) super-groups of m_f * m_p^(r-l+1) equations, and
     final sets come out sorted by path.  With a nonempty sic_symbols, the
     designated classes of each last-level super-group are decided by
@@ -726,13 +637,12 @@ def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
     y = np.asarray(y)
     if y.shape != (chain.M,):
         raise ValueError("y must have one value per resource element")
-    batch = detect_batch(y[None], cfg)
     plan = cfg._plan
+    counters = OpCounters()
+    stages = _stages(y[None], cfg, counters)
     records = []
     groups_in, eqs = 1, chain.M
-    for level, (lv, out, (adds, muls)) in enumerate(
-        zip(plan.levels, batch.combined, batch.level_ops), start=1
-    ):
+    for level, (lv, out) in enumerate(zip(plan.levels, stages), start=1):
         records.append(
             RecursionRecord(
                 level=level,
@@ -744,26 +654,33 @@ def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
                 weights=tuple(s.weight for s in lv.sets),
                 gain_products=tuple(s.gain for s in lv.sets),
                 noise_multipliers=tuple(s.mult for s in lv.sets),
-                adds_so_far=adds,
-                muls_so_far=muls,
+                adds_so_far=counters.adds,
+                muls_so_far=counters.muls,
             )
         )
         groups_in, eqs = out.shape[1], out.shape[2]
+    solves, batch = next(stages)
+    # per set in path order: (input, unit prediction, tie count); the input
+    # is copied, since at r = 0 it is a view of y
+    solved = [None] * len(plan.sets)
+    for solve in solves:
+        for i, p in enumerate(solve.sweep.positions):
+            solved[p] = (solve.z[0, i].copy(), solve.units[0, i], int(solve.ties[0, i]))
     symbols = batch.symbols[0]
     final_sets = tuple(
         FinalSet(
             path=s.path,
             users=tuple(users.tolist()),
-            values=batch.final_values[0, p],
+            values=values,
             weight=s.weight,
             gain=s.gain,
             noise_multiplier=s.mult,
             used_sic=used_sic,
             decided=tuple(symbols[users]),
-            unit_prediction=batch.unit_predictions[0, p],
-            tie_count=int(batch.tie_counts[0, p]),
+            unit_prediction=unit,
+            tie_count=ties,
         )
-        for p, ((s, used_sic), users) in enumerate(zip(plan.sets, plan.users))
+        for ((s, used_sic), users, (values, unit, ties)) in zip(plan.sets, plan.users, solved)
     )
     return DetectionResult(
         symbols=symbols,

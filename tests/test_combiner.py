@@ -22,15 +22,13 @@ from kronnoma import (
     EnumerationCapExceeded,
     FactorChain,
     PatternMatrix,
-    coefficient_vectors,
-    enumerate_square_candidates,
     find_combiners,
     run_algorithm1,
     search_space_size,
     sum_rate_recursive,
 )
 from kronnoma import combiner, rate
-from kronnoma.combiner import DEFAULT_REFERENCE_SNR
+from kronnoma.combiner import DEFAULT_REFERENCE_SNR, coefficient_vectors, enumerate_square_candidates
 from conftest import ALPHA3_ROWS, ALPHA4_ROWS
 
 THIRD = Fraction(4, 3)

@@ -15,27 +15,27 @@ from kronnoma import (
     BPSK,
     QPSK,
     CombinerDesign,
+    CombiningContractError,
     DetectionConfig,
     DetectionError,
     FactorChain,
     HypothesisCapExceeded,
+    OpCounters,
     PatternMatrix,
     SicPredecessorError,
     brute_force_map_oracle,
     build_chain,
-    combining_matrix,
     coupled_sums,
     detect_batch,
     final_stage_costs,
-    final_stage_map,
     find_combiners,
     op_count_bounds,
-    path_users,
     pattern_groups,
     recursive_detect,
-    sic_enhanced_final,
     synthesize_rx,
 )
+from kronnoma.combiner import enumerate_square_candidates
+from kronnoma.detector import combining_matrix, path_users
 
 ALL_BPSK_6 = [np.array(v, dtype=float) for v in itertools.product((-1.0, 1.0), repeat=6)]
 
@@ -169,62 +169,86 @@ class TestNoiselessAlgebra:
             assert fs.noise_multiplier == expected_mult
 
 
+@pytest.fixture(scope="module")
+def cfg0(F12, P3, design3):
+    """G = F = [1 1]: at r = 0 the receiver is one final set of weight 1."""
+    return _cfg(FactorChain(F12, P3, 0), design3)
+
+
+def _only_set(z, cfg):
+    (fs,) = recursive_detect(np.array(z, dtype=float), cfg).trace.final_sets
+    return fs
+
+
 class TestFinalStageMap:
-    def test_unique_maximizer(self, F12):
-        decided, ties, unit = final_stage_map(np.array([8.0]), F12, 4, BPSK)
-        assert decided == (1.0, 1.0)
-        assert ties == 1
-        assert unit.tolist() == [2.0]
+    """The final-stage MAP on a single set, through the kernel at r = 0.
+    The set's weight is 1, so z = 2 here is z = 8 on a set of weight 4
+    (the 9x18 sets of TestBatchedKernel.test_noiseless_ties_are_counted)."""
 
-    def test_zero_tie_equal_powers(self, F12):
-        decided, ties, _ = final_stage_map(np.array([0.0]), F12, 4, BPSK)
-        assert ties == 2
-        assert decided == (-1.0, 1.0)  # lowest hypothesis index among the tied pair
+    def test_unique_maximizer(self, cfg0):
+        fs = _only_set([2.0], cfg0)
+        assert fs.decided == (1.0, 1.0)
+        assert fs.tie_count == 1
+        assert fs.unit_prediction.tolist() == [2.0]
+        assert detect_batch(np.array([[2.0]]), cfg0).ambiguous.tolist() == [False]
 
-    def test_offsets_make_hypotheses_injective(self, F12):
+    def test_zero_tie_equal_powers(self, cfg0):
+        fs = _only_set([0.0], cfg0)
+        assert fs.tie_count == 2
+        assert fs.decided == (-1.0, 1.0)  # lowest hypothesis index among the tied pair
+        batch = detect_batch(np.zeros((1, 1)), cfg0)
+        assert batch.symbols.tolist() == [[-1.0, 1.0]]
+        assert batch.ambiguous.tolist() == [True]
+
+    def test_offsets_make_hypotheses_injective(self, cfg0):
         # with offsets (1, 1/2) all four predictions differ, and every
         # noiseless input is recovered exactly; the exact midpoint z=0
         # nevertheless remains equidistant from two hypotheses
-        offs = np.array([1.0, 0.5])
+        cfg = _cfg(cfg0.chain, cfg0.design, power_offsets=np.array([1.0, 0.5]))
         preds = set()
         for x in itertools.product((-1.0, 1.0), repeat=2):
-            z = np.array([4.0 * (x[0] * 1.0 + x[1] * 0.5)])
-            decided, ties, _ = final_stage_map(z, F12, 4, BPSK, power_offsets=offs)
-            assert decided == x
-            assert ties == 1
-            preds.add(float(z[0]))
+            z = x[0] * 1.0 + x[1] * 0.5
+            fs = _only_set([z], cfg)
+            assert fs.decided == x
+            assert fs.tie_count == 1
+            assert fs.unit_prediction.tolist() == [z]
+            preds.add(z)
         assert len(preds) == 4
-        _, ties, _ = final_stage_map(np.array([0.0]), F12, 4, BPSK, power_offsets=offs)
-        assert ties == 2
+        assert _only_set([0.0], cfg).tie_count == 2
 
-    def test_decided_sum_is_nearest_hypothesis_sum(self, F12):
+    def test_decided_sum_is_nearest_hypothesis_sum(self, cfg0):
         # equal powers: the decided coupled sum is always a nearest point of
         # {-2, 0, 2} to z / weight
-        for z in np.linspace(-12.0, 12.0, 97):
-            decided, _, _ = final_stage_map(np.array([z]), F12, 4, BPSK)
-            got = sum(decided)
-            dist = abs(got - z / 4.0)
-            best = min(abs(s - z / 4.0) for s in (-2.0, 0.0, 2.0))
+        Z = np.linspace(-3.0, 3.0, 97)[:, None]
+        for z, decided in zip(Z[:, 0], detect_batch(Z, cfg0).symbols):
+            dist = abs(decided.sum() - z)
+            best = min(abs(s - z) for s in (-2.0, 0.0, 2.0))
             assert dist == pytest.approx(best, abs=1e-12)
 
-    def test_weight_must_be_positive(self, F12):
-        with pytest.raises(ValueError):
-            final_stage_map(np.array([1.0]), F12, 0, BPSK)
-        with pytest.raises(ValueError):
-            final_stage_map(np.array([1.0]), F12, -4, BPSK)
+    def test_weight_is_nonzero_by_contract(self, design3):
+        # a set's weight is a product of design weights, and a design with
+        # a zero weight is refused; negative weights are decided on the
+        # negated equations (TestNegativeWeightDesign)
+        alpha = design3.alpha.copy()
+        alpha[1] = 0
+        with pytest.raises(CombiningContractError):
+            CombinerDesign(P=design3.P, alpha=alpha, weights=(2, 0, 2), gains=design3.gains)
 
-    def test_hypothesis_cap(self):
+    def test_hypothesis_cap(self, P3, design3):
         # 2^12 hypotheses fill DEFAULT_HYPOTHESIS_CAP (4096); 2^13 exceed it
-        decided, _, _ = final_stage_map(np.array([12.0]), PatternMatrix(np.ones((1, 12))), 1, BPSK)
-        assert decided == (1.0,) * 12
+        fits = _cfg(FactorChain(PatternMatrix(np.ones((1, 12))), P3, 0), design3)
+        assert _only_set([12.0], fits).decided == (1.0,) * 12
+        over = _cfg(FactorChain(PatternMatrix(np.ones((1, 13))), P3, 0), design3)
         with pytest.raises(HypothesisCapExceeded):
-            final_stage_map(np.array([1.0]), PatternMatrix(np.ones((1, 13))), 1, BPSK)
+            detect_batch(np.ones((1, 1)), over)
 
-    def test_dimension_checks(self, F12):
+    def test_dimension_checks(self, cfg0):
         with pytest.raises(ValueError):
-            final_stage_map(np.array([1.0, 2.0]), F12, 1, BPSK)
+            detect_batch(np.array([[1.0, 2.0]]), cfg0)
         with pytest.raises(ValueError):
-            final_stage_map(np.array([1.0]), F12, 1, BPSK, power_offsets=np.ones(3))
+            recursive_detect(np.array([1.0, 2.0]), cfg0)
+        with pytest.raises(DetectionError):
+            _cfg(cfg0.chain, cfg0.design, power_offsets=np.ones(3))
 
 
 class TestOpAccounting:
@@ -290,7 +314,7 @@ class TestOpAccounting:
 
 
 def find_combiners_first_feasible(m_p: int) -> CombinerDesign:
-    from kronnoma import CombinerInfeasible, enumerate_square_candidates
+    from kronnoma import CombinerInfeasible
 
     for P in enumerate_square_candidates(m_p):
         try:
@@ -406,8 +430,8 @@ class TestBatchedKernel:
         X[0, 9:] = -1.0  # every coupled pair cancels
         batch = detect_batch(X @ G.entries.T, cfg2)
         assert batch.ambiguous.tolist() == [True, False]
-        assert batch.tie_counts[0].tolist() == [2] * 9
-        assert batch.tie_counts[1].tolist() == [1] * 9
+        for y, ties in zip(X @ G.entries.T, (2, 1)):
+            assert [fs.tie_count for fs in recursive_detect(y, cfg2).trace.final_sets] == [ties] * 9
         assert batch.symbols[0].tolist() == [-1.0] * 9 + [1.0] * 9
         assert batch.symbols[1].tolist() == [1.0] * 18
         assert (batch.report.measured_adds, batch.report.measured_muls) == (108, 144)
@@ -419,12 +443,24 @@ class TestBatchedKernel:
         G = build_chain(chain_9x18)
         rng = np.random.default_rng(9)
         Y = rng.choice([-1.0, 1.0], size=(7, 18)) @ G.entries.T + rng.standard_normal((7, 9))
+        sweep = cfg._plan.plain
+        Z = rng.standard_normal((7, len(sweep.positions), 1)) * 4.0
         whole = detect_batch(Y, cfg)
+        whole_solve = detector.final_stage_map(sweep, Z, OpCounters())
         monkeypatch.setattr(detector, "_SWEEP_VALUES", 30)  # a trial or two per slice
         sliced = detect_batch(Y, cfg)
+        sliced_solve = detector.final_stage_map(sweep, Z, OpCounters())
         assert np.array_equal(whole.symbols, sliced.symbols)
-        assert np.array_equal(whole.tie_counts, sliced.tie_counts)
-        assert np.array_equal(whole.unit_predictions, sliced.unit_predictions)
+        assert np.array_equal(whole.ambiguous, sliced.ambiguous)
+        assert np.array_equal(whole_solve.best, sliced_solve.best)
+        assert np.array_equal(whole_solve.ties, sliced_solve.ties)
+        assert np.array_equal(whole_solve.units, sliced_solve.units)
+        # and per trial, the final sets of one-trial detection: what the
+        # sliced cancellation decided from the sliced unit predictions
+        for y, symbols, ambiguous in zip(Y, sliced.symbols, sliced.ambiguous):
+            one = recursive_detect(y, cfg)
+            assert np.array_equal(one.symbols, symbols)
+            assert one.ambiguous == ambiguous
 
     def test_validation(self, cfg2):
         with pytest.raises(ValueError):
@@ -459,16 +495,16 @@ class TestBruteForceOracle:
         got, _ = brute_force_map_oracle(G.entries @ x, G, BPSK)
         assert np.array_equal(coupled_sums(got, groups, offs), coupled_sums(x, groups, offs))
 
-    def test_matches_final_stage_map_at_r0(self, F12):
+    def test_matches_final_stage_map_at_r0(self, F12, cfg0):
         # on G = F the oracle and the final stage are the same MAP problem
         # with the same tie-break
-        chainF = PatternMatrix(np.array([[1, 1]]))
-        rng = np.random.default_rng(99)
-        for _ in range(200):
-            z = rng.standard_normal(1) * 3.0
-            a, _, _ = final_stage_map(z, F12, 1, BPSK)
-            b, _ = brute_force_map_oracle(z, chainF, BPSK)
-            assert a == tuple(b)
+        Z = np.random.default_rng(99).standard_normal((200, 1)) * 3.0
+        for z, a in zip(Z, detect_batch(Z, cfg0).symbols):
+            b, _ = brute_force_map_oracle(z, F12, BPSK)
+            assert np.array_equal(a, b)
+        # and the noiseless tie at z = 0 goes to the same lowest index
+        assert np.array_equal(detect_batch(np.zeros((1, 1)), cfg0).symbols[0],
+                              brute_force_map_oracle(np.zeros(1), F12, BPSK)[0])
 
     def test_cap(self, chain_9x18):
         # QPSK on 18 users: 4^18 hypotheses, above DEFAULT_ORACLE_CAP (2^20)
@@ -845,12 +881,15 @@ class TestSic:
         with pytest.raises(SicPredecessorError):
             recursive_detect(np.zeros(1), cfg)
 
-    def test_direct_call_contract(self, chain_9x18, design3):
-        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
+    def test_batch_call_contract(self, chain_9x18, design3):
+        # with no class decided by combining, class 2 has nothing to cancel
         with pytest.raises(SicPredecessorError):
-            sic_enhanced_final(np.zeros(3), {}, cfg)
+            detect_batch(np.zeros((1, 9)), _cfg(chain_9x18, design3, sic_symbols=(0, 1, 2)))
+        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
         with pytest.raises(ValueError):
-            sic_enhanced_final(np.zeros(5), {}, cfg)
+            detect_batch(np.zeros((1, 5)), cfg)
+        with pytest.raises(ValueError):
+            detect_batch(np.zeros(9), cfg)
 
     def test_ops_stay_within_sic_bounds(self, chain_9x18, design3):
         cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
@@ -882,6 +921,13 @@ class TestDetectionConfig:
     def test_mode_validated(self, chain_9x18, design3):
         with pytest.raises(DetectionError):
             _cfg(chain_9x18, design3, sic_symbols=(7,))
+
+    def test_sic_symbols_must_be_integers(self, chain_9x18, design3):
+        # a float or a string is not a class index, even one that int() maps to one
+        for bad in ((2.7,), (2.0,), ("2",), (None,), 2):
+            with pytest.raises(DetectionError):
+                _cfg(chain_9x18, design3, sic_symbols=bad)
+        assert _cfg(chain_9x18, design3, sic_symbols=(np.int64(2), 2)).sic_symbols == (2,)
 
     def test_y_validated(self, cfg2):
         with pytest.raises(ValueError):

@@ -14,11 +14,10 @@ from kronnoma import (
     FactorChain,
     PatternMatrix,
     build_chain,
-    kronecker,
     pattern_groups,
     search_space_size,
-    validate_distinct_nonzero_columns,
 )
+from kronnoma.pattern import kronecker, validate_distinct_nonzero_columns
 
 binary_matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(

@@ -24,10 +24,10 @@ from kronnoma import (
     run_monte_carlo,
     synthesize_rx,
     trial_rng,
-    wilson_interval,
 )
 from kronnoma import detector as det
 from kronnoma import simkit
+from kronnoma.simkit import wilson_interval
 
 
 class TestConstellation:

@@ -1,15 +1,28 @@
 """The repository's tools: the benchmark's tracer names the package's layers
 by module and function and looks them up at run time, so every name it
-lists must exist; the scripts' fixed-seed output is pinned."""
+lists must exist and the detection kernel must run through the final-stage
+layers; the scripts' fixed-seed output is pinned."""
 
 import hashlib
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
+
+from kronnoma import BPSK, DetectionConfig, FactorChain, build_chain, detect_batch, find_combiners, run_monte_carlo
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 ORACLE_AGREEMENT = ROOT / "scripts" / "oracle_agreement.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_tracer_layers_resolve():
@@ -41,3 +54,43 @@ def test_oracle_agreement_output_pinned(capsys):
     assert script.main(["--trials", "200"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "bcd4051ffddf9291834bcb4b7d3d86d6d4fc28728273fbec10636dd994cf55dc"
+
+
+def test_tracer_books_the_final_stages(F12, P3):
+    # the kernel calls its final MAP and its cancellation through the
+    # module's names, so a traced Monte Carlo run books both layers
+    tracer = _load_tracer()
+    chain = FactorChain(F12, P3, 2)
+    design = find_combiners(P3)
+    summaries = {}
+    for sic in ((), (2,)):
+        cfg = DetectionConfig(chain, design, BPSK, sic_symbols=sic)
+        t = tracer.Tracer()
+        t.install()
+        try:
+            run_monte_carlo(cfg, [1.0, 2.0], 8, seed=5)
+        finally:
+            t.uninstall()
+        summaries[sic] = tracer.layer_summary(t.spans)
+    assert summaries[()]["detector.final_stage_map.calls"] >= 1
+    assert summaries[(2,)]["detector.final_stage_map.calls"] >= 1
+    assert summaries[(2,)]["detector.sic_enhanced_final.calls"] >= 1
+
+
+def test_detect_batch_retains_only_its_result(F12, P3):
+    # 300 trials of the 27x54 chain: the decided symbols (0.12 MiB) are
+    # kept, the cascade outputs and the final-stage arrays are not
+    chain = FactorChain(F12, P3, 3)
+    cfg = DetectionConfig(chain, find_combiners(P3), BPSK)
+    rng = np.random.default_rng(3)
+    Y = rng.choice([-1.0, 1.0], size=(300, chain.K)) @ build_chain(chain).entries.T
+    Y += rng.standard_normal(Y.shape)
+    detect_batch(Y[:1], cfg)  # builds the configuration's plan
+    tracemalloc.start()
+    try:
+        batch = detect_batch(Y, cfg)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.symbols.shape == (300, chain.K)
+    assert retained <= 0.15 * 2**20
