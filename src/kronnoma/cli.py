@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .combiner import CapExceeded, CombinerDesign, find_combiners, run_algorithm1
+from .detector import BPSK, QPSK, DetectionConfig
 from .pattern import FactorChain, PatternMatrix, build_chain, json_fields, load_chain
 from .rate import (
     sum_rate_oma,
@@ -27,7 +28,7 @@ from .rate import (
     sum_rate_recursive,
     sum_rate_sic_reference,
 )
-from .simkit import BPSK, QPSK, run_monte_carlo
+from .simkit import run_monte_carlo
 
 _BASELINES = ("pdma", "oma", "example4")
 _CONSTELLATIONS = {"bpsk": BPSK, "qpsk": QPSK}
@@ -262,8 +263,6 @@ def cmd_rate(cfg: RunConfig) -> int:
 
 
 def _detection_config(cfg: RunConfig, chain: FactorChain, design: CombinerDesign):
-    from .detector import DetectionConfig
-
     return DetectionConfig(
         chain=chain,
         design=design,

@@ -147,12 +147,8 @@ class CombinerDesign:
         }
 
     def json_text(self) -> str:
-        """The record as `json.dumps(self.to_json_dict(), indent=2) + "\n"`
-        writes it."""
-        lcm = math.lcm(*range(1, self.m_p + 1))
-        gains = [[g.numerator * (lcm // g.denominator) for g in self.gains]]
-        return _records_json(self.P.entries[None], self.alpha[None], np.array([self.weights]),
-                             np.array(gains), listed=False)
+        """The record as the `design` command writes it."""
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CombinerDesign":
@@ -210,22 +206,20 @@ def _slots(obj):
 
 
 @functools.lru_cache(maxsize=None)
-def _record_template(m_p: int, listed: bool) -> tuple[str, ...]:
-    """One m_p x m_p design record as `json.dumps(indent=2)` lays it out, at
-    the top level or as an item of a list, split at its value slots: the
-    entries of P, of alpha, the weights and the gains, in `to_json_dict`
-    order."""
+def _record_template(m_p: int) -> tuple[str, ...]:
+    """One m_p x m_p design record as `json.dumps(indent=2)` lays it out as
+    an item of a list, split at its value slots: the entries of P, of alpha,
+    the weights and the gains, in `to_json_dict` order."""
     eye = np.eye(m_p, dtype=np.int64)
     record = CombinerDesign(PatternMatrix(eye), eye, (1,) * m_p, (Fraction(1),) * m_p)
-    skeleton = _slots(record.to_json_dict())
-    text = json.dumps([skeleton] if listed else skeleton, indent=2)
-    return tuple((text[2:-2] if listed else text).split(json.dumps(_SLOT)))
+    text = json.dumps([_slots(record.to_json_dict())], indent=2)
+    return tuple(text[2:-2].split(json.dumps(_SLOT)))
 
 
-def _records_json(P, alpha, weights, gains, *, listed: bool) -> str:
-    """The JSON text of a block of designs, byte for byte what
-    `json.dumps(indent=2) + "\n"` writes for their `to_json_dict()`s: a list
-    of them when `listed`, else the block's one record.
+def _records_json(P, alpha, weights, gains) -> str:
+    """The JSON text of a list of designs, byte for byte what
+    `json.dumps(indent=2) + "\n"` writes for the list of their
+    `to_json_dict()`s.
 
     P and alpha are (N, m_p, m_p), weights (N, m_p), and gains (N, m_p) the
     gains as integers over lcm(1..m_p).  The block is checked first (C1-C3,
@@ -247,13 +241,13 @@ def _records_json(P, alpha, weights, gains, *, listed: bool) -> str:
         [P.reshape(n, -1) + m, alpha.reshape(n, -1) + m, weights + m,
          gain_codes.reshape(n, m) + len(texts) - len(distinct)], axis=1)
     # pieces[k, c]: the template text before slot k, then the text of code c
-    template = _record_template(m, listed)
+    template = _record_template(m)
     pieces = np.array([[head + t for t in texts] for head in template[:-1]], dtype=object)
     body = np.empty((n, codes.shape[1] + 1), dtype=object)
     body[:, :-1] = pieces[np.arange(codes.shape[1]), codes]
     body[:, -1] = template[-1] + ",\n"
-    body[-1, -1] = template[-1] + ("\n]\n" if listed else "\n")
-    return ("[\n" if listed else "") + "".join(body.ravel().tolist())
+    body[-1, -1] = template[-1] + "\n]\n"
+    return "[\n" + "".join(body.ravel().tolist())
 
 
 _COEFF_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -452,7 +446,7 @@ class Ranking(Sequence[ScoredDesign]):
         in self], indent=2) + "\n"` writes it, with no design built."""
         P = (self.cols[:, None, :] >> np.arange(self.m_p)[:, None]) & 1
         alpha = coefficient_vectors(self.m_p)[0][self.best]
-        return _records_json(P, alpha, self.weights, self.gains, listed=True)
+        return _records_json(P, alpha, self.weights, self.gains)
 
 
 def run_algorithm1(

@@ -17,8 +17,12 @@ detect_batch is that kernel and the only implementation of the receiver;
 final_stage_map (the batched MAP sweep) and sic_enhanced_final (the batched
 cancellation) are its final stages.  recursive_detect runs the same stages
 on a batch of one and keeps the full trace, which detect_batch does not
-hold on to.  Every arithmetic operation is counted by the code that
-performs it and checked against closed-form bounds on every run.
+hold on to.  The kernel and simkit.estimate_gain apply L only through the
+cascade of signed sums (_cascade); L is never formed.  Every arithmetic
+operation is counted by the code that performs it and checked against
+closed-form bounds on every run.  The symbol alphabets (Constellation,
+BPSK, QPSK) are defined here, beside the configuration, the sweeps and the
+oracle that read them.
 
 Scalar-operation accounting model (documented contract):
 
@@ -49,7 +53,6 @@ import numpy as np
 
 from .combiner import CapExceeded, CombinerDesign
 from .pattern import FactorChain, PatternMatrix, pattern_groups
-from .simkit import Constellation
 
 DEFAULT_HYPOTHESIS_CAP = 4096
 DEFAULT_ORACLE_CAP = 1 << 20
@@ -62,6 +65,38 @@ _SWEEP_VALUES = 1 << 17
 # classes per prediction table of the oracle, rounded down to a product of
 # whole groups' class counts so that every table starts on a group boundary
 _ORACLE_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class Constellation:
+    """Finite symbol alphabet; symbols are equiprobable."""
+
+    symbols: np.ndarray
+
+    def __post_init__(self):
+        sym = np.asarray(self.symbols)
+        if sym.ndim != 1 or sym.size < 2:
+            raise ValueError("constellation needs at least two symbols")
+        sym = sym.copy()
+        sym.setflags(write=False)
+        object.__setattr__(self, "symbols", sym)
+
+    @property
+    def size(self) -> int:
+        return int(self.symbols.size)
+
+    @property
+    def average_power(self) -> float:
+        """Mean squared symbol magnitude P_x."""
+        return float(np.full(self.size, 1.0 / self.size) @ (np.abs(self.symbols) ** 2))
+
+    @property
+    def is_complex(self) -> bool:
+        return np.iscomplexobj(self.symbols)
+
+
+BPSK = Constellation(np.array([-1.0, 1.0]))
+QPSK = Constellation(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0))
 
 
 class DetectionError(ValueError):
@@ -610,21 +645,6 @@ def detect_batch(Y, cfg: DetectionConfig) -> BatchDetection:
     return stage[1]
 
 
-def combine_paths(Y, chain: FactorChain, design: CombinerDesign) -> np.ndarray:
-    """Apply the combining map L = (x) alpha to every row of Y (T, M)
-    without forming L: the final-set inputs (T, m_p^r, m_f), paths in
-    branch-lexicographic order (the rows of combining_matrix, reshaped)."""
-    if design.P != chain.P:
-        raise DetectionError("combiner design was built for a different inner factor")
-    Y = np.asarray(Y)
-    if Y.ndim != 2 or Y.shape[1] != chain.M:
-        raise ValueError("Y must hold one row of M resource-element values per trial")
-    out = Y.reshape(Y.shape[0], 1, -1)
-    for out in _cascade(Y, design.alpha, [tuple(range(chain.m_p))] * chain.r, OpCounters()):
-        pass
-    return out
-
-
 def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
     """Detect all K users from y by recursive combining plus small MAP sets.
 
@@ -688,30 +708,6 @@ def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
         report=batch.report,
         ambiguous=bool(batch.ambiguous[0]),
     )
-
-
-def combining_matrix(chain: FactorChain, design: CombinerDesign) -> np.ndarray:
-    """The linear map L with L @ y = all final-set inputs, stacked in
-    branch-lexicographic path order, m_f equations per path.
-
-    Row (path, d_f) is e_{d_f} (x) alpha^(j_r) (x) ... (x) alpha^(j_1):
-    later recursion levels peel later positions of the path, so their
-    coefficient vectors sit on the slower-varying (outer) Kronecker axes.
-    Dense reference for tests; detection applies L through combine_paths."""
-    if design.P != chain.P:
-        raise DetectionError("combiner design was built for a different inner factor")
-    alpha = design.alpha
-    rows = []
-    eye = np.eye(chain.m_f, dtype=np.int64)
-    for path in itertools.product(range(chain.m_p), repeat=chain.r):
-        acc = np.array([1], dtype=np.int64)
-        for j in reversed(path):
-            acc = np.kron(acc, alpha[j])
-        for d_f in range(chain.m_f):
-            rows.append(np.kron(eye[d_f], acc))
-    L = np.array(rows, dtype=np.int64)
-    L.setflags(write=False)
-    return L
 
 
 class _Classes(NamedTuple):

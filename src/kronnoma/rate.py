@@ -82,7 +82,7 @@ def _snr_grid(snr: float | Sequence[float]) -> tuple[np.ndarray, bool]:
     snrs = np.asarray(snr, dtype=float)
     if snrs.ndim > 1:
         raise ValueError("snr must be a number or a 1-D sequence")
-    if (snrs < 0).any():
+    if not (snrs >= 0).all():  # NaN included
         raise ValueError("snr must be nonnegative")
     return snrs.reshape(-1), snrs.ndim == 0
 

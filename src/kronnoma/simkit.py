@@ -1,16 +1,16 @@
-"""Constellations, seeded signal synthesis, and Monte Carlo measurement.
+"""Seeded signal synthesis, gain calibration, and Monte Carlo measurement.
 
 Randomness policy: everything is driven by a counter-based generator
 (numpy Philox) keyed with an explicit 64-bit seed.  Monte Carlo trials draw
 from per-trial streams, the stream of Philox.jumped(trial_index), so results
 are bit-reproducible and independent of batching or parallel scheduling.
 A run keeps one generator and moves it to each trial's stream before that
-trial's draws; the received values of a chunk are then formed and detected
-together.  Chunks follow the trial indices across SNR points, so a short
-grid is detected in one chunk.  G is applied one trial at a time, as a
-matrix-vector product: a single matrix-matrix product over the chunk sums
-in another order and would change the last bits of non-integer received
-values.
+trial's draws; the received values of a chunk are then formed by one
+synthesize_rx call, the one implementation of the channel y = G x + n, and
+detected together.  Chunks follow the trial indices across SNR points, so
+a short grid is detected in one chunk.
+This module is a one-way client of the receiver: it imports detector (the
+constellations, the kernel and its cascade), and detector never imports it.
 SNR is linear throughout and means P_x / sigma^2 with P_x the mean squared
 symbol magnitude of the constellation; dB conversion is a CLI-boundary
 concern.
@@ -23,47 +23,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import detector as det
+from .combiner import CombinerDesign
 from .pattern import FactorChain, PatternMatrix, build_chain, pattern_groups
-
-if TYPE_CHECKING:  # imported lazily at runtime to keep the module graph acyclic
-    from .combiner import CombinerDesign
-    from .detector import DetectionConfig
-
-
-@dataclass(frozen=True, eq=False)
-class Constellation:
-    """Finite symbol alphabet; symbols are equiprobable."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        sym = np.asarray(self.symbols)
-        if sym.ndim != 1 or sym.size < 2:
-            raise ValueError("constellation needs at least two symbols")
-        sym = sym.copy()
-        sym.setflags(write=False)
-        object.__setattr__(self, "symbols", sym)
-
-    @property
-    def size(self) -> int:
-        return int(self.symbols.size)
-
-    @property
-    def average_power(self) -> float:
-        """Mean squared symbol magnitude P_x."""
-        return float(np.full(self.size, 1.0 / self.size) @ (np.abs(self.symbols) ** 2))
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.symbols)
-
-
-BPSK = Constellation(np.array([-1.0, 1.0]))
-QPSK = Constellation(np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0))
 
 
 _WORD = (1 << 64) - 1
@@ -82,7 +47,8 @@ class _TrialStreams:
     new generator."""
 
     def __init__(self, seed: int):
-        bitgen = np.random.Philox(key=seed)
+        # Philox truncates a float key, which would run another seed's streams
+        bitgen = np.random.Philox(key=operator.index(seed))
         self._bitgen = bitgen
         self._key = tuple(int(k) for k in bitgen.state["state"]["key"])
         self._gen = np.random.Generator(bitgen)
@@ -117,28 +83,28 @@ def _noise(rng: np.random.Generator, n: int, variance: float, complex_valued: bo
     return math.sqrt(variance) * rng.standard_normal(n)
 
 
-def synthesize_rx(
-    x,
-    G: PatternMatrix,
-    noise_variance: float,
-    seed: int | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-):
-    """Received vector y = G x + n with i.i.d. Gaussian noise of the given
-    variance per resource element (circularly symmetric when x is complex).
+def synthesize_rx(x, G: PatternMatrix, noise):
+    """Received values y = G x + n: of one trial, x (K,) and noise (M,), or
+    of a chunk of trials, x (T, K) and noise (T, M).
 
-    Deterministic under `seed`; pass `rng` instead to draw from an existing
-    per-trial stream.  noise_variance = 0 gives the noiseless model."""
-    x = np.asarray(x)
-    if x.shape != (G.cols,):
+    G is applied one trial at a time, as a matrix-vector product on one
+    float copy of G: a single matrix-matrix product over the chunk sums in
+    another order and would change the last bits of non-integer received
+    values.  The noise is drawn by the caller (run_monte_carlo draws each
+    trial's from that trial's stream, after its symbols); zeros give the
+    noiseless model."""
+    x, noise = np.asarray(x), np.asarray(noise)
+    if x.ndim not in (1, 2) or x.shape[-1] != G.cols:
         raise ValueError("x must have one symbol per user")
-    if noise_variance < 0:
-        raise ValueError("noise variance must be nonnegative")
-    if rng is None:
-        rng = trial_rng(0 if seed is None else seed, 0)
-    y = G.entries @ x
-    return y + _noise(rng, G.rows, noise_variance, np.iscomplexobj(x))
+    if noise.shape != x.shape[:-1] + (G.rows,):
+        raise ValueError("noise must have one value per resource element of each trial")
+    Gf = G.entries.astype(float)
+    y = np.empty(noise.shape, dtype=np.result_type(Gf, x, noise))
+    rows = y.reshape(-1, G.rows)
+    for row, symbols in enumerate(x.reshape(-1, G.cols)):
+        rows[row] = Gf @ symbols
+    y += noise
+    return y
 
 
 @dataclass(frozen=True)
@@ -176,7 +142,7 @@ class PathGain:
 
 
 def estimate_gain(
-    design: "CombinerDesign",
+    design: CombinerDesign,
     chain: FactorChain,
     noise_variance: float,
     trials: int,
@@ -188,15 +154,20 @@ def estimate_gain(
     (weight product)^2 * sigma^2 / measured variance against the exact
     rational gain product along each branch path.  Uses one seeded bulk
     stream (single pass, no per-trial parallelism to preserve)."""
-    from .detector import combine_paths  # deferred: detector imports simkit
-
     if trials < 3:
         raise ValueError("need at least 3 trials to estimate a variance")
     if not noise_variance > 0:
         raise ValueError("noise variance must be positive")
+    if design.P != chain.P:
+        raise det.DetectionError("combiner design was built for a different inner factor")
     rng = trial_rng(seed, 0)
     noise = math.sqrt(noise_variance) * rng.standard_normal((trials, chain.M))
-    combined = combine_paths(noise, chain, design)  # (trials, m_p^r, m_f)
+    # every class at every level: the final-set inputs (trials, m_p^r, m_f),
+    # paths in branch-lexicographic order; at r = 0 the one set is the input
+    combined = noise.reshape(trials, 1, -1)
+    levels = [tuple(range(chain.m_p))] * chain.r
+    for combined in det._cascade(noise, design.alpha, levels, det.OpCounters()):
+        pass
     out = []
     for pi, path in enumerate(itertools.product(range(chain.m_p), repeat=chain.r)):
         weight = 1
@@ -242,7 +213,7 @@ class MonteCarloPoint:
 
 
 def run_monte_carlo(
-    cfg: "DetectionConfig",
+    cfg: det.DetectionConfig,
     snr_grid,
     trials: int,
     seed: int,
@@ -269,14 +240,12 @@ def run_monte_carlo(
     the float range raises ValueError naming the first point, in grid
     order, that fails: a chunk that overflows is run again one point at a
     time to find it."""
-    from . import detector as det  # deferred: detector imports simkit
-
     if detector not in ("recursive", "oracle"):
         raise ValueError("detector must be 'recursive' or 'oracle'")
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
     snr_grid = [float(s) for s in snr_grid]
-    if any(s <= 0 for s in snr_grid):
+    if any(not s > 0 for s in snr_grid):  # NaN included
         raise ValueError("linear SNRs must be positive")
 
     G = build_chain(cfg.chain)
@@ -292,6 +261,7 @@ def run_monte_carlo(
     bounds = cfg.op_bounds()
     chunk = max(1, _CHUNK_VALUES // G.rows)
 
+    streams = _TrialStreams(seed)  # refuses a seed that is not an integer
     points = []
     if trials == 0:
         return points
@@ -300,10 +270,8 @@ def run_monte_carlo(
     # so a failure at an earlier point is still the one reported
     n_points = next((si for si, v in enumerate(variances) if not math.isfinite(v)), len(snr_grid))
     n_trials = n_points * trials
-    streams = _TrialStreams(seed)
     rx_dtype = np.result_type(con.symbols, cfg.power_offsets)
     complex_valued = con.is_complex
-    Gf = G.entries.astype(float)
     check_agreement = with_oracle and oracle_feasible and detector != "oracle"
 
     def run_chunk(index: range):
@@ -317,11 +285,7 @@ def run_monte_carlo(
             drawn[row] = gen.integers(0, q, size=G.cols)
             N[row] = _noise(gen, G.rows, variances[i // trials], complex_valued)
         X = con.symbols[drawn]
-        S = cfg.power_offsets * X
-        Y = np.empty_like(N)
-        for row in range(len(index)):
-            Y[row] = Gf @ S[row]
-        Y += N
+        Y = synthesize_rx(cfg.power_offsets * X, G, N)
 
         decisions: dict[str, np.ndarray] = {}
         amb: dict[str, np.ndarray] = {}

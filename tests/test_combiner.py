@@ -613,4 +613,4 @@ class TestBatchedCheck:
         alpha = np.array(ALPHA3_ROWS)[None] * 2
         with pytest.raises(CombiningContractError, match="must be in"):
             combiner._records_json(P3.entries[None], alpha, np.array([[4, 4, 4]]),
-                                   np.array([[8, 8, 8]]), listed=False)
+                                   np.array([[8, 8, 8]]))

@@ -35,7 +35,7 @@ from kronnoma import (
     synthesize_rx,
 )
 from kronnoma.combiner import enumerate_square_candidates
-from kronnoma.detector import combining_matrix, path_users
+from kronnoma.detector import path_users
 
 ALL_BPSK_6 = [np.array(v, dtype=float) for v in itertools.product((-1.0, 1.0), repeat=6)]
 
@@ -135,7 +135,7 @@ class TestNoiselessAlgebra:
         G = build_chain(chain_9x18)
         x = np.ones(18)
         x[9:] = -1.0  # x_{k+9} = -x_k: every coupled sum vanishes
-        y = synthesize_rx(x, G, 0.0)
+        y = synthesize_rx(x, G, np.zeros(9))
         assert np.array_equal(y, np.zeros(9))
 
     def test_group_bookkeeping_invariants(self, cfg2, chain_9x18):
@@ -322,6 +322,31 @@ def find_combiners_first_feasible(m_p: int) -> CombinerDesign:
         except CombinerInfeasible:
             continue
     raise AssertionError("no feasible design")
+
+
+def combining_matrix(chain: FactorChain, design: CombinerDesign) -> np.ndarray:
+    """The linear map L with L @ y = all final-set inputs, stacked in
+    branch-lexicographic path order, m_f equations per path.
+
+    Row (path, d_f) is e_{d_f} (x) alpha^(j_r) (x) ... (x) alpha^(j_1):
+    later recursion levels peel later positions of the path, so their
+    coefficient vectors sit on the slower-varying (outer) Kronecker axes.
+    The tests' dense reference: the package applies L only through the
+    kernel's cascade of signed sums and never forms it."""
+    if design.P != chain.P:
+        raise DetectionError("combiner design was built for a different inner factor")
+    alpha = design.alpha
+    rows = []
+    eye = np.eye(chain.m_f, dtype=np.int64)
+    for path in itertools.product(range(chain.m_p), repeat=chain.r):
+        acc = np.array([1], dtype=np.int64)
+        for j in reversed(path):
+            acc = np.kron(acc, alpha[j])
+        for d_f in range(chain.m_f):
+            rows.append(np.kron(eye[d_f], acc))
+    L = np.array(rows, dtype=np.int64)
+    L.setflags(write=False)
+    return L
 
 
 class TestCombiningMatrix:

@@ -332,6 +332,17 @@ class TestSnrGrid:
         with pytest.raises(ValueError, match="1-D"):
             call([[1.0]])
 
+    @pytest.mark.parametrize("fn", ["recursive", "pdma", "oma", "sic"])
+    def test_nan_snr_is_refused_as_not_nonnegative(self, chain_9x18, design3, fn):
+        # NaN fails no `< 0` test; refused later, it would be named a value
+        # beyond the float range ("snr * gain * F F^T is not finite")
+        call = {"recursive": lambda s: sum_rate_recursive(chain_9x18, design3.gains, s),
+                "pdma": lambda s: sum_rate_pdma(build_chain(chain_9x18), s),
+                "oma": sum_rate_oma, "sic": sum_rate_sic_reference}[fn]
+        for snr in (math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError, match="^snr must be nonnegative$"):
+                call(snr)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refusal_names_first_failing_point(self, chain_9x18, design3):
         # snr * (4/3)^2 * 2 is finite at 1e300 and 1e307, not at 1e308: a

@@ -14,6 +14,7 @@ from kronnoma import (
     QPSK,
     Constellation,
     DetectionConfig,
+    DetectionError,
     FactorChain,
     HypothesisCapExceeded,
     PatternMatrix,
@@ -55,7 +56,7 @@ class TestTrialRng:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    @pytest.mark.parametrize("seed", [0, 1, 123456789, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 123456789, 2**64 - 1, np.uint64(2**64 - 1)])
     @pytest.mark.parametrize("index", [0, 1, 7, 1000, 2**40, 2**64, 2**64 + 5, 2**100 + 3])
     def test_same_bits_as_jumped_stream(self, seed, index):
         # the stream is defined as Philox(key=seed).jumped(index)
@@ -96,44 +97,57 @@ class TestTrialRng:
             assert got.bit_generator.state["has_uint32"] == K % 2
 
 
+def _mc_noise(seed: int, trials: int, variance: float, complex_valued: bool) -> np.ndarray:
+    """The noise run_monte_carlo draws for trials 0 ... trials - 1 of one
+    point, each from its own stream (here with no symbols drawn first)."""
+    streams = simkit._TrialStreams(seed)
+    return np.array(
+        [simkit._noise(streams.seek(i), 9, variance, complex_valued) for i in range(trials)]
+    )
+
+
 class TestSynthesizeRx:
     def test_noiseless_is_exact(self, chain_9x18):
         G = build_chain(chain_9x18)
         x = np.ones(18)
-        assert np.array_equal(synthesize_rx(x, G, 0.0), G.entries @ x)
+        assert np.array_equal(synthesize_rx(x, G, np.zeros(9)), G.entries @ x)
 
     def test_coupled_cancellation(self, chain_9x18):
         G = build_chain(chain_9x18)
         x = np.concatenate([np.ones(9), -np.ones(9)])
-        assert np.array_equal(synthesize_rx(x, G, 0.0), np.zeros(9))
+        assert np.array_equal(synthesize_rx(x, G, np.zeros(9)), np.zeros(9))
 
     def test_deterministic_under_seed(self, chain_9x18):
         G = build_chain(chain_9x18)
-        x = np.ones(18)
-        a = synthesize_rx(x, G, 0.5, seed=7)
-        b = synthesize_rx(x, G, 0.5, seed=7)
-        c = synthesize_rx(x, G, 0.5, seed=8)
+        x = np.ones((3, 18))
+        a = synthesize_rx(x, G, _mc_noise(7, 3, 0.5, False))
+        b = synthesize_rx(x, G, _mc_noise(7, 3, 0.5, False))
+        c = synthesize_rx(x, G, _mc_noise(8, 3, 0.5, False))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_chunk_rows_are_single_trials(self, chain_9x18):
+        # a chunk's rows are, bit for bit, its trials synthesized one by one
+        G = build_chain(chain_9x18)
+        rng = np.random.default_rng(4)
+        x = QPSK.symbols[rng.integers(0, 4, size=(6, 18))] * np.linspace(0.6, 1.4, 18)
+        noise = _mc_noise(2, 6, 0.7, True)
+        y = synthesize_rx(x, G, noise)
+        assert y.shape == (6, 9) and y.dtype == complex
+        for row in range(6):
+            assert synthesize_rx(x[row], G, noise[row]).tobytes() == y[row].tobytes()
 
     def test_noise_calibration_within_2_percent(self, chain_9x18):
         # empirical variance of y - Gx over 1e5 total samples
         G = build_chain(chain_9x18)
-        x = np.zeros(18)
-        rng = trial_rng(0, 0)
-        samples = np.concatenate(
-            [synthesize_rx(x, G, 2.0, rng=rng) for _ in range(11112)]
-        )
+        samples = synthesize_rx(np.zeros((11112, 18)), G, _mc_noise(0, 11112, 2.0, False))
         assert samples.size >= 100_000
         assert abs(samples.var() / 2.0 - 1.0) < 0.02
 
     def test_complex_noise_split(self, chain_9x18):
         G = build_chain(chain_9x18)
-        x = np.zeros(18, dtype=complex)
-        rng = trial_rng(1, 0)
-        samples = np.concatenate(
-            [synthesize_rx(x, G, 2.0, rng=rng) for _ in range(4000)]
-        )
+        x = np.zeros((4000, 18), dtype=complex)
+        samples = synthesize_rx(x, G, _mc_noise(1, 4000, 2.0, True))
         assert np.iscomplexobj(samples)
         assert abs(samples.real.var() / 1.0 - 1.0) < 0.05  # half the power per part
         assert abs((np.abs(samples) ** 2).mean() / 2.0 - 1.0) < 0.05
@@ -141,9 +155,11 @@ class TestSynthesizeRx:
     def test_validation(self, chain_9x18):
         G = build_chain(chain_9x18)
         with pytest.raises(ValueError):
-            synthesize_rx(np.ones(5), G, 0.0)
+            synthesize_rx(np.ones(5), G, np.zeros(9))
         with pytest.raises(ValueError):
-            synthesize_rx(np.ones(18), G, -1.0)
+            synthesize_rx(np.ones(18), G, np.zeros(8))
+        with pytest.raises(ValueError):
+            synthesize_rx(np.ones((2, 18)), G, np.zeros(9))
 
 
 class TestEstimateGain:
@@ -178,11 +194,21 @@ class TestEstimateGain:
         for pg in gains:
             assert pg.within < 3.0
 
+    def test_r0_measures_the_input(self, F12, P3, design3):
+        # no combining: the one final set is the received value itself
+        gains = estimate_gain(design3, FactorChain(F12, P3, 0), 1.0, 30_000, seed=2)
+        assert [(pg.path, pg.expected) for pg in gains] == [((), 1)]
+        assert gains[0].within < 3.0
+
     def test_validation(self, chain_9x18, design3):
         with pytest.raises(ValueError):
             estimate_gain(design3, chain_9x18, 0.0, 1000)
         with pytest.raises(ValueError):
             estimate_gain(design3, chain_9x18, 1.0, 2)
+
+    def test_design_for_another_inner_factor_refused(self, chain_9x18, design4):
+        with pytest.raises(DetectionError, match="different inner factor"):
+            estimate_gain(design4, chain_9x18, 1.0, 1000)
 
 
 class TestWilsonInterval:
@@ -442,7 +468,7 @@ class TestRunMonteCarlo:
                 rng = trial_rng(20261019, rec.index)
                 x = con.symbols[rng.integers(0, con.size, size=18)]
                 assert x.tobytes() == rec.transmitted.tobytes()
-                y = synthesize_rx(offs * x, G, variance, rng=rng)
+                y = synthesize_rx(offs * x, G, simkit._noise(rng, 9, variance, con.is_complex))
                 assert y.dtype == rec.received.dtype
                 assert y.tobytes() == rec.received.tobytes()
 
@@ -487,6 +513,30 @@ class TestRunMonteCarlo:
         pts = run_monte_carlo(cfg, [1e6], 500, seed=6)
         assert pts[0].ser == 0.0  # offsets separate the coupled users
         assert pts[0].ambiguity_rate == 0.0
+
+    @pytest.mark.parametrize("seed", [1.5, 1.9, np.float64(2.0)])
+    def test_non_integer_seed_refused(self, mc_cfg, chain_9x18, design3, seed):
+        # Philox truncates a float key: 1.5 and 1.9 would run seed 1's
+        # streams while every TrialRecord.seed reads 1.5 or 1.9
+        with pytest.raises(TypeError):
+            trial_rng(seed, 0)
+        for trials in (50, 0):
+            with pytest.raises(TypeError):
+                run_monte_carlo(mc_cfg, [1.0], trials, seed)
+        with pytest.raises(TypeError):
+            estimate_gain(design3, chain_9x18, 1.0, 10, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self, mc_cfg, chain_9x18, design3):
+        assert run_monte_carlo(mc_cfg, [1.0], 20, np.int64(4)) == run_monte_carlo(mc_cfg, [1.0], 20, 4)
+        got = estimate_gain(design3, chain_9x18, 1.0, 10, seed=np.uint64(4))
+        assert got == estimate_gain(design3, chain_9x18, 1.0, 10, seed=4)
+
+    def test_nan_snr_is_not_positive(self, mc_cfg):
+        # NaN fails no `<= 0` test; refused later, it would be named a noise
+        # variance beyond the float range
+        for grid in ([math.nan], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="^linear SNRs must be positive$"):
+                run_monte_carlo(mc_cfg, grid, 10, seed=0)
 
     def test_validation(self, mc_cfg):
         with pytest.raises(ValueError):
@@ -580,6 +630,24 @@ class TestChunkedPass:
         pts = run_monte_carlo(cfg, [1.0, 10.0, 100.0], 8, 3, with_oracle=True)
         assert [pt.trials for pt in pts] == [8, 8, 8]
         assert calls == {"detect_batch": [24], "brute_force_map_oracle": [24]}
+
+    @pytest.mark.parametrize("values, rows", [(1 << 16, [24]), (99, [11, 11, 2])],
+                             ids=["one_chunk", "three_chunks"])
+    def test_one_synthesis_per_chunk(self, chain_9x18, design3, monkeypatch, values, rows):
+        # the oracle_9x18 benchmark's shape: every received value of a chunk
+        # comes from one synthesize_rx call
+        calls = []
+        real = simkit.synthesize_rx
+
+        def spy(x, G, noise):
+            calls.append(len(x))
+            return real(x, G, noise)
+
+        monkeypatch.setattr(simkit, "synthesize_rx", spy)
+        monkeypatch.setattr(simkit, "_CHUNK_VALUES", values)
+        pts = run_monte_carlo(DetectionConfig(chain_9x18, design3, BPSK), [1.0, 10.0, 100.0], 8, 3)
+        assert [pt.trials for pt in pts] == [8, 8, 8]
+        assert calls == rows
 
     MODEL_OVERFLOW = "the model's values exceed the float range (overflow encountered in square)"
 

@@ -1,8 +1,10 @@
 """The repository's tools: the benchmark's tracer names the package's layers
 by module and function and looks them up at run time, so every name it
-lists must exist and the detection kernel must run through the final-stage
-layers; the scripts' fixed-seed output is pinned."""
+lists must exist and the Monte Carlo must run through the channel and the
+final-stage layers; the scripts' fixed-seed output is pinned; the package's
+modules import one another one way, at module top."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -14,6 +16,7 @@ import numpy as np
 from kronnoma import BPSK, DetectionConfig, FactorChain, build_chain, detect_batch, find_combiners, run_monte_carlo
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kronnoma"
 TRACER = ROOT / "bench" / "tracer.py"
 ORACLE_AGREEMENT = ROOT / "scripts" / "oracle_agreement.py"
 
@@ -57,8 +60,9 @@ def test_oracle_agreement_output_pinned(capsys):
 
 
 def test_tracer_books_the_final_stages(F12, P3):
+    # the Monte Carlo forms its received values through synthesize_rx and
     # the kernel calls its final MAP and its cancellation through the
-    # module's names, so a traced Monte Carlo run books both layers
+    # module's names, so a traced Monte Carlo run books all three layers
     tracer = _load_tracer()
     chain = FactorChain(F12, P3, 2)
     design = find_combiners(P3)
@@ -72,6 +76,8 @@ def test_tracer_books_the_final_stages(F12, P3):
         finally:
             t.uninstall()
         summaries[sic] = tracer.layer_summary(t.spans)
+    for sic in ((), (2,)):
+        assert summaries[sic]["simkit.synthesize_rx.calls"] >= 1
     assert summaries[()]["detector.final_stage_map.calls"] >= 1
     assert summaries[(2,)]["detector.final_stage_map.calls"] >= 1
     assert summaries[(2,)]["detector.sic_enhanced_final.calls"] >= 1
@@ -94,3 +100,20 @@ def test_detect_batch_retains_only_its_result(F12, P3):
         tracemalloc.stop()
     assert batch.symbols.shape == (300, chain.K)
     assert retained <= 0.15 * 2**20
+
+
+def test_imports_sit_at_module_top():
+    # detector does not import simkit, so no module defers an import into a
+    # function body or behind `if TYPE_CHECKING:` to break a cycle
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if id(node) not in top:
+                found.append(f"{path.name}:{node.lineno} imports below the module top")
+            if any(alias.name == "TYPE_CHECKING" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno} imports TYPE_CHECKING")
+    assert found == []
