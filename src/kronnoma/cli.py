@@ -268,7 +268,7 @@ def _detection_config(cfg: RunConfig, chain: FactorChain, design: CombinerDesign
         design=design,
         constellation=_CONSTELLATIONS[cfg.constellation],
         power_offsets=cfg.power_offsets,
-        sic_symbols=(chain.m_p - 1,) if cfg.detector == "sic" else (),
+        sic=cfg.detector == "sic",
     )
 
 

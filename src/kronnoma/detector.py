@@ -8,10 +8,10 @@ remaining m_p axis with every class's coefficient vector (signed sums, since
 alpha has entries in {-1, 0, +1}), routing class j's outputs to branch j.
 After r levels each trial holds m_p^r small regular sets over the outer
 factor F, one per branch path, and one vectorised exhaustive MAP sweep over
-(trials, paths, hypotheses) decides them all.  The classes listed in a
-nonempty sic_symbols skip the last level's combining and are decided,
-batched over trials and parents, by cancelling the siblings' decided unit
-predictions out of the raw group equations.
+(trials, paths, hypotheses) decides them all.  With sic set, the last class
+m_p - 1 skips the last level's combining and is decided, batched over
+trials and parents, by cancelling the siblings' decided unit predictions
+out of the raw group equations.
 
 detect_batch is that kernel and the only implementation of the receiver;
 final_stage_map (the batched MAP sweep) and sic_enhanced_final (the batched
@@ -104,7 +104,8 @@ class DetectionError(ValueError):
 
 
 class SicPredecessorError(DetectionError):
-    """A cancellation stage needs a class decision that is not available."""
+    """The cancellation final stage has no decided class to cancel: the
+    chain has no recursion level."""
 
 
 class OpBoundViolation(DetectionError):
@@ -217,16 +218,17 @@ class DetectionConfig:
     """Everything a detection pass needs besides the received vector.
 
     power_offsets are per-user amplitude scalings (length K, all positive);
-    they keep superposed group sums identifiable.  With sic_symbols empty
-    every path runs the plain exhaustive final stage; otherwise the listed
-    classes are rebuilt at the last recursion by cancelling the
-    already-decided overlapping classes out of the raw group equations."""
+    they keep superposed group sums identifiable.  With sic False every
+    path runs the plain exhaustive final stage; with sic True the last class
+    m_p - 1 is rebuilt at the last recursion by cancelling the other,
+    already-decided classes that share its equations out of the raw group
+    equations.  That needs a chain of depth r >= 1."""
 
     chain: FactorChain
     design: CombinerDesign
     constellation: Constellation
     power_offsets: np.ndarray | None = None
-    sic_symbols: tuple[int, ...] = ()
+    sic: bool = False
 
     def __post_init__(self):
         if self.design.P != self.chain.P:
@@ -242,28 +244,24 @@ class DetectionConfig:
                 raise DetectionError("power offsets must be positive and finite, one per user")
             offs.setflags(write=False)
         object.__setattr__(self, "power_offsets", offs)
-        try:
-            sic = tuple(sorted({operator.index(j) for j in self.sic_symbols}))
-        except TypeError:
-            raise DetectionError("sic_symbols must hold integer class indexes") from None
-        if any(j < 0 or j >= self.chain.m_p for j in sic):
-            raise DetectionError("sic_symbols must index inner-factor classes")
-        object.__setattr__(self, "sic_symbols", sic)
+        if type(self.sic) is not bool:
+            raise DetectionError(f"sic must be True or False, got {self.sic!r:.32}")
+        if self.sic and c.r == 0:
+            raise SicPredecessorError("cancellation needs at least one recursion level")
 
     def op_bounds(self) -> OpCountBounds:
         """Closed-form per-detection operation bounds of this configuration;
-        a nonempty sic_symbols budgets the cancellation final stage."""
+        sic budgets the cancellation final stage."""
         costs = final_stage_costs(
             self.chain.F,
             self.constellation.size,
-            cancel_classes=(self.chain.m_p - 1) if self.sic_symbols else 0,
+            cancel_classes=(self.chain.m_p - 1) if self.sic else 0,
         )
         return op_count_bounds(self.chain, *costs)
 
     @cached_property
     def _plan(self) -> _Plan:
-        # built on first detection, so configuration errors of the cascade
-        # (a cancellation without predecessors, a hypothesis cap) surface there
+        # built on first detection, so a hypothesis cap surfaces there
         return _build_plan(self)
 
 
@@ -460,57 +458,29 @@ def _cascade(Y, alpha: np.ndarray, level_classes, counters: OpCounters):
         yield state
 
 
-def sic_enhanced_final(plan: _Plan, parents, plain: _Solve, counters: OpCounters) -> list[_Solve]:
-    """Decide the designated classes of every (trial, last-level parent) by
-    cancellation instead of combining, in the plan's order.
+def sic_enhanced_final(plan: _Plan, parents, plain: _Solve, counters: OpCounters) -> _Solve:
+    """Decide class m_p - 1 of every (trial, last-level parent) by
+    cancellation instead of combining.
 
     parents (T, Pp, m_f * m_p) are the last level's inputs and `plain` the
-    sets it combined, in kernel order.  For a designated class j, the rows
-    of each parent's m_f groups that carry class j are summed (gain: the
-    column weight d_j instead of the combining gain), and each overlapping
-    decided class jp, sharing `shared` of those rows, is reconstructed from
-    its unit prediction and subtracted; final_stage_map then decides the
-    result."""
+    sets it combined, in kernel order: class jp < m_p - 1 of a parent sits
+    at position jp.  The rows of each parent's m_f groups that carry class
+    m_p - 1 are summed (gain: its column weight instead of the combining
+    gain), then each class jp sharing `shared` of those rows, in ascending
+    jp, is reconstructed from its unit prediction and subtracted;
+    final_stage_map decides the result."""
     T, n_parents = parents.shape[:2]
     m_f = plain.units.shape[-1]
     blocks = parents.reshape(T, n_parents, m_f, -1)
     decided = plain.units.reshape(T, n_parents, -1, m_f)
-    known = {j: decided[:, :, c] for c, j in enumerate(plan.levels[-1].classes)}
-    solves = []
-    for step in plan.sic:
-        zeta = blocks[..., step.rows].sum(axis=-1)
-        counters.adds += zeta.size * (len(step.rows) - 1)
-        for jp, shared in step.cancel:
-            zeta = zeta - (plan.parent_weights * shared)[:, None] * known[jp]
-            counters.adds += zeta.size
-            counters.muls += zeta.size
-        solves.append(final_stage_map(step.sweep, zeta, counters))
-        known[step.j] = solves[-1].units
-    return solves
-
-
-def _sic_schedule(P: PatternMatrix, sic_symbols, decided):
-    """(class, rows, cancel list) per designated class, in decision order.
-
-    Raises SicPredecessorError when an overlapping class has no decision
-    to cancel with."""
-    decided = set(decided)
-    steps = []
-    for j in sic_symbols:
-        rows = np.flatnonzero(P.entries[:, j])
-        if rows.size == 0:
-            raise DetectionError(f"class {j} touches no equation")
-        cancel = tuple(
-            (jp, int(P.entries[rows, jp].sum()))
-            for jp in range(P.cols)
-            if jp != j and P.entries[rows, jp].any()
-        )
-        missing = [jp for jp, _ in cancel if jp not in decided]
-        if missing:
-            raise SicPredecessorError(f"class {j} needs decided classes {missing} to cancel")
-        decided.add(j)
-        steps.append((j, rows, cancel))
-    return tuple(steps)
+    step = plan.sic
+    zeta = blocks[..., step.rows].sum(axis=-1)
+    counters.adds += zeta.size * (len(step.rows) - 1)
+    for jp, shared in step.cancel:
+        zeta = zeta - (plan.parent_weights * shared)[:, None] * decided[:, :, jp]
+        counters.adds += zeta.size
+        counters.muls += zeta.size
+    return final_stage_map(step.sweep, zeta, counters)
 
 
 class _SetInfo(NamedTuple):
@@ -526,9 +496,8 @@ class _Level(NamedTuple):
 
 
 class _SicStep(NamedTuple):
-    j: int
-    rows: np.ndarray
-    cancel: tuple[tuple[int, int], ...]
+    rows: np.ndarray  # the rows of P that carry class m_p - 1
+    cancel: tuple[tuple[int, int], ...]  # (class, rows shared with m_p - 1)
     sweep: _Sweep  # over the last level's parents
 
 
@@ -538,7 +507,7 @@ class _Plan(NamedTuple):
     levels: tuple[_Level, ...]
     plain: _Sweep  # the sets reached by combining at every level
     parent_weights: np.ndarray  # weights of the last level's parents (SIC)
-    sic: tuple[_SicStep, ...]
+    sic: _SicStep | None
     sets: tuple[tuple[_SetInfo, bool], ...]  # (set, used_sic) in path order
     users: np.ndarray  # (m_p^r, k_f) users of each set in path order
     bounds: OpCountBounds
@@ -547,14 +516,12 @@ class _Plan(NamedTuple):
 def _build_plan(cfg: DetectionConfig) -> _Plan:
     chain, design = cfg.chain, cfg.design
     m_p, r = chain.m_p, chain.r
-    if cfg.sic_symbols and r == 0:
-        raise SicPredecessorError("cancellation needs at least one recursion level")
     norms = [int(a @ a) for a in design.alpha]
     sets = (_SetInfo((), 1, Fraction(1), 1),)
     parents = sets
     levels = []
     for level in range(1, r + 1):
-        classes = tuple(j for j in range(m_p) if level < r or j not in cfg.sic_symbols)
+        classes = tuple(range(m_p - 1 if cfg.sic and level == r else m_p))
         parents = sets
         sets = tuple(
             _SetInfo(s.path + (j,), s.weight * design.weights[j], s.gain * design.gains[j], s.mult * norms[j])
@@ -562,7 +529,6 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
             for j in classes
         )
         levels.append(_Level(classes, sets))
-    sic_steps = _sic_schedule(chain.P, cfg.sic_symbols, levels[-1].classes if levels else ())
 
     def sweep(infos):
         offsets = [cfg.power_offsets[list(path_users(chain, s.path))] for s in infos]
@@ -572,18 +538,23 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
                       np.array(positions, dtype=np.intp))
 
     by_path = {s.path: (s, False) for s in sets}
-    steps = []
-    for j, rows, cancel in sic_steps:
+    sic = None
+    if cfg.sic:
+        # alpha P = diag(w) with w != 0 makes P invertible, so class j
+        # carries some row; every other class was combined at the last level
+        j, E = m_p - 1, chain.P.entries
+        rows = np.flatnonzero(E[:, j])
+        cancel = tuple((jp, int(E[rows, jp].sum())) for jp in range(j) if E[rows, jp].any())
         d = rows.size
         infos = [_SetInfo(p.path + (j,), p.weight * d, p.gain * d, p.mult * d) for p in parents]
         by_path.update((s.path, (s, True)) for s in infos)
-        steps.append(_SicStep(j, rows, cancel, sweep(infos)))
+        sic = _SicStep(rows, cancel, sweep(infos))
     paths = list(itertools.product(range(m_p), repeat=r))
     return _Plan(
         levels=tuple(levels),
         plain=sweep(sets),
         parent_weights=np.array([p.weight for p in parents], dtype=np.int64),
-        sic=tuple(steps),
+        sic=sic,
         sets=tuple(by_path[p] for p in paths),
         users=np.array([path_users(chain, p) for p in paths], dtype=np.intp),
         bounds=cfg.op_bounds(),
@@ -595,7 +566,7 @@ def _stages(Y, cfg: DetectionConfig, counters: OpCounters):
 
     Yields each recursion level's outputs (T, paths, equations per path),
     then, last, (solves, batch): the final stage's solves, the plain sweep
-    first and then each cancellation step, and the BatchDetection they
+    first and then the cancellation's, if any, and the BatchDetection they
     decide.  Op counts accumulate in `counters` as the work is done."""
     chain, plan = cfg.chain, cfg._plan
     T = Y.shape[0]
@@ -605,7 +576,9 @@ def _stages(Y, cfg: DetectionConfig, counters: OpCounters):
         parents, last = last, out
         yield out
     plain = final_stage_map(plan.plain, last, counters)
-    solves = [plain] + (sic_enhanced_final(plan, parents, plain, counters) if plan.sic else [])
+    solves = [plain]
+    if plan.sic is not None:
+        solves.append(sic_enhanced_final(plan, parents, plain, counters))
     con = cfg.constellation
     symbols = np.empty((T, chain.K), dtype=con.symbols.dtype)
     ambiguous = np.zeros(T, dtype=bool)
@@ -629,8 +602,8 @@ def detect_batch(Y, cfg: DetectionConfig) -> BatchDetection:
     Recursion level l combines every path's consecutive m_p-equation groups
     with each class's coefficient vector (child paths in branch-lexicographic
     order), then one exhaustive MAP sweep (final_stage_map) decides all
-    m_p^r final sets of all trials.  The classes in a nonempty sic_symbols
-    are decided, for each last-level parent, by cancellation against the
+    m_p^r final sets of all trials.  With sic set, class m_p - 1 is
+    decided, for each last-level parent, by cancellation against the
     sibling decisions instead (sic_enhanced_final).  With equiprobable
     symbols the MAP decision is the nearest hypothesis, whatever the noise
     variance.  Op counts are tallied over the batch as the work is done and
@@ -650,9 +623,9 @@ def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
 
     The kernel's stages on a batch of one, with the full trace: level l
     starts from m_p^(l-1) super-groups of m_f * m_p^(r-l+1) equations, and
-    final sets come out sorted by path.  With a nonempty sic_symbols, the
-    designated classes of each last-level super-group are decided by
-    cancellation against the sibling decisions."""
+    final sets come out sorted by path.  With sic set, class m_p - 1 of
+    each last-level super-group is decided by cancellation against the
+    sibling decisions."""
     chain = cfg.chain
     y = np.asarray(y)
     if y.shape != (chain.M,):

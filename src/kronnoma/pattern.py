@@ -25,9 +25,15 @@ import numpy as np
 # refuse to materialize chains beyond this many entries; keeps build_chain total
 MAX_BUILD_ELEMENTS = 1 << 26
 
+# refuse chains deeper than this: every command computes m_p**r, which at a
+# depth near 2^63 never finishes; no command serves a chain deeper than
+# r = 1,022 when m_p >= 2, since 2M is then no float
+MAX_DEPTH = 1 << 16
+
 
 class DimensionOverflowError(ValueError):
-    """A factor chain would materialize an impractically large matrix."""
+    """A factor chain is too deep, or would materialize an impractically
+    large matrix."""
 
 
 def json_fields(obj, what: str, *keys: str) -> list:
@@ -153,6 +159,8 @@ class FactorChain:
     def __post_init__(self):
         if not isinstance(self.r, int) or self.r < 0:
             raise ValueError("recursion depth r must be a nonnegative integer")
+        if self.r > MAX_DEPTH:
+            raise DimensionOverflowError(f"recursion depth r must be at most {MAX_DEPTH}")
         if self.P.rows != self.P.cols:
             raise ValueError("square factor P must be square")
         if self.F.rows >= self.F.cols:
@@ -219,13 +227,6 @@ def build_chain(chain: FactorChain) -> PatternMatrix:
     return G
 
 
-@dataclass(frozen=True)
-class ColumnCheck:
-    ok: bool
-    duplicate_groups: tuple[tuple[int, ...], ...]  # user index groups, size >= 2
-    zero_columns: tuple[int, ...]
-
-
 def pattern_groups(G: PatternMatrix) -> tuple[tuple[int, ...], ...]:
     """Partition of user indices by identical column pattern, in order of
     first occurrence.  Singleton groups are users with a unique footprint."""
@@ -233,15 +234,6 @@ def pattern_groups(G: PatternMatrix) -> tuple[tuple[int, ...], ...]:
     for k in range(G.cols):
         seen.setdefault(G.entries[:, k].tobytes(), []).append(k)
     return tuple(tuple(v) for v in seen.values())
-
-
-def validate_distinct_nonzero_columns(G: PatternMatrix) -> ColumnCheck:
-    """Regular-design check: every user occupies at least one resource and no
-    two users share the exact same footprint.  Duplicate groups are reported
-    so detectors can treat such users as one coupled symbol."""
-    zeros = tuple(int(k) for k in np.flatnonzero(G.entries.sum(axis=0) == 0))
-    dupes = tuple(g for g in pattern_groups(G) if len(g) > 1)
-    return ColumnCheck(ok=not zeros and not dupes, duplicate_groups=dupes, zero_columns=zeros)
 
 
 def search_space_size(m: int, k: int) -> int:

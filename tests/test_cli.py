@@ -850,14 +850,18 @@ class TestSimulate:
         chain_file = tmp_path / "chain27.json"
         dump_chain(FactorChain(F12, P3, 3), str(chain_file))
         offs = ",".join(repr(float(v)) for v in np.linspace(0.6, 1.4, 54))
-        out = tmp_path / "qpsk.csv"
-        code = main(["simulate", "--chain", str(chain_file), "--snr-db", "0,2,4",
-                     "--trials", "100", "--seed", "20261018", "--constellation", "qpsk",
-                     "--power-offsets", offs, "--csv-out", str(out)])
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "b790a076d3ff887d5ba97b2a79819261898ba95b3a78736206034e79f53e7c38"
-        )
+        for detector, digest in (
+            ("recursive", "b790a076d3ff887d5ba97b2a79819261898ba95b3a78736206034e79f53e7c38"),
+            # the cancellation's sums are not integers either, so this pins
+            # the order of its arithmetic
+            ("sic", "5478d8c2c238453e32c2fcf612fabadffa9321e88139ad1a3598726cbdb4fe9a"),
+        ):
+            out = tmp_path / f"qpsk_{detector}.csv"
+            code = main(["simulate", "--chain", str(chain_file), "--snr-db", "0,2,4",
+                         "--trials", "100", "--seed", "20261018", "--constellation", "qpsk",
+                         "--power-offsets", offs, "--detector", detector, "--csv-out", str(out)])
+            assert code == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_golden_oracle_9x18_csv(self, tmp_path, chain_file):
         # fixed-seed output of the 2^18-hypothesis MAP oracle as the primary
@@ -943,6 +947,28 @@ class TestCountOps:
         dump_chain(FactorChain(F12, P3, r), str(deep))
         assert main(["count-ops", "--chain", str(deep)]) == 0
         assert f"final_sets={3**r}\n" in capsys.readouterr().out
+
+    def test_sic_on_r0_chain_exit_2(self, tmp_path, F12, P3, capsys):
+        # no budget for a receiver that cannot run: both commands refuse
+        chain = tmp_path / "r0.json"
+        dump_chain(FactorChain(F12, P3, 0), str(chain))
+        for argv in (["count-ops", "--sic"],
+                     ["simulate", "--snr-db", "0", "--trials", "1", "--detector", "sic"]):
+            assert main(argv + ["--chain", str(chain)]) == 2
+            assert capsys.readouterr() == (
+                "", "error: cancellation needs at least one recursion level\n"
+            )
+
+    def test_too_deep_chain_refused_at_once(self, tmp_path, chain_9x18, capsys):
+        # m_p**r at r = 10^8 would run for minutes; the depth alone is refused
+        obj = chain_9x18.to_json_dict()
+        obj["r"] = 10**8
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps(obj))
+        for argv in (["count-ops"], ["rate", "--baselines", "oma"],
+                     ["simulate", "--snr-db", "0", "--trials", "1"]):
+            assert main(argv + ["--chain", str(deep)]) == 2
+            assert capsys.readouterr().err == "error: recursion depth r must be at most 65536\n"
 
     def test_unindexable_chain_exit_2(self, tmp_path, F12, P3, capsys):
         deep = tmp_path / "deep.json"

@@ -423,19 +423,18 @@ class TestBatchedKernel:
         design = find_combiners(P)
         G = build_chain(chain)
         rng = np.random.default_rng([r, P.rows, con.size, mode == "sic"])
-        sic = dict(sic_symbols=(P.rows - 1,)) if mode == "sic" else {}
         for offs in (np.ones(chain.K), rng.uniform(0.5, 1.5, size=chain.K)):
-            cfg = DetectionConfig(chain, design, con, power_offsets=offs, **sic)
+            if mode == "sic" and r == 0:
+                with pytest.raises(SicPredecessorError):
+                    DetectionConfig(chain, design, con, power_offsets=offs, sic=True)
+                continue
+            cfg = DetectionConfig(chain, design, con, power_offsets=offs, sic=mode == "sic")
             for nv in (0.0, 0.3, 2.0):
                 X = con.symbols[rng.integers(0, con.size, size=(6, chain.K))]
                 noise = rng.standard_normal((6, chain.M))
                 if con.is_complex:
                     noise = (noise + 1j * rng.standard_normal((6, chain.M))) / math.sqrt(2.0)
                 Y = (X * offs) @ G.entries.T + math.sqrt(nv) * noise
-                if mode == "sic" and r == 0:
-                    with pytest.raises(SicPredecessorError):
-                        detect_batch(Y, cfg)
-                    continue
                 batch = detect_batch(Y, cfg)
                 for t, y in enumerate(Y):
                     one = recursive_detect(y, cfg)
@@ -464,7 +463,7 @@ class TestBatchedKernel:
     def test_sweep_slicing_does_not_change_results(self, chain_9x18, design3, monkeypatch):
         from kronnoma import detector
 
-        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
+        cfg = _cfg(chain_9x18, design3, sic=True)
         G = build_chain(chain_9x18)
         rng = np.random.default_rng(9)
         Y = rng.choice([-1.0, 1.0], size=(7, 18)) @ G.entries.T + rng.standard_normal((7, 9))
@@ -827,7 +826,7 @@ class TestOracleReference:
 class TestSic:
     def test_noiseless_equals_plain_r1_exhaustive(self, chain_3x6, design3):
         plain = _cfg(chain_3x6, design3)
-        sic = _cfg(chain_3x6, design3, sic_symbols=(2,))
+        sic = _cfg(chain_3x6, design3, sic=True)
         G = build_chain(chain_3x6)
         for x in ALL_BPSK_6:
             y = G.entries @ x
@@ -838,7 +837,7 @@ class TestSic:
 
     def test_noiseless_equals_plain_r2_sampled(self, chain_9x18, design3):
         plain = _cfg(chain_9x18, design3)
-        sic = _cfg(chain_9x18, design3, sic_symbols=(2,))
+        sic = _cfg(chain_9x18, design3, sic=True)
         G = build_chain(chain_9x18)
         for seed in range(30):
             x = np.random.default_rng(seed).choice([-1.0, 1.0], size=18)
@@ -849,13 +848,13 @@ class TestSic:
             )
 
     def test_noiseless_equals_plain_when_classes_share_two_equations(self, F12):
-        # class 2 of this factor shares two equations with class 3, so class
-        # 3's reconstruction is subtracted twice from class 2's sum
+        # class 3 of this factor shares two equations with class 2, so class
+        # 2's reconstruction is subtracted twice from class 3's sum
         P = PatternMatrix(np.array([[1, 0, 1, 1], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]))
         design = find_combiners(P)
         chain = FactorChain(F12, P, 2)
         plain = _cfg(chain, design)
-        sic = _cfg(chain, design, sic_symbols=(2,))
+        sic = _cfg(chain, design, sic=True)
         G = build_chain(chain)
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -869,7 +868,7 @@ class TestSic:
         """Cancellation on the last recursion: summing the two equations that
         carry class 2 and subtracting the decided classes leaves 4*t with
         noise factor 6 and gain 8/3 — column weight 2 instead of gamma 4/3."""
-        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
+        cfg = _cfg(chain_9x18, design3, sic=True)
         G = build_chain(chain_9x18)
         x = np.random.default_rng(17).choice([-1.0, 1.0], size=18)
         res = recursive_detect(G.entries @ x, cfg)
@@ -885,39 +884,21 @@ class TestSic:
         plain_sets = [fs for fs in res.trace.final_sets if not fs.used_sic]
         assert all(fs.gain == Fraction(16, 9) for fs in plain_sets)
 
-    def test_predecessor_violation(self, chain_9x18, design3):
-        # classes 1 and 2 overlap; cancelling both leaves class 1 without a
-        # decided class 2 to reconstruct
-        cfg = _cfg(chain_9x18, design3, sic_symbols=(1, 2))
-        G = build_chain(chain_9x18)
-        y = G.entries @ np.ones(18)
-        with pytest.raises(SicPredecessorError):
-            recursive_detect(y, cfg)
-
-    def test_all_sic_violates(self, chain_9x18, design3):
-        cfg = _cfg(chain_9x18, design3, sic_symbols=(0, 1, 2))
-        G = build_chain(chain_9x18)
-        with pytest.raises(SicPredecessorError):
-            recursive_detect(G.entries @ np.ones(18), cfg)
-
     def test_r0_with_sic_violates(self, F12, P3, design3):
+        # refused when configured: no level combines a class to cancel
         chain = FactorChain(F12, P3, 0)
-        cfg = _cfg(chain, design3, sic_symbols=(2,))
         with pytest.raises(SicPredecessorError):
-            recursive_detect(np.zeros(1), cfg)
+            _cfg(chain, design3, sic=True)
 
     def test_batch_call_contract(self, chain_9x18, design3):
-        # with no class decided by combining, class 2 has nothing to cancel
-        with pytest.raises(SicPredecessorError):
-            detect_batch(np.zeros((1, 9)), _cfg(chain_9x18, design3, sic_symbols=(0, 1, 2)))
-        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
+        cfg = _cfg(chain_9x18, design3, sic=True)
         with pytest.raises(ValueError):
             detect_batch(np.zeros((1, 5)), cfg)
         with pytest.raises(ValueError):
             detect_batch(np.zeros(9), cfg)
 
     def test_ops_stay_within_sic_bounds(self, chain_9x18, design3):
-        cfg = _cfg(chain_9x18, design3, sic_symbols=(2,))
+        cfg = _cfg(chain_9x18, design3, sic=True)
         G = build_chain(chain_9x18)
         res = recursive_detect(G.entries @ np.ones(18), cfg)
         # skipping class 2's combining saves adds; cancellation adds some back
@@ -943,16 +924,13 @@ class TestDetectionConfig:
             with pytest.raises(DetectionError):
                 _cfg(chain_9x18, design3, power_offsets=offs)
 
-    def test_mode_validated(self, chain_9x18, design3):
-        with pytest.raises(DetectionError):
-            _cfg(chain_9x18, design3, sic_symbols=(7,))
-
-    def test_sic_symbols_must_be_integers(self, chain_9x18, design3):
-        # a float or a string is not a class index, even one that int() maps to one
-        for bad in ((2.7,), (2.0,), ("2",), (None,), 2):
+    def test_sic_must_be_bool(self, chain_9x18, design3):
+        # the switch is a bool: a class index, a truthy string or a numpy
+        # bool is refused, not read as True or False
+        for bad in (1, 0, "yes", (2,), None, np.bool_(True)):
             with pytest.raises(DetectionError):
-                _cfg(chain_9x18, design3, sic_symbols=bad)
-        assert _cfg(chain_9x18, design3, sic_symbols=(np.int64(2), 2)).sic_symbols == (2,)
+                _cfg(chain_9x18, design3, sic=bad)
+        assert _cfg(chain_9x18, design3, sic=True).sic is True
 
     def test_y_validated(self, cfg2):
         with pytest.raises(ValueError):

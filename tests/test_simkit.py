@@ -406,7 +406,7 @@ class TestRunMonteCarlo:
 
         sic = DetectionConfig(
             chain=chain_9x18, design=design3, constellation=QPSK,
-            sic_symbols=(2,),
+            sic=True,
         )
         runs = []
         for values in (simkit._CHUNK_VALUES, 7, 20):  # one chunk, then chunks of 1 to 6 trials
@@ -448,7 +448,7 @@ class TestRunMonteCarlo:
         snrs = [10 ** (db / 10) for db in (3, 6, 10)]
         plain = run_monte_carlo(DetectionConfig(chain_9x18, design3, BPSK), snrs, 4000, 31)
         sic = run_monte_carlo(
-            DetectionConfig(chain_9x18, design3, BPSK, sic_symbols=(2,)), snrs, 4000, 31
+            DetectionConfig(chain_9x18, design3, BPSK, sic=True), snrs, 4000, 31
         )
         for p, s in zip(plain, sic):
             assert s.coupled_ser_interval[0] <= p.coupled_ser_interval[1]
@@ -579,12 +579,12 @@ class TestChunkedPass:
     _per_point_monte_carlo is the loop of one point at a time it replaced."""
 
     MODES = {
-        # name: (sic_symbols, detector, with_oracle)
-        "plain": ((), "recursive", False),
-        "plain_oracle": ((), "recursive", True),
-        "sic": ((2,), "recursive", False),
-        "sic_oracle": ((2,), "recursive", True),
-        "oracle": ((), "oracle", False),
+        # name: (sic, detector, with_oracle)
+        "plain": (False, "recursive", False),
+        "plain_oracle": (False, "recursive", True),
+        "sic": (True, "recursive", False),
+        "sic_oracle": (True, "recursive", True),
+        "oracle": (False, "oracle", False),
     }
 
     @pytest.mark.parametrize("values", [1 << 16, 18, 99], ids=["one_chunk", "split", "three_points"])
@@ -603,7 +603,7 @@ class TestChunkedPass:
             "integer": np.random.default_rng(5).integers(1, 3, size=18).astype(float),
         }[offsets]
         sic, detector, with_oracle = self.MODES[mode]
-        cfg = DetectionConfig(chain_9x18, design3, con, power_offsets=offs, sic_symbols=sic)
+        cfg = DetectionConfig(chain_9x18, design3, con, power_offsets=offs, sic=sic)
         monkeypatch.setattr(simkit, "_CHUNK_VALUES", values)
         kwargs = dict(detector=detector, with_oracle=with_oracle, keep_records=True)
         if detector == "oracle" and con is QPSK:

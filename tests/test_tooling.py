@@ -67,8 +67,8 @@ def test_tracer_books_the_final_stages(F12, P3):
     chain = FactorChain(F12, P3, 2)
     design = find_combiners(P3)
     summaries = {}
-    for sic in ((), (2,)):
-        cfg = DetectionConfig(chain, design, BPSK, sic_symbols=sic)
+    for sic in (False, True):
+        cfg = DetectionConfig(chain, design, BPSK, sic=sic)
         t = tracer.Tracer()
         t.install()
         try:
@@ -76,11 +76,11 @@ def test_tracer_books_the_final_stages(F12, P3):
         finally:
             t.uninstall()
         summaries[sic] = tracer.layer_summary(t.spans)
-    for sic in ((), (2,)):
+    for sic in (False, True):
         assert summaries[sic]["simkit.synthesize_rx.calls"] >= 1
-    assert summaries[()]["detector.final_stage_map.calls"] >= 1
-    assert summaries[(2,)]["detector.final_stage_map.calls"] >= 1
-    assert summaries[(2,)]["detector.sic_enhanced_final.calls"] >= 1
+    assert summaries[False]["detector.final_stage_map.calls"] >= 1
+    assert summaries[True]["detector.final_stage_map.calls"] >= 1
+    assert summaries[True]["detector.sic_enhanced_final.calls"] >= 1
 
 
 def test_detect_batch_retains_only_its_result(F12, P3):
