@@ -17,12 +17,14 @@ detect_batch is that kernel and the only implementation of the receiver;
 final_stage_map (the batched MAP sweep) and sic_enhanced_final (the batched
 cancellation) are its final stages.  recursive_detect runs the same stages
 on a batch of one and keeps the full trace, which detect_batch does not
-hold on to.  The kernel and simkit.estimate_gain apply L only through the
-cascade of signed sums (_cascade); L is never formed.  Every arithmetic
-operation is counted by the code that performs it and checked against
-closed-form bounds on every run.  The symbol alphabets (Constellation,
-BPSK, QPSK) are defined here, beside the configuration, the sweeps and the
-oracle that read them.
+hold on to.  _cascade, the mode product with one coefficient matrix per
+level, is the one Kronecker operator: the kernel and simkit.estimate_gain
+apply L through it, and simkit.synthesize_rx applies G = F (x) P^(x)r.
+Neither is formed; the dense G is built only for the oracle and the PDMA
+rate.  Every arithmetic operation is counted by the code that performs it
+and checked against closed-form bounds on every run.  The symbol alphabets
+(Constellation, BPSK, QPSK) are defined here, beside the configuration, the
+sweeps and the oracle that read them.
 
 Scalar-operation accounting model (documented contract):
 
@@ -52,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combiner import CapExceeded, CombinerDesign
-from .pattern import FactorChain, PatternMatrix, pattern_groups
+from .pattern import DimensionOverflowError, FactorChain, PatternMatrix, pattern_groups
 
 DEFAULT_HYPOTHESIS_CAP = 4096
 DEFAULT_ORACLE_CAP = 1 << 20
@@ -65,6 +67,9 @@ _SWEEP_VALUES = 1 << 17
 # classes per prediction table of the oracle, rounded down to a product of
 # whole groups' class counts so that every table starts on a group boundary
 _ORACLE_CHUNK = 1 << 16
+
+# values one chain's receiver may hold: see check_receiver_size
+MAX_RECEIVER_VALUES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +266,7 @@ class DetectionConfig:
 
     @cached_property
     def _plan(self) -> _Plan:
-        # built on first detection, so a hypothesis cap surfaces there
+        # built on first detection, so a size or hypothesis cap surfaces there
         return _build_plan(self)
 
 
@@ -321,18 +326,6 @@ class BatchDetection(NamedTuple):
     report: OpCountReport
 
 
-def path_users(chain: FactorChain, path: tuple[int, ...]) -> tuple[int, ...]:
-    """Users (pattern columns) solved by the final set reached along `path`.
-
-    The t-th branch choice (0-based) fixes the inner-factor digit with place
-    value m_p^t; the outer-factor column index contributes c_f * m_p^r."""
-    if len(path) != chain.r:
-        raise ValueError("path length must equal the recursion depth")
-    offset = sum(j * chain.m_p**t for t, j in enumerate(path))
-    stride = chain.m_p**chain.r
-    return tuple(c_f * stride + offset for c_f in range(chain.k_f))
-
-
 def coupled_sums(symbols, groups, power_offsets) -> np.ndarray:
     """Offset-weighted symbol sum per duplicate-column user group.
 
@@ -362,10 +355,18 @@ def _hypothesis_indices(q: int, k: int) -> np.ndarray:
     return _HYP_CACHE[key]
 
 
+class _SetInfo(NamedTuple):
+    path: tuple[int, ...]
+    weight: int
+    gain: Fraction
+    mult: int
+
+
 class _Sweep(NamedTuple):
     """Exhaustive MAP hypotheses of S regular sets w_s * F (offs_s . x) that
     share the outer factor F and the constellation."""
 
+    sets: tuple[_SetInfo, ...]
     hyp: np.ndarray  # (H, k_f) symbol indices, first position most significant
     unit: np.ndarray  # (S, H, m_f) noiseless F (offs_s . x) per hypothesis
     wunit: np.ndarray  # (S, H, m_f) the same times the set's |weight|
@@ -375,9 +376,9 @@ class _Sweep(NamedTuple):
     muls: int
 
 
-def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights, positions) -> _Sweep:
-    """Hypothesis tables for sets with per-set user offsets (S, k_f) and
-    nonzero weights (S,)."""
+def _sweep(F: PatternMatrix, constellation: Constellation, offsets, sets, positions) -> _Sweep:
+    """Hypothesis tables for S sets with nonzero weights and per-set user
+    offsets (S, k_f)."""
     q, k_f = constellation.size, F.cols
     n_hyp = q**k_f
     if n_hyp > DEFAULT_HYPOTHESIS_CAP:
@@ -388,10 +389,10 @@ def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights, pos
     X = constellation.symbols[hyp]  # (H, k_f)
     Ft = F.entries.T.astype(float)
     unit = np.array([(X * offs) @ Ft for offs in offsets]).reshape(len(offsets), n_hyp, F.rows)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.array([s.weight for s in sets], dtype=float)
     wunit = np.abs(weights)[:, None, None] * unit
     n_add = n_hyp * (int(F.entries.sum()) + F.rows - 1)
-    return _Sweep(hyp, unit, wunit, weights < 0, positions, n_add, n_hyp * (k_f + 2 * F.rows))
+    return _Sweep(sets, hyp, unit, wunit, weights < 0, positions, n_add, n_hyp * (k_f + 2 * F.rows))
 
 
 class _Solve(NamedTuple):
@@ -430,31 +431,34 @@ def final_stage_map(sweep: _Sweep, z, counters: OpCounters) -> _Solve:
     return _Solve(sweep, z, best, ties, sweep.unit[np.arange(S), best])
 
 
-def _cascade(Y, alpha: np.ndarray, level_classes, counters: OpCounters):
-    """Yield each recursion level's outputs for a batch Y (T, M).
+def _cascade(Y, levels, counters: OpCounters):
+    """Yield each level's outputs for a batch Y (T, N): the Kronecker mode
+    products of Y with one matrix per level, entries in {-1, 0, +1}.
 
-    A level maps (T, P, E) to (T, P * C, E / m_p) for its C combined classes:
-    each consecutive m_p-group of a path's equations becomes one signed sum
-    per class, summed left to right, and class j's sums form child path
-    (parent, j).  The first level contracts the innermost Kronecker axis."""
-    m_p = alpha.shape[1]
+    A level with a C x n matrix maps (T, P, E) to (T, P * C, E / n): each
+    consecutive n-group of a path's values becomes one signed sum per row,
+    summed left to right (a zero row gives zeros), and row c's sums form
+    child path (parent, c), so the first level contracts the innermost
+    Kronecker axis.  Combining passes the combined classes' rows of alpha
+    per level; synthesis passes P at each of the r levels, then F."""
     state = Y.reshape(Y.shape[0], 1, -1)
-    for classes in level_classes:
+    for A in levels:
         T, P, E = state.shape
-        blocks = state.reshape(T, P, E // m_p, m_p)
-        out = np.empty((T, P, len(classes), E // m_p), dtype=state.dtype)
-        for c, j in enumerate(classes):
-            nonzero = np.flatnonzero(alpha[j])
-            acc = None
-            for i in nonzero:
+        C, n = A.shape
+        blocks = state.reshape(T, P, E // n, n)
+        out = np.empty((T, P, C, E // n), dtype=state.dtype)
+        for c, row in enumerate(A):
+            nonzero = np.flatnonzero(row)
+            acc = 0
+            for t, i in enumerate(nonzero):
                 col = blocks[..., i]
-                if acc is None:
-                    acc = col if alpha[j, i] > 0 else -col
+                if t == 0:
+                    acc = col if row[i] > 0 else -col
                 else:
-                    acc = acc + col if alpha[j, i] > 0 else acc - col
+                    acc = acc + col if row[i] > 0 else acc - col
             out[:, :, c] = acc
-            counters.adds += col.size * (nonzero.size - 1)
-        state = out.reshape(T, P * len(classes), E // m_p)
+            counters.adds += T * P * (E // n) * max(nonzero.size - 1, 0)
+        state = out.reshape(T, P * C, E // n)
         yield state
 
 
@@ -483,18 +487,6 @@ def sic_enhanced_final(plan: _Plan, parents, plain: _Solve, counters: OpCounters
     return final_stage_map(step.sweep, zeta, counters)
 
 
-class _SetInfo(NamedTuple):
-    path: tuple[int, ...]
-    weight: int
-    gain: Fraction
-    mult: int
-
-
-class _Level(NamedTuple):
-    classes: tuple[int, ...]  # classes combined at this level
-    sets: tuple[_SetInfo, ...]  # its outputs, in the kernel's order
-
-
 class _SicStep(NamedTuple):
     rows: np.ndarray  # the rows of P that carry class m_p - 1
     cancel: tuple[tuple[int, int], ...]  # (class, rows shared with m_p - 1)
@@ -504,40 +496,55 @@ class _SicStep(NamedTuple):
 class _Plan(NamedTuple):
     """Static structure of a configuration's detection pass."""
 
-    levels: tuple[_Level, ...]
+    alphas: tuple[np.ndarray, ...]  # per level, the rows of the classes it combines
+    levels: tuple[tuple[_SetInfo, ...], ...]  # per level, its outputs in kernel order
     plain: _Sweep  # the sets reached by combining at every level
     parent_weights: np.ndarray  # weights of the last level's parents (SIC)
     sic: _SicStep | None
-    sets: tuple[tuple[_SetInfo, bool], ...]  # (set, used_sic) in path order
     users: np.ndarray  # (m_p^r, k_f) users of each set in path order
-    bounds: OpCountBounds
+
+
+def check_receiver_size(chain: FactorChain) -> None:
+    """Refuse a chain whose receiver would hold more than
+    MAX_RECEIVER_VALUES values: the plan's path digits, sum over levels
+    l <= r of l * m_p^l (in closed form), and one trial's M + K values."""
+    c, x = chain, chain.m_p
+    digits = (c.r * (c.r + 1) // 2 if x == 1
+              else x * (c.r * x ** (c.r + 1) - (c.r + 1) * x**c.r + 1) // (x - 1) ** 2)
+    if c.M + c.K + digits > MAX_RECEIVER_VALUES:
+        # M and K in factored form: at depth r their decimal digits grow without bound
+        raise DimensionOverflowError(f"the receiver of a {c.m_f}*{x}^{c.r} x {c.k_f}*{x}^{c.r} chain "
+                                     f"would hold more than {MAX_RECEIVER_VALUES} values; refuse to build")
 
 
 def _build_plan(cfg: DetectionConfig) -> _Plan:
     chain, design = cfg.chain, cfg.design
     m_p, r = chain.m_p, chain.r
+    check_receiver_size(chain)
     norms = [int(a @ a) for a in design.alpha]
-    sets = (_SetInfo((), 1, Fraction(1), 1),)
-    parents = sets
-    levels = []
+    sets = parents = (_SetInfo((), 1, Fraction(1), 1),)
+    levels = []  # per level: the alpha rows of its classes, and its outputs
     for level in range(1, r + 1):
-        classes = tuple(range(m_p - 1 if cfg.sic and level == r else m_p))
+        classes = range(m_p - 1 if cfg.sic and level == r else m_p)
         parents = sets
         sets = tuple(
             _SetInfo(s.path + (j,), s.weight * design.weights[j], s.gain * design.gains[j], s.mult * norms[j])
             for s in parents
             for j in classes
         )
-        levels.append(_Level(classes, sets))
+        levels.append((design.alpha[: len(classes)], sets))
 
-    def sweep(infos):
-        offsets = [cfg.power_offsets[list(path_users(chain, s.path))] for s in infos]
-        # branch-lexicographic index: the first branch is the most significant digit
-        positions = [sum(j * m_p ** (r - 1 - t) for t, j in enumerate(s.path)) for s in infos]
-        return _sweep(chain.F, cfg.constellation, offsets, [s.weight for s in infos],
-                      np.array(positions, dtype=np.intp))
+    # paths in branch-lexicographic order, the first branch the most
+    # significant digit; branch t is the inner-factor digit of place value
+    # m_p^t, and the outer-factor column c_f adds c_f * m_p^r
+    n_paths = m_p**r
+    digits = np.arange(n_paths)[:, None] // m_p ** np.arange(r - 1, -1, -1) % m_p
+    users = (digits @ m_p ** np.arange(r))[:, None] + n_paths * np.arange(chain.k_f)
+    cancelled = cfg.sic & (np.arange(n_paths) % m_p == m_p - 1)
 
-    by_path = {s.path: (s, False) for s in sets}
+    def sweep(infos, positions):
+        return _sweep(chain.F, cfg.constellation, cfg.power_offsets[users[positions]], infos, positions)
+
     sic = None
     if cfg.sic:
         # alpha P = diag(w) with w != 0 makes P invertible, so class j
@@ -547,17 +554,14 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
         cancel = tuple((jp, int(E[rows, jp].sum())) for jp in range(j) if E[rows, jp].any())
         d = rows.size
         infos = [_SetInfo(p.path + (j,), p.weight * d, p.gain * d, p.mult * d) for p in parents]
-        by_path.update((s.path, (s, True)) for s in infos)
-        sic = _SicStep(rows, cancel, sweep(infos))
-    paths = list(itertools.product(range(m_p), repeat=r))
+        sic = _SicStep(rows, cancel, sweep(infos, np.flatnonzero(cancelled)))
     return _Plan(
-        levels=tuple(levels),
-        plain=sweep(sets),
+        alphas=tuple(alpha for alpha, _ in levels),
+        levels=tuple(sets for _, sets in levels),
+        plain=sweep(sets, np.flatnonzero(~cancelled)),
         parent_weights=np.array([p.weight for p in parents], dtype=np.int64),
         sic=sic,
-        sets=tuple(by_path[p] for p in paths),
-        users=np.array([path_users(chain, p) for p in paths], dtype=np.intp),
-        bounds=cfg.op_bounds(),
+        users=users,
     )
 
 
@@ -572,7 +576,7 @@ def _stages(Y, cfg: DetectionConfig, counters: OpCounters):
     T = Y.shape[0]
     Y = Y.astype(np.result_type(Y.dtype, np.float64), copy=False)
     parents = last = Y.reshape(T, 1, -1)
-    for out in _cascade(Y, cfg.design.alpha, [lv.classes for lv in plan.levels], counters):
+    for out in _cascade(Y, plan.alphas, counters):
         parents, last = last, out
         yield out
     plain = final_stage_map(plan.plain, last, counters)
@@ -591,23 +595,17 @@ def _stages(Y, cfg: DetectionConfig, counters: OpCounters):
         measured_adds=counters.adds // T,
         measured_muls=counters.muls // T,
         final_invocations=counters.final_invocations // T,
-        bounds=plan.bounds,
+        bounds=cfg.op_bounds(),
     )
     yield solves, BatchDetection(symbols, ambiguous, report)
 
 
 def detect_batch(Y, cfg: DetectionConfig) -> BatchDetection:
-    """Detect all K users of every row of Y (T, M) in one pass.
-
-    Recursion level l combines every path's consecutive m_p-equation groups
-    with each class's coefficient vector (child paths in branch-lexicographic
-    order), then one exhaustive MAP sweep (final_stage_map) decides all
-    m_p^r final sets of all trials.  With sic set, class m_p - 1 is
-    decided, for each last-level parent, by cancellation against the
-    sibling decisions instead (sic_enhanced_final).  With equiprobable
-    symbols the MAP decision is the nearest hypothesis, whatever the noise
-    variance.  Op counts are tallied over the batch as the work is done and
-    reported per detection."""
+    """Detect all K users of every row of Y (T, M) in one pass: the combining
+    cascade, then final_stage_map over all m_p^r final sets of all trials
+    and, with sic set, sic_enhanced_final (see the module docstring).  Op
+    counts are tallied over the batch as the work is done and reported per
+    detection."""
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape[1] != cfg.chain.M:
         raise ValueError("Y must hold one row of M resource-element values per trial")
@@ -634,50 +632,43 @@ def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
     counters = OpCounters()
     stages = _stages(y[None], cfg, counters)
     records = []
-    groups_in, eqs = 1, chain.M
-    for level, (lv, out) in enumerate(zip(plan.levels, stages), start=1):
+    for level, (sets, out) in enumerate(zip(plan.levels, stages), start=1):
         records.append(
             RecursionRecord(
                 level=level,
-                super_groups_in=groups_in,
-                equations_per_group=eqs,
+                super_groups_in=chain.m_p ** (level - 1),
+                equations_per_group=chain.M // chain.m_p ** (level - 1),
                 group_size=chain.m_p,
-                paths=tuple(s.path for s in lv.sets),
+                paths=tuple(s.path for s in sets),
                 combined=tuple(out[0]),
-                weights=tuple(s.weight for s in lv.sets),
-                gain_products=tuple(s.gain for s in lv.sets),
-                noise_multipliers=tuple(s.mult for s in lv.sets),
+                weights=tuple(s.weight for s in sets),
+                gain_products=tuple(s.gain for s in sets),
+                noise_multipliers=tuple(s.mult for s in sets),
                 adds_so_far=counters.adds,
                 muls_so_far=counters.muls,
             )
         )
-        groups_in, eqs = out.shape[1], out.shape[2]
     solves, batch = next(stages)
-    # per set in path order: (input, unit prediction, tie count); the input
-    # is copied, since at r = 0 it is a view of y
-    solved = [None] * len(plan.sets)
-    for solve in solves:
-        for i, p in enumerate(solve.sweep.positions):
-            solved[p] = (solve.z[0, i].copy(), solve.units[0, i], int(solve.ties[0, i]))
     symbols = batch.symbols[0]
-    final_sets = tuple(
-        FinalSet(
-            path=s.path,
-            users=tuple(users.tolist()),
-            values=values,
-            weight=s.weight,
-            gain=s.gain,
-            noise_multiplier=s.mult,
-            used_sic=used_sic,
-            decided=tuple(symbols[users]),
-            unit_prediction=unit,
-            tie_count=ties,
-        )
-        for ((s, used_sic), users, (values, unit, ties)) in zip(plan.sets, plan.users, solved)
-    )
+    final_sets = [None] * len(plan.users)  # in path order
+    for solve in solves:
+        for i, (s, p) in enumerate(zip(solve.sweep.sets, solve.sweep.positions)):
+            users = plan.users[p]
+            final_sets[p] = FinalSet(
+                path=s.path,
+                users=tuple(users.tolist()),
+                values=solve.z[0, i].copy(),  # at r = 0 a view of y
+                weight=s.weight,
+                gain=s.gain,
+                noise_multiplier=s.mult,
+                used_sic=solve.sweep is not plan.plain,
+                decided=tuple(symbols[users]),
+                unit_prediction=solve.units[0, i],
+                tie_count=int(solve.ties[0, i]),
+            )
     return DetectionResult(
         symbols=symbols,
-        trace=DetectionTrace(recursions=tuple(records), final_sets=final_sets),
+        trace=DetectionTrace(recursions=tuple(records), final_sets=tuple(final_sets)),
         report=batch.report,
         ambiguous=bool(batch.ambiguous[0]),
     )

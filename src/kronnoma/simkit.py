@@ -10,7 +10,8 @@ synthesize_rx call, the one implementation of the channel y = G x + n, and
 detected together.  Chunks follow the trial indices across SNR points, so
 a short grid is detected in one chunk.
 This module is a one-way client of the receiver: it imports detector (the
-constellations, the kernel and its cascade), and detector never imports it.
+constellations, the kernel and the cascade that synthesis runs too), and
+detector never imports it.  A run builds the dense G only for the oracle.
 SNR is linear throughout and means P_x / sigma^2 with P_x the mean squared
 symbol magnitude of the constellation; dB conversion is a CLI-boundary
 concern.
@@ -18,7 +19,6 @@ concern.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import detector as det
 from .combiner import CombinerDesign
-from .pattern import FactorChain, PatternMatrix, build_chain, pattern_groups
+from .pattern import FactorChain, build_chain, pattern_groups
 
 
 _WORD = (1 << 64) - 1
@@ -83,28 +83,42 @@ def _noise(rng: np.random.Generator, n: int, variance: float, complex_valued: bo
     return math.sqrt(variance) * rng.standard_normal(n)
 
 
-def synthesize_rx(x, G: PatternMatrix, noise):
-    """Received values y = G x + n: of one trial, x (K,) and noise (M,), or
-    of a chunk of trials, x (T, K) and noise (T, M).
+def synthesize_rx(x, chain: FactorChain, noise):
+    """Received values y = G x + n, G = F (x) P^(x)r: of one trial, x (K,)
+    and noise (M,), or of a chunk of trials, x (T, K) and noise (T, M).
 
-    G is applied one trial at a time, as a matrix-vector product on one
-    float copy of G: a single matrix-matrix product over the chunk sums in
-    another order and would change the last bits of non-integer received
-    values.  The noise is drawn by the caller (run_monte_carlo draws each
-    trial's from that trial's stream, after its symbols); zeros give the
-    noiseless model."""
+    G is never formed: the detector's cascade applies P at each of the r
+    levels, then F, and one axis transpose restores G's row order.  The
+    arithmetic is elementwise per trial, so a chunk's rows are its trials
+    synthesized one by one, bit for bit.  The caller draws the noise
+    (run_monte_carlo: from each trial's stream, after its symbols); zeros
+    give the noiseless model."""
     x, noise = np.asarray(x), np.asarray(noise)
-    if x.ndim not in (1, 2) or x.shape[-1] != G.cols:
+    if x.ndim not in (1, 2) or x.shape[-1] != chain.K:
         raise ValueError("x must have one symbol per user")
-    if noise.shape != x.shape[:-1] + (G.rows,):
+    if noise.shape != x.shape[:-1] + (chain.M,):
         raise ValueError("noise must have one value per resource element of each trial")
-    Gf = G.entries.astype(float)
-    y = np.empty(noise.shape, dtype=np.result_type(Gf, x, noise))
-    rows = y.reshape(-1, G.rows)
-    for row, symbols in enumerate(x.reshape(-1, G.cols)):
-        rows[row] = Gf @ symbols
-    y += noise
-    return y
+    X = x.reshape(-1, chain.K).astype(np.result_type(np.float64, x), copy=False)
+    for Gx in det._cascade(X, [chain.P.entries] * chain.r + [chain.F.entries], det.OpCounters()):
+        pass  # rows come out as the digits (i_r, ..., i_1, i_F), innermost first
+    if chain.m_p > 1:  # at m_p = 1 that is G's order, at depths past numpy's axis limit
+        digits = Gx.reshape((len(X),) + (chain.m_p,) * chain.r + (chain.m_f,))
+        Gx = digits.transpose(0, *range(chain.r + 1, 0, -1))
+    return Gx.reshape(noise.shape) + noise
+
+
+def _user_groups(chain: FactorChain) -> tuple[tuple[int, ...], ...]:
+    """pattern_groups(build_chain(chain)) from the factors, for an
+    invertible P (every chain with a design): user c_f * m_p^r + o has
+    column F[:, c_f] (x) column o of P^(x)r, whose columns are distinct and
+    nonzero, so users share a column when their F columns are equal and
+    they share o or that F column is zero."""
+    inner, groups = chain.m_p**chain.r, []
+    for outer in pattern_groups(chain.F):
+        users = np.add.outer(np.array(outer) * inner, np.arange(inner))
+        zero = not chain.F.entries[:, outer[0]].any()
+        groups.extend([users.ravel()] if zero else users.T)
+    return tuple(tuple(g.tolist()) for g in groups)
 
 
 @dataclass(frozen=True)
@@ -152,34 +166,27 @@ def estimate_gain(
 
     Runs the detector's combining cascade on noise-only inputs and compares
     (weight product)^2 * sigma^2 / measured variance against the exact
-    rational gain product along each branch path.  Uses one seeded bulk
-    stream (single pass, no per-trial parallelism to preserve)."""
+    rational gain product along each branch path, both taken from the
+    detector's plan of the chain.  Uses one seeded bulk stream (single pass,
+    no per-trial parallelism to preserve)."""
     if trials < 3:
         raise ValueError("need at least 3 trials to estimate a variance")
     if not noise_variance > 0:
         raise ValueError("noise variance must be positive")
-    if design.P != chain.P:
-        raise det.DetectionError("combiner design was built for a different inner factor")
+    plan = det.DetectionConfig(chain, design, det.BPSK)._plan  # refuses a design for another P
     rng = trial_rng(seed, 0)
     noise = math.sqrt(noise_variance) * rng.standard_normal((trials, chain.M))
     # every class at every level: the final-set inputs (trials, m_p^r, m_f),
     # paths in branch-lexicographic order; at r = 0 the one set is the input
     combined = noise.reshape(trials, 1, -1)
-    levels = [tuple(range(chain.m_p))] * chain.r
-    for combined in det._cascade(noise, design.alpha, levels, det.OpCounters()):
+    for combined in det._cascade(noise, plan.alphas, det.OpCounters()):
         pass
     out = []
-    for pi, path in enumerate(itertools.product(range(chain.m_p), repeat=chain.r)):
-        weight = 1
-        gain = Fraction(1)
-        for j in path:
-            weight *= design.weights[j]
-            gain *= design.gains[j]
+    for pi, s in enumerate(plan.plain.sets):
         # the m_f equations of one path share the same combining row norm
         samples = combined[:, pi].reshape(-1)
-        var = float(samples.var(ddof=1))
-        measured = weight * weight * noise_variance / var
-        out.append(PathGain(path, gain, measured, samples.size))
+        measured = s.weight * s.weight * noise_variance / float(samples.var(ddof=1))
+        out.append(PathGain(s.path, s.gain, measured, samples.size))
     return out
 
 
@@ -248,18 +255,20 @@ def run_monte_carlo(
     if any(not s > 0 for s in snr_grid):  # NaN included
         raise ValueError("linear SNRs must be positive")
 
-    G = build_chain(cfg.chain)
-    groups = pattern_groups(G)
+    chain = cfg.chain
+    det.check_receiver_size(chain)
+    groups = _user_groups(chain)
     con = cfg.constellation
     q = con.size
-    oracle_feasible = q**G.cols <= det.DEFAULT_ORACLE_CAP
+    oracle_feasible = q**chain.K <= det.DEFAULT_ORACLE_CAP
     need_oracle = detector == "oracle" or with_oracle
     if detector == "oracle" and not oracle_feasible:
         raise det.HypothesisCapExceeded(
-            f"oracle needs {q}^{G.cols} hypotheses, above the cap ({det.DEFAULT_ORACLE_CAP})"
+            f"oracle needs {q}^{chain.K} hypotheses, above the cap ({det.DEFAULT_ORACLE_CAP})"
         )
+    G = build_chain(chain) if need_oracle and oracle_feasible else None
     bounds = cfg.op_bounds()
-    chunk = max(1, _CHUNK_VALUES // G.rows)
+    chunk = max(1, _CHUNK_VALUES // chain.M)
 
     streams = _TrialStreams(seed)  # refuses a seed that is not an integer
     points = []
@@ -278,14 +287,14 @@ def run_monte_carlo(
         """Draw, synthesize and detect the trials of `index`, whose rows may
         belong to several points; per trial, tally its symbol errors, coupled
         errors, ambiguity and agreement with the oracle."""
-        drawn = np.empty((len(index), G.cols), dtype=np.int64)
-        N = np.empty((len(index), G.rows), dtype=rx_dtype)
+        drawn = np.empty((len(index), chain.K), dtype=np.int64)
+        N = np.empty((len(index), chain.M), dtype=rx_dtype)
         for row, i in enumerate(index):
             gen = streams.seek(i)
-            drawn[row] = gen.integers(0, q, size=G.cols)
-            N[row] = _noise(gen, G.rows, variances[i // trials], complex_valued)
+            drawn[row] = gen.integers(0, q, size=chain.K)
+            N[row] = _noise(gen, chain.M, variances[i // trials], complex_valued)
         X = con.symbols[drawn]
-        Y = synthesize_rx(cfg.power_offsets * X, G, N)
+        Y = synthesize_rx(cfg.power_offsets * X, chain, N)
 
         decisions: dict[str, np.ndarray] = {}
         amb: dict[str, np.ndarray] = {}
@@ -363,7 +372,7 @@ def run_monte_carlo(
                     MonteCarloPoint(
                         snr=snr_grid[si],
                         trials=trials,
-                        ser=sym_err / (trials * G.cols),
+                        ser=sym_err / (trials * chain.K),
                         coupled_ser=coup_err / n_coup,
                         ambiguity_rate=ambiguous / trials,
                         coupled_ser_interval=wilson_interval(coup_err, n_coup),

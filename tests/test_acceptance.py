@@ -82,7 +82,7 @@ def test_criterion_03_search_space_accounting():
 def test_criterion_04_recursion_algebra_exact(chain_9x18, design3):
     cfg = DetectionConfig(chain_9x18, design3, BPSK)
     rng = np.random.default_rng(7)
-    y = synthesize_rx(rng.choice([-1.0, 1.0], 18), build_chain(chain_9x18), np.zeros(9))
+    y = synthesize_rx(rng.choice([-1.0, 1.0], 18), chain_9x18, np.zeros(9))
     res = recursive_detect(y, cfg)
     assert set(res.trace.recursions[0].noise_multipliers) == {3}
     assert set(res.trace.recursions[1].noise_multipliers) == {9}
@@ -96,7 +96,7 @@ def test_criterion_04_recursion_algebra_exact(chain_9x18, design3):
 def test_criterion_05_operation_counters(chain_9x18, design3):
     cfg = DetectionConfig(chain_9x18, design3, BPSK)
     noise = simkit._noise(trial_rng(11, 0), 9, 0.5, complex_valued=False)
-    y = synthesize_rx(np.ones(18), build_chain(chain_9x18), noise)
+    y = synthesize_rx(np.ones(18), chain_9x18, noise)
     res = recursive_detect(y, cfg)
     combining_adds = res.trace.recursions[-1].adds_so_far
     assert combining_adds <= 36

@@ -825,6 +825,25 @@ class TestSimulate:
         assert main(["simulate", "--chain", str(deep), "--snr-db", "0", "--trials", "1"]) == 2
         assert "refuse to build" in capsys.readouterr().err
 
+    def test_deep_unit_factor_chain_refused(self, tmp_path, F12, capsys):
+        # P = [[1]] keeps M and K at 1 and 2, but the plan's paths hold
+        # r (r + 1) / 2 digits: 2^31 at the deepest chain allowed
+        deep = tmp_path / "deep.json"
+        dump_chain(FactorChain(F12, PatternMatrix(np.array([[1]])), 1 << 16), str(deep))
+        assert main(["simulate", "--chain", str(deep), "--snr-db", "0", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "refuse to build" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("r", [8, 9])
+    def test_runs_past_the_dense_g_limit(self, tmp_path, F12, P3, capsys, r):
+        # G of [1 1] (x) P3^8 has 2^26.6 entries; the receiver never forms it
+        chain = tmp_path / "chain.json"
+        dump_chain(FactorChain(F12, P3, r), str(chain))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--chain", str(chain), "--snr-db", "0", "--trials", "2",
+                     "--csv-out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("0,2,")
+
     @pytest.mark.parametrize(
         "detector, digest",
         [

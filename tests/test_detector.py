@@ -18,6 +18,7 @@ from kronnoma import (
     CombiningContractError,
     DetectionConfig,
     DetectionError,
+    DimensionOverflowError,
     FactorChain,
     HypothesisCapExceeded,
     OpCounters,
@@ -34,8 +35,19 @@ from kronnoma import (
     recursive_detect,
     synthesize_rx,
 )
+from kronnoma import detector as det
 from kronnoma.combiner import enumerate_square_candidates
-from kronnoma.detector import path_users
+
+
+def path_users(chain: FactorChain, path: tuple[int, ...]) -> tuple[int, ...]:
+    """Users (pattern columns) solved by the final set reached along `path`,
+    the reference for the plan's user table.
+
+    The t-th branch choice (0-based) fixes the inner-factor digit with place
+    value m_p^t; the outer-factor column index contributes c_f * m_p^r."""
+    offset = sum(j * chain.m_p**t for t, j in enumerate(path))
+    stride = chain.m_p**chain.r
+    return tuple(c_f * stride + offset for c_f in range(chain.k_f))
 
 ALL_BPSK_6 = [np.array(v, dtype=float) for v in itertools.product((-1.0, 1.0), repeat=6)]
 
@@ -55,27 +67,28 @@ def cfg1(chain_3x6, design3):
 
 
 class TestPathUsers:
-    def test_reference_mapping(self, chain_9x18):
-        # branch t (0-based) carries place value m_p^t; seed column adds k_f strides
-        assert path_users(chain_9x18, (0, 0)) == (0, 9)
-        assert path_users(chain_9x18, (1, 0)) == (1, 10)
-        assert path_users(chain_9x18, (0, 1)) == (3, 12)
-        assert path_users(chain_9x18, (2, 2)) == (8, 17)
+    def test_reference_mapping(self, cfg2, chain_9x18):
+        # branch t (0-based) carries place value m_p^t; seed column adds k_f
+        # strides; the plan holds paths in branch-lexicographic order
+        users = cfg2._plan.users
+        for path, want in [((0, 0), (0, 9)), ((1, 0), (1, 10)), ((0, 1), (3, 12)), ((2, 2), (8, 17))]:
+            assert path_users(chain_9x18, path) == want
+            assert tuple(users[3 * path[0] + path[1]].tolist()) == want
 
-    def test_r0(self, F12, P3):
+    def test_r0(self, F12, P3, design3):
         chain = FactorChain(F12, P3, 0)
         assert path_users(chain, ()) == (0, 1)
+        assert _cfg(chain, design3)._plan.users.tolist() == [[0, 1]]
 
-    def test_every_user_exactly_once(self, chain_9x18):
-        seen = []
-        for path in itertools.product(range(3), repeat=2):
-            seen.extend(path_users(chain_9x18, path))
-        assert sorted(seen) == list(range(18))
-
-    def test_wrong_length(self, chain_9x18):
-        with pytest.raises(ValueError):
-            path_users(chain_9x18, (0,))
-
+    def test_every_user_exactly_once(self, F12, P3, P4):
+        # the plan's table, from digit arithmetic, against the reference per
+        # path; every user is solved by exactly one set
+        for P, r, sic in itertools.product((P3, P4), (1, 2, 3), (False, True)):
+            chain = FactorChain(F12, P, r)
+            plan = _cfg(chain, find_combiners(P), sic=sic)._plan
+            paths = list(itertools.product(range(P.rows), repeat=r))
+            assert plan.users.tolist() == [list(path_users(chain, p)) for p in paths]
+            assert sorted(plan.users.ravel().tolist()) == list(range(chain.K))
 
 class TestNoiselessAlgebra:
     def test_weight_four_and_noise_multipliers(self, cfg2, chain_9x18):
@@ -132,10 +145,9 @@ class TestNoiselessAlgebra:
         assert res.trace.final_sets[0].users == (0, 1)
 
     def test_cancelling_symbols_give_zero_rx(self, chain_9x18):
-        G = build_chain(chain_9x18)
         x = np.ones(18)
         x[9:] = -1.0  # x_{k+9} = -x_k: every coupled sum vanishes
-        y = synthesize_rx(x, G, np.zeros(9))
+        y = synthesize_rx(x, chain_9x18, np.zeros(9))
         assert np.array_equal(y, np.zeros(9))
 
     def test_group_bookkeeping_invariants(self, cfg2, chain_9x18):
@@ -909,6 +921,19 @@ class TestSic:
 
 
 class TestDetectionConfig:
+    def test_receiver_size_counts_digits_and_values(self, F12, P3, P4, monkeypatch):
+        # the closed form against the plan's path digits level by level,
+        # plus one trial's M + K values; the plan refuses past the bound
+        for P in (PatternMatrix(np.array([[1]])), PatternMatrix(np.eye(2, dtype=int)), P3, P4):
+            for r in range(6):
+                chain = FactorChain(F12, P, r)
+                held = chain.M + chain.K + sum(l * P.rows**l for l in range(1, r + 1))
+                monkeypatch.setattr(det, "MAX_RECEIVER_VALUES", held)
+                det.check_receiver_size(chain)
+                monkeypatch.setattr(det, "MAX_RECEIVER_VALUES", held - 1)
+                with pytest.raises(DimensionOverflowError, match="refuse to build"):
+                    _cfg(chain, find_combiners(P))._plan
+
     def test_design_chain_mismatch(self, chain_9x18, P4):
         with pytest.raises(DetectionError):
             _cfg(chain_9x18, find_combiners(P4))

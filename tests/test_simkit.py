@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from kronnoma import (
     trial_rng,
 )
 from kronnoma import detector as det
-from kronnoma import simkit
+from kronnoma import pattern, simkit
 from kronnoma.simkit import wilson_interval
 
 
@@ -106,60 +107,103 @@ def _mc_noise(seed: int, trials: int, variance: float, complex_valued: bool) -> 
     )
 
 
+# seed factors for the structural checks: F12's two equal columns, a zero
+# column (users 3, 4, 5 of F (x) P3 share it), both with a lone column, and
+# a zero row
+SEED_FACTORS = [[[1, 1]], [[1, 0, 1], [0, 0, 1]], [[1, 1, 0, 1], [0, 0, 0, 1]], [[0, 1, 1]],
+                [[0, 0, 0], [1, 0, 1]]]
+
+
+def _chains(P3, P4):
+    """Chains of every seed factor, random 2 x 4 ones too, over P3 and P4 at
+    r = 0 ... 3."""
+    rng = np.random.default_rng(21)
+    seeds = SEED_FACTORS + [rng.integers(0, 2, size=(2, 4)).tolist() for _ in range(4)]
+    return [
+        FactorChain(PatternMatrix(np.array(F)), P, r)
+        for F in seeds for P in (P3, P4) for r in range(4)
+    ]
+
+
 class TestSynthesizeRx:
     def test_noiseless_is_exact(self, chain_9x18):
         G = build_chain(chain_9x18)
         x = np.ones(18)
-        assert np.array_equal(synthesize_rx(x, G, np.zeros(9)), G.entries @ x)
+        assert np.array_equal(synthesize_rx(x, chain_9x18, np.zeros(9)), G.entries @ x)
+
+    def test_equals_dense_product(self, P3, P4):
+        # the dense G @ x is the reference: exact for integer symbols, and
+        # within a few ulp of the summed magnitudes otherwise, since the
+        # cascade sums in another order
+        rng = np.random.default_rng(8)
+        for chain in _chains(P3, P4):
+            G = build_chain(chain).entries
+            x = rng.integers(-3, 4, size=(3, chain.K)).astype(float)
+            y = synthesize_rx(x, chain, np.zeros((3, chain.M)))
+            assert y.tobytes() == (x @ G.T).tobytes()
+            x = QPSK.symbols[rng.integers(0, 4, size=(3, chain.K))] * rng.uniform(0.5, 2.0, chain.K)
+            y = synthesize_rx(x, chain, np.zeros((3, chain.M)))
+            assert np.all(np.abs(y - x @ G.T) <= 4 * np.finfo(float).eps * (abs(x) @ G.T))
 
     def test_coupled_cancellation(self, chain_9x18):
-        G = build_chain(chain_9x18)
         x = np.concatenate([np.ones(9), -np.ones(9)])
-        assert np.array_equal(synthesize_rx(x, G, np.zeros(9)), np.zeros(9))
+        assert np.array_equal(synthesize_rx(x, chain_9x18, np.zeros(9)), np.zeros(9))
 
     def test_deterministic_under_seed(self, chain_9x18):
-        G = build_chain(chain_9x18)
         x = np.ones((3, 18))
-        a = synthesize_rx(x, G, _mc_noise(7, 3, 0.5, False))
-        b = synthesize_rx(x, G, _mc_noise(7, 3, 0.5, False))
-        c = synthesize_rx(x, G, _mc_noise(8, 3, 0.5, False))
+        a = synthesize_rx(x, chain_9x18, _mc_noise(7, 3, 0.5, False))
+        b = synthesize_rx(x, chain_9x18, _mc_noise(7, 3, 0.5, False))
+        c = synthesize_rx(x, chain_9x18, _mc_noise(8, 3, 0.5, False))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_chunk_rows_are_single_trials(self, chain_9x18):
+    def test_chunk_rows_are_single_trials(self, chain_9x18, P3, P4):
         # a chunk's rows are, bit for bit, its trials synthesized one by one
-        G = build_chain(chain_9x18)
         rng = np.random.default_rng(4)
         x = QPSK.symbols[rng.integers(0, 4, size=(6, 18))] * np.linspace(0.6, 1.4, 18)
         noise = _mc_noise(2, 6, 0.7, True)
-        y = synthesize_rx(x, G, noise)
+        y = synthesize_rx(x, chain_9x18, noise)
         assert y.shape == (6, 9) and y.dtype == complex
         for row in range(6):
-            assert synthesize_rx(x[row], G, noise[row]).tobytes() == y[row].tobytes()
+            assert synthesize_rx(x[row], chain_9x18, noise[row]).tobytes() == y[row].tobytes()
+        for chain in _chains(P3, P4):
+            x = rng.standard_normal((5, chain.K))
+            noise = rng.standard_normal((5, chain.M))
+            y = synthesize_rx(x, chain, noise)
+            for row in range(5):
+                assert synthesize_rx(x[row], chain, noise[row]).tobytes() == y[row].tobytes()
 
     def test_noise_calibration_within_2_percent(self, chain_9x18):
         # empirical variance of y - Gx over 1e5 total samples
-        G = build_chain(chain_9x18)
-        samples = synthesize_rx(np.zeros((11112, 18)), G, _mc_noise(0, 11112, 2.0, False))
+        samples = synthesize_rx(np.zeros((11112, 18)), chain_9x18, _mc_noise(0, 11112, 2.0, False))
         assert samples.size >= 100_000
         assert abs(samples.var() / 2.0 - 1.0) < 0.02
 
     def test_complex_noise_split(self, chain_9x18):
-        G = build_chain(chain_9x18)
         x = np.zeros((4000, 18), dtype=complex)
-        samples = synthesize_rx(x, G, _mc_noise(1, 4000, 2.0, True))
+        samples = synthesize_rx(x, chain_9x18, _mc_noise(1, 4000, 2.0, True))
         assert np.iscomplexobj(samples)
         assert abs(samples.real.var() / 1.0 - 1.0) < 0.05  # half the power per part
         assert abs((np.abs(samples) ** 2).mean() / 2.0 - 1.0) < 0.05
 
     def test_validation(self, chain_9x18):
-        G = build_chain(chain_9x18)
         with pytest.raises(ValueError):
-            synthesize_rx(np.ones(5), G, np.zeros(9))
+            synthesize_rx(np.ones(5), chain_9x18, np.zeros(9))
         with pytest.raises(ValueError):
-            synthesize_rx(np.ones(18), G, np.zeros(8))
+            synthesize_rx(np.ones(18), chain_9x18, np.zeros(8))
         with pytest.raises(ValueError):
-            synthesize_rx(np.ones((2, 18)), G, np.zeros(9))
+            synthesize_rx(np.ones((2, 18)), chain_9x18, np.zeros(9))
+
+
+class TestUserGroups:
+    def test_equal_dense_groups(self, P3, P4):
+        # groups from the factors against pattern_groups of the dense G
+        for chain in _chains(P3, P4):
+            assert simkit._user_groups(chain) == pattern_groups(build_chain(chain))
+
+    def test_zero_column_is_one_group(self, P3):
+        chain = FactorChain(PatternMatrix(np.array(SEED_FACTORS[1])), P3, 1)
+        assert simkit._user_groups(chain) == ((0,), (1,), (2,), (3, 4, 5), (6,), (7,), (8,))
 
 
 class TestEstimateGain:
@@ -263,7 +307,6 @@ def _per_point_monte_carlo(
         return points
     streams = simkit._TrialStreams(seed)
     rx_dtype = np.result_type(con.symbols, cfg.power_offsets)
-    Gf = G.entries.astype(float)
     # an overflow anywhere in synthesis or detection would leave a meaningless
     # decision behind, so it stops the run instead of warning
     try:
@@ -290,8 +333,7 @@ def _per_point_monte_carlo(
                     S = cfg.power_offsets * X
                     Y = np.empty_like(N)
                     for row in range(len(index)):
-                        Y[row] = Gf @ S[row]
-                    Y += N
+                        Y[row] = synthesize_rx(S[row], cfg.chain, N[row])
 
                     decisions: dict[str, np.ndarray] = {}
                     amb: dict[str, np.ndarray] = {}
@@ -361,6 +403,32 @@ def mc_cfg(chain_3x6, design3):
 
 
 class TestRunMonteCarlo:
+    @pytest.mark.parametrize("sic", [False, True])
+    def test_dense_g_only_for_the_oracle(self, F12, P3, monkeypatch, sic):
+        # synthesis and the coupled groups come from the factors: without
+        # the oracle the dense G is never built
+        def refuse(chain):
+            raise AssertionError("build_chain called")
+
+        monkeypatch.setattr(simkit, "build_chain", refuse)
+        monkeypatch.setattr(pattern, "build_chain", refuse)
+        cfg = DetectionConfig(FactorChain(F12, P3, 3), find_combiners(P3), BPSK, sic=sic)
+        pts = run_monte_carlo(cfg, [1.0, 10.0], 20, seed=2)
+        assert [pt.trials for pt in pts] == [20, 20]
+
+    def test_deep_run_traced_peak(self, F12, P3):
+        # [1 1] (x) P3^7, 30 trials: 10.6 MiB traced (2 vCPUs), where the
+        # dense G and its float copy took 154 MiB
+        cfg = DetectionConfig(FactorChain(F12, P3, 7), find_combiners(P3), BPSK)
+        tracemalloc.start()
+        try:
+            pts = run_monte_carlo(cfg, [1.0], 30, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts[0].trials == 30
+        assert peak <= 16 * 2**20
+
     def test_high_snr_coupled_ser_is_zero(self, mc_cfg):
         pts = run_monte_carlo(mc_cfg, [1e6], 2000, seed=0)
         assert pts[0].coupled_ser == 0.0
@@ -459,7 +527,6 @@ class TestRunMonteCarlo:
         # stream through synthesize_rx, bit for bit
         offs = np.linspace(0.6, 1.4, 18)
         cfg = DetectionConfig(chain_9x18, design3, con, power_offsets=offs)
-        G = build_chain(chain_9x18)
         snrs = [0.5, 4.0]
         pts = run_monte_carlo(cfg, snrs, 12, 20261019, keep_records=True)
         for pt in pts:
@@ -468,7 +535,7 @@ class TestRunMonteCarlo:
                 rng = trial_rng(20261019, rec.index)
                 x = con.symbols[rng.integers(0, con.size, size=18)]
                 assert x.tobytes() == rec.transmitted.tobytes()
-                y = synthesize_rx(offs * x, G, simkit._noise(rng, 9, variance, con.is_complex))
+                y = synthesize_rx(offs * x, chain_9x18, simkit._noise(rng, 9, variance, con.is_complex))
                 assert y.dtype == rec.received.dtype
                 assert y.tobytes() == rec.received.tobytes()
 
@@ -639,9 +706,9 @@ class TestChunkedPass:
         calls = []
         real = simkit.synthesize_rx
 
-        def spy(x, G, noise):
+        def spy(x, chain, noise):
             calls.append(len(x))
-            return real(x, G, noise)
+            return real(x, chain, noise)
 
         monkeypatch.setattr(simkit, "synthesize_rx", spy)
         monkeypatch.setattr(simkit, "_CHUNK_VALUES", values)
