@@ -28,7 +28,7 @@ import json
 import math
 import numbers
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -301,14 +301,6 @@ def find_combiners(P: PatternMatrix) -> CombinerDesign:
     if not feasible.all():
         raise CombinerInfeasible(P, np.flatnonzero(~feasible[0]).tolist())
     return _design(P, best[0], resp[best[0], np.arange(m)].tolist())
-
-
-def enumerate_square_candidates(m_p: int) -> Iterator[PatternMatrix]:
-    """All m_p x m_p binary matrices with distinct nonzero columns, in
-    canonical order (ascending column binary values, row 0 = LSB)."""
-    _check_cap(m_p)
-    for cols in itertools.combinations(range(1, 2**m_p), m_p):
-        yield _matrix_from_column_values(m_p, cols)
 
 
 def _check_cap(m_p: int) -> None:

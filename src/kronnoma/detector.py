@@ -388,7 +388,10 @@ def _sweep(F: PatternMatrix, constellation: Constellation, offsets, sets, positi
     hyp = _hypothesis_indices(q, k_f)
     X = constellation.symbols[hyp]  # (H, k_f)
     Ft = F.entries.T.astype(float)
-    unit = np.array([(X * offs) @ Ft for offs in offsets]).reshape(len(offsets), n_hyp, F.rows)
+    # one table per distinct offsets row: with unit offsets every set shares one
+    distinct, inverse = np.unique(offsets, axis=0, return_inverse=True)
+    tables = np.array([(X * offs) @ Ft for offs in distinct]).reshape(len(distinct), n_hyp, F.rows)
+    unit = tables[inverse.reshape(-1)]
     weights = np.array([s.weight for s in sets], dtype=float)
     wunit = np.abs(weights)[:, None, None] * unit
     n_add = n_hyp * (int(F.entries.sum()) + F.rows - 1)

@@ -4,11 +4,17 @@ Randomness policy: everything is driven by a counter-based generator
 (numpy Philox) keyed with an explicit 64-bit seed.  Monte Carlo trials draw
 from per-trial streams, the stream of Philox.jumped(trial_index), so results
 are bit-reproducible and independent of batching or parallel scheduling.
-A run keeps one generator and moves it to each trial's stream before that
-trial's draws; the received values of a chunk are then formed by one
-synthesize_rx call, the one implementation of the channel y = G x + n, and
-detected together.  Chunks follow the trial indices across SNR points, so
-a short grid is detected in one chunk.
+A run keeps one generator and moves it to each trial's stream once: a
+trial's symbols are its first ceil(K/2) raw Philox words, decoded for the
+whole chunk at once by numpy's bounded-integer rule (a trial holding a
+value the rule rejects is drawn again through integers), and its noise is
+the standard normals that follow.  So every trial draws what integers and
+standard_normal on its stream draw, and the stream contract is unchanged;
+a numpy release that changed the rule would fail the tests' equality
+check, not change outputs silently.  The received values of a chunk are
+then formed by one synthesize_rx call, the one implementation of the
+channel y = G x + n, and detected together.  Chunks follow the trial
+indices across SNR points, so a short grid is detected in one chunk.
 This module is a one-way client of the receiver: it imports detector (the
 constellations, the kernel and the cascade that synthesis runs too), and
 detector never imports it.  A run builds the dense G only for the oracle.
@@ -55,8 +61,10 @@ class _TrialStreams:
 
     def seek(self, index: int) -> np.random.Generator:
         index = operator.index(index)
-        if not 0 <= index < 1 << 128:
-            raise ValueError("trial index must be nonnegative and below 2^128")
+        _check_indices(range(index, index + 1))
+        return self._move(index)
+
+    def _move(self, index: int) -> np.random.Generator:
         self._bitgen.state = {
             "bit_generator": "Philox",
             "state": {"counter": (0, 0, index & _WORD, index >> 64), "key": self._key},
@@ -67,20 +75,57 @@ class _TrialStreams:
         }
         return self._gen
 
+    def draw(self, index: range, K: int, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The draws of trials `index` from their own streams: each trial's
+        K symbol indices, as gen.integers(0, q, size=K) for 2 <= q <= 2^32,
+        then its n standard normals, as gen.standard_normal(n); returned as
+        (T, K) and (T, n).
+
+        integers spends one 32-bit half of a raw word per value, so each
+        stream is visited once, for its first ceil(K/2) raw words and then
+        its normals, and _bounded decodes the chunk's words at once.  A
+        trial holding a value the rule rejects is drawn again through
+        integers."""
+        _check_indices(index)
+        bitgen, gen = self._bitgen, self._gen
+        n_words = (K + 1) // 2
+        words = np.empty((len(index), n_words), dtype=np.uint64)
+        Z = np.empty((len(index), n))
+        for row, i in enumerate(index):
+            self._move(i)
+            words[row] = bitgen.random_raw(n_words)
+            gen.standard_normal(out=Z[row])
+        drawn, rejected = _bounded(words, K, q)
+        for row in np.flatnonzero(rejected):
+            gen = self._move(index[row])
+            drawn[row] = gen.integers(0, q, size=K)
+            gen.standard_normal(out=Z[row])
+        return drawn, Z
+
+
+def _bounded(words: np.ndarray, K: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded integers in [0, q) from raw words (T, ceil(K/2)), by
+    Lemire's rule: the first K 32-bit halves u of a row, low half first,
+    give (u * q) >> 32 (no product overflows for q <= 2^32).  Also returns,
+    per row, whether the rule rejects one of its u, which it does when
+    (u * q) mod 2^32 < (2^32 - q) mod q, never for a power-of-two q;
+    integers would replace such a u by a further draw."""
+    # as little-endian words, the 32-bit halves come low half first on any host
+    m = words.astype("<u8", copy=False).view("<u4")[:, :K] * np.uint64(q)
+    rejected = ((m & 0xFFFFFFFF) < ((1 << 32) - q) % q).any(axis=1)
+    m >>= 32
+    return m.view(np.int64), rejected
+
+
+def _check_indices(index: range) -> None:
+    if not 0 <= index.start <= index.stop <= 1 << 128:
+        raise ValueError("trial index must be nonnegative and below 2^128")
+
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent per-trial stream: Philox keyed by `seed`, jumped by index
     (0 <= index < 2^128)."""
     return _TrialStreams(seed).seek(index)
-
-
-def _noise(rng: np.random.Generator, n: int, variance: float, complex_valued: bool):
-    if variance == 0.0:
-        return np.zeros(n, dtype=complex if complex_valued else float)
-    if complex_valued:
-        scale = math.sqrt(variance / 2.0)
-        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return math.sqrt(variance) * rng.standard_normal(n)
 
 
 def synthesize_rx(x, chain: FactorChain, noise):
@@ -238,15 +283,20 @@ def run_monte_carlo(
     DEFAULT_ORACLE_CAP the run proceeds with agreement marked unavailable.
 
     Point si owns trials si*trials ... (si+1)*trials - 1, each drawn from its
-    own stream with its point's noise variance.  The run walks these indices
-    in one pass, in chunks of _CHUNK_VALUES // M trials that may span
-    points, so the detector and the oracle run once per chunk, not once per
-    point; each point's tallies and records come from its rows of the
-    chunks.  Detection is row by row, so results do not depend on the
-    chunking.  A noise variance, received value or detection metric beyond
-    the float range raises ValueError naming the first point, in grid
-    order, that fails: a chunk that overflows is run again one point at a
-    time to find it."""
+    own stream with its point's noise variance: the symbols of
+    integers(0, q, size=K), then the noise's standard normals (the real
+    parts, then the imaginary parts).  Each trial takes its first
+    ceil(K/2) raw Philox words and then its normals in one visit; the
+    chunk's words are decoded at once by numpy's bounded-integer rule and
+    its normals scaled per point, bit for bit what the per-trial calls give.
+    The run walks the trial indices in one pass, in chunks of
+    _CHUNK_VALUES // M trials that may span points, so the detector and the
+    oracle run once per chunk, not once per point; each point's tallies and
+    records come from its rows of the chunks.  Detection is row by row, so
+    results do not depend on the chunking.  A noise variance, received value
+    or detection metric beyond the float range raises ValueError naming the
+    first point, in grid order, that fails: a chunk that overflows is run
+    again one point at a time to find it."""
     if detector not in ("recursive", "oracle"):
         raise ValueError("detector must be 'recursive' or 'oracle'")
     if trials < 0:
@@ -283,16 +333,27 @@ def run_monte_carlo(
     complex_valued = con.is_complex
     check_agreement = with_oracle and oracle_feasible and detector != "oracle"
 
+    def point_rows(index: range):
+        """(si, lo, hi) for each point si with trials in `index`: its rows
+        lo ... hi - 1 of the chunk."""
+        for si in range(index.start // trials, (index.stop - 1) // trials + 1):
+            lo, hi = max(index.start, si * trials), min(index.stop, (si + 1) * trials)
+            yield si, lo - index.start, hi - index.start
+
     def run_chunk(index: range):
         """Draw, synthesize and detect the trials of `index`, whose rows may
         belong to several points; per trial, tally its symbol errors, coupled
         errors, ambiguity and agreement with the oracle."""
-        drawn = np.empty((len(index), chain.K), dtype=np.int64)
-        N = np.empty((len(index), chain.M), dtype=rx_dtype)
-        for row, i in enumerate(index):
-            gen = streams.seek(i)
-            drawn[row] = gen.integers(0, q, size=chain.K)
-            N[row] = _noise(gen, chain.M, variances[i // trials], complex_valued)
+        drawn, Z = streams.draw(index, chain.K, q, 2 * chain.M if complex_valued else chain.M)
+        N = np.zeros((len(index), chain.M), dtype=rx_dtype)
+        for si, lo, hi in point_rows(index):
+            v = variances[si]
+            if v == 0.0:  # zeros, where sqrt(0) * z would give -0 for z < 0
+                continue
+            if complex_valued:  # the real parts, then the imaginary parts
+                N[lo:hi] = math.sqrt(v / 2.0) * (Z[lo:hi, : chain.M] + 1j * Z[lo:hi, chain.M :])
+            else:
+                N[lo:hi] = math.sqrt(v) * Z[lo:hi]
         X = con.symbols[drawn]
         Y = synthesize_rx(cfg.power_offsets * X, chain, N)
 
@@ -324,7 +385,7 @@ def run_monte_carlo(
         """The error a run of one point at a time reports: the first point
         of `index` whose own trials fail, in the chunks such a run takes."""
         failed, reason = index.start // trials, exc
-        for si in range(index.start // trials, (index.stop - 1) // trials + 1):
+        for si, _, _ in point_rows(index):
             try:
                 for lo in range(si * trials, (si + 1) * trials, chunk):
                     run_chunk(range(lo, min(lo + chunk, (si + 1) * trials)))
@@ -347,10 +408,7 @@ def run_monte_carlo(
                 X, Y, decisions, amb, measured, tally = run_chunk(index)
             except FloatingPointError as exc:
                 raise first_failure(index, exc) from None
-            for si in range(start // trials, (index.stop - 1) // trials + 1):
-                # the point's rows of the chunk
-                lo = max(start, si * trials) - start
-                hi = min(index.stop, (si + 1) * trials) - start
+            for si, lo, hi in point_rows(index):
                 totals[si] += tally[lo:hi].sum(axis=0)
                 if keep_records:
                     records[si].extend(

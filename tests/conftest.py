@@ -2,10 +2,13 @@
 coefficients the solver must reproduce for them, and the factor chains
 used across the suite."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from kronnoma import FactorChain, PatternMatrix, find_combiners
+from kronnoma import FactorChain, PatternMatrix, combiner, find_combiners
 
 # optimal 3x3 square factor (canonical column order: values 3, 5, 6)
 P3_ROWS = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
@@ -54,3 +57,25 @@ def chain_9x18(F12, P3) -> FactorChain:
 def chain_3x6(F12, P3) -> FactorChain:
     """One-recursion variant: G is 3x6, small enough for exhaustive checks."""
     return FactorChain(F12, P3, 1)
+
+
+def enumerate_square_candidates(m_p: int):
+    """All m_p x m_p binary matrices with distinct nonzero columns, in
+    canonical order (ascending column binary values, row 0 = LSB); refused
+    above the search's enumeration cap, as run_algorithm1 refuses."""
+    combiner._check_cap(m_p)
+    for cols in itertools.combinations(range(1, 2**m_p), m_p):
+        yield combiner._matrix_from_column_values(m_p, cols)
+
+
+def reference_noise(rng: np.random.Generator, n: int, variance: float, complex_valued: bool):
+    """n noise values of the given variance drawn from rng, one
+    standard_normal call per part: the reference the chunk draw of
+    run_monte_carlo must match bit for bit.  Complex noise takes the real
+    parts, then the imaginary parts, at variance / 2 each."""
+    if variance == 0.0:
+        return np.zeros(n, dtype=complex if complex_valued else float)
+    if complex_valued:
+        scale = math.sqrt(variance / 2.0)
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return math.sqrt(variance) * rng.standard_normal(n)

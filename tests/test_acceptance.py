@@ -33,8 +33,8 @@ from kronnoma import (
     synthesize_rx,
     trial_rng,
 )
-from kronnoma import simkit
 from kronnoma.cli import main
+from conftest import reference_noise
 
 THIRD = Fraction(4, 3)
 
@@ -95,7 +95,7 @@ def test_criterion_04_recursion_algebra_exact(chain_9x18, design3):
 
 def test_criterion_05_operation_counters(chain_9x18, design3):
     cfg = DetectionConfig(chain_9x18, design3, BPSK)
-    noise = simkit._noise(trial_rng(11, 0), 9, 0.5, complex_valued=False)
+    noise = reference_noise(trial_rng(11, 0), 9, 0.5, complex_valued=False)
     y = synthesize_rx(np.ones(18), chain_9x18, noise)
     res = recursive_detect(y, cfg)
     combining_adds = res.trace.recursions[-1].adds_so_far

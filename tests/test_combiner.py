@@ -28,8 +28,8 @@ from kronnoma import (
     sum_rate_recursive,
 )
 from kronnoma import combiner, rate
-from kronnoma.combiner import DEFAULT_REFERENCE_SNR, coefficient_vectors, enumerate_square_candidates
-from conftest import ALPHA3_ROWS, ALPHA4_ROWS
+from kronnoma.combiner import DEFAULT_REFERENCE_SNR, coefficient_vectors
+from conftest import ALPHA3_ROWS, ALPHA4_ROWS, enumerate_square_candidates
 
 THIRD = Fraction(4, 3)
 _DESIGN = combiner._design

@@ -36,7 +36,7 @@ from kronnoma import (
     synthesize_rx,
 )
 from kronnoma import detector as det
-from kronnoma.combiner import enumerate_square_candidates
+from conftest import enumerate_square_candidates
 
 
 def path_users(chain: FactorChain, path: tuple[int, ...]) -> tuple[int, ...]:

@@ -30,6 +30,7 @@ from kronnoma import (
 from kronnoma import detector as det
 from kronnoma import pattern, simkit
 from kronnoma.simkit import wilson_interval
+from conftest import reference_noise
 
 
 class TestConstellation:
@@ -98,12 +99,95 @@ class TestTrialRng:
             assert got.bit_generator.state["has_uint32"] == K % 2
 
 
+def _reference_draws(seed: int, index: range, K: int, q: int, M: int, complex_valued: bool):
+    """Each trial's symbol indices and standard normals as run_monte_carlo
+    drew them one trial at a time: integers(0, q, size=K), then
+    standard_normal(M), twice for complex noise."""
+    drawn, normals = [], []
+    for i in index:
+        gen = trial_rng(seed, i)
+        drawn.append(gen.integers(0, q, size=K))
+        normals.append(np.concatenate([gen.standard_normal(M) for _ in range(1 + complex_valued)]))
+    return np.array(drawn).reshape(len(index), K), np.array(normals).reshape(len(index), -1)
+
+
+# trial indices at the start of the counter, across the 64-bit word
+# boundary and at the top of the index range
+CHUNK_INDICES = [range(0, 6), range(2**64 - 2, 2**64 + 2), range(2**128 - 3, 2**128)]
+
+
+class TestChunkDraw:
+    """_TrialStreams.draw decodes a chunk's symbols from raw Philox words;
+    it must equal the per-trial integers and standard_normal calls bit for
+    bit, so a numpy release that changed its bounded-integer rule fails here
+    instead of changing outputs."""
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("K", [1, 3, 54, 55])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 16, 255])
+    def test_equals_per_trial_reference(self, q, K, complex_valued):
+        streams = simkit._TrialStreams(20261020)
+        n = 2 * 27 if complex_valued else 27
+        for index in CHUNK_INDICES:
+            drawn, Z = streams.draw(index, K, q, n)
+            ref_drawn, ref_Z = _reference_draws(20261020, index, K, q, 27, complex_valued)
+            assert drawn.dtype == ref_drawn.dtype and np.array_equal(drawn, ref_drawn)
+            assert Z.tobytes() == ref_Z.tobytes()
+
+    @pytest.mark.parametrize("q", [3 * 2**30, 2**31 + 1], ids=["quarter", "half"])
+    def test_rejected_values_are_drawn_again(self, q):
+        # these q reject about 1/4 and 1/2 of all 32-bit values, so most
+        # trials go through the fallback and redraw their symbols
+        streams = simkit._TrialStreams(7)
+        words = np.array([streams.seek(i).bit_generator.random_raw(27) for i in range(8)])
+        assert simkit._bounded(words, 54, q)[1].sum() >= 4
+        drawn, Z = streams.draw(range(8), 54, q, 9)
+        ref_drawn, ref_Z = _reference_draws(7, range(8), 54, q, 9, False)
+        assert np.array_equal(drawn, ref_drawn)
+        assert Z.tobytes() == ref_Z.tobytes()
+
+    @pytest.mark.parametrize("q", [2, 5])
+    def test_forced_fallback_equals_integers(self, q, monkeypatch):
+        real = simkit._bounded
+
+        def flag_row_one(words, K, q):
+            drawn, rejected = real(words, K, q)
+            drawn[1], rejected[1] = -1, True
+            return drawn, rejected
+
+        monkeypatch.setattr(simkit, "_bounded", flag_row_one)
+        drawn, Z = simkit._TrialStreams(3).draw(range(10, 14), 55, q, 2 * 9)
+        ref_drawn, ref_Z = _reference_draws(3, range(10, 14), 55, q, 9, True)
+        assert np.array_equal(drawn, ref_drawn)
+        assert Z.tobytes() == ref_Z.tobytes()
+
+    def test_index_bound_checked(self):
+        streams = simkit._TrialStreams(5)
+        assert streams.draw(range(2**128 - 1, 2**128), 4, 2, 3)[0].shape == (1, 4)
+        for index in (range(2**128 - 2, 2**128 + 1), range(-1, 3)):
+            with pytest.raises(ValueError, match="below 2\\^128"):
+                streams.draw(index, 4, 2, 3)
+
+    @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    def test_one_move_per_trial(self, chain_9x18, design3, monkeypatch, con):
+        moved = []
+        real = simkit._TrialStreams._move
+
+        def counting(self, index):
+            moved.append(index)
+            return real(self, index)
+
+        monkeypatch.setattr(simkit._TrialStreams, "_move", counting)
+        run_monte_carlo(DetectionConfig(chain_9x18, design3, con), [1.0, 10.0], 30, seed=4)
+        assert moved == list(range(60))
+
+
 def _mc_noise(seed: int, trials: int, variance: float, complex_valued: bool) -> np.ndarray:
     """The noise run_monte_carlo draws for trials 0 ... trials - 1 of one
     point, each from its own stream (here with no symbols drawn first)."""
     streams = simkit._TrialStreams(seed)
     return np.array(
-        [simkit._noise(streams.seek(i), 9, variance, complex_valued) for i in range(trials)]
+        [reference_noise(streams.seek(i), 9, variance, complex_valued) for i in range(trials)]
     )
 
 
@@ -328,7 +412,7 @@ def _per_point_monte_carlo(
                     for row, i in enumerate(index):
                         gen = streams.seek(i)
                         drawn[row] = gen.integers(0, q, size=G.cols)
-                        N[row] = simkit._noise(gen, G.rows, noise_variance, con.is_complex)
+                        N[row] = reference_noise(gen, G.rows, noise_variance, con.is_complex)
                     X = con.symbols[drawn]
                     S = cfg.power_offsets * X
                     Y = np.empty_like(N)
@@ -524,10 +608,11 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
     def test_records_match_synthesize_rx(self, chain_9x18, design3, con):
         # non-integer received values: each record is the trial's own
-        # stream through synthesize_rx, bit for bit
+        # stream through synthesize_rx, bit for bit; the one chunk spans all
+        # three points, the middle one noiseless (variance 0)
         offs = np.linspace(0.6, 1.4, 18)
         cfg = DetectionConfig(chain_9x18, design3, con, power_offsets=offs)
-        snrs = [0.5, 4.0]
+        snrs = [0.5, math.inf, 4.0]
         pts = run_monte_carlo(cfg, snrs, 12, 20261019, keep_records=True)
         for pt in pts:
             variance = con.average_power / pt.snr
@@ -535,7 +620,7 @@ class TestRunMonteCarlo:
                 rng = trial_rng(20261019, rec.index)
                 x = con.symbols[rng.integers(0, con.size, size=18)]
                 assert x.tobytes() == rec.transmitted.tobytes()
-                y = synthesize_rx(offs * x, chain_9x18, simkit._noise(rng, 9, variance, con.is_complex))
+                y = synthesize_rx(offs * x, chain_9x18, reference_noise(rng, 9, variance, con.is_complex))
                 assert y.dtype == rec.received.dtype
                 assert y.tobytes() == rec.received.tobytes()
 
