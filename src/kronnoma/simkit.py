@@ -75,11 +75,11 @@ class _TrialStreams:
         }
         return self._gen
 
-    def draw(self, index: range, K: int, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, index: range, K: int, q: int, normals: np.ndarray) -> np.ndarray:
         """The draws of trials `index` from their own streams: each trial's
         K symbol indices, as gen.integers(0, q, size=K) for 2 <= q <= 2^32,
-        then its n standard normals, as gen.standard_normal(n); returned as
-        (T, K) and (T, n).
+        returned as (T, K), then its standard normals, as
+        gen.standard_normal(out=row), written to the rows of `normals`.
 
         integers spends one 32-bit half of a raw word per value, so each
         stream is visited once, for its first ceil(K/2) raw words and then
@@ -90,17 +90,16 @@ class _TrialStreams:
         bitgen, gen = self._bitgen, self._gen
         n_words = (K + 1) // 2
         words = np.empty((len(index), n_words), dtype=np.uint64)
-        Z = np.empty((len(index), n))
         for row, i in enumerate(index):
             self._move(i)
             words[row] = bitgen.random_raw(n_words)
-            gen.standard_normal(out=Z[row])
+            gen.standard_normal(out=normals[row])
         drawn, rejected = _bounded(words, K, q)
         for row in np.flatnonzero(rejected):
             gen = self._move(index[row])
             drawn[row] = gen.integers(0, q, size=K)
-            gen.standard_normal(out=Z[row])
-        return drawn, Z
+            gen.standard_normal(out=normals[row])
+        return drawn
 
 
 def _bounded(words: np.ndarray, K: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,9 +109,12 @@ def _bounded(words: np.ndarray, K: int, q: int) -> tuple[np.ndarray, np.ndarray]
     per row, whether the rule rejects one of its u, which it does when
     (u * q) mod 2^32 < (2^32 - q) mod q, never for a power-of-two q;
     integers would replace such a u by a further draw."""
-    # as little-endian words, the 32-bit halves come low half first on any host
-    m = words.astype("<u8", copy=False).view("<u4")[:, :K] * np.uint64(q)
-    rejected = ((m & 0xFFFFFFFF) < ((1 << 32) - q) % q).any(axis=1)
+    # as little-endian words, the 32-bit halves come low half first on any
+    # host; widened before the product, which uint32 operands would wrap
+    m = words.astype("<u8", copy=False).view("<u4")[:, :K].astype(np.uint64)
+    m *= np.uint64(q)
+    threshold = ((1 << 32) - q) % q
+    rejected = ((m & 0xFFFFFFFF) < threshold).any(axis=1) if threshold else np.zeros(len(m), bool)
     m >>= 32
     return m.view(np.int64), rejected
 
@@ -344,16 +346,20 @@ def run_monte_carlo(
         """Draw, synthesize and detect the trials of `index`, whose rows may
         belong to several points; per trial, tally its symbol errors, coupled
         errors, ambiguity and agreement with the oracle."""
-        drawn, Z = streams.draw(index, chain.K, q, 2 * chain.M if complex_valued else chain.M)
-        N = np.zeros((len(index), chain.M), dtype=rx_dtype)
+        if complex_valued:  # the real parts, then the imaginary parts, side by side
+            Z = np.empty((len(index), 2 * chain.M))
+            N = np.zeros((len(index), chain.M), dtype=rx_dtype)
+        else:  # drawn into N and scaled in place
+            Z = N = np.empty((len(index), chain.M))
+        drawn = streams.draw(index, chain.K, q, Z)
         for si, lo, hi in point_rows(index):
             v = variances[si]
             if v == 0.0:  # zeros, where sqrt(0) * z would give -0 for z < 0
-                continue
-            if complex_valued:  # the real parts, then the imaginary parts
+                N[lo:hi] = 0.0
+            elif complex_valued:
                 N[lo:hi] = math.sqrt(v / 2.0) * (Z[lo:hi, : chain.M] + 1j * Z[lo:hi, chain.M :])
             else:
-                N[lo:hi] = math.sqrt(v) * Z[lo:hi]
+                N[lo:hi] *= math.sqrt(v)
         X = con.symbols[drawn]
         Y = synthesize_rx(cfg.power_offsets * X, chain, N)
 

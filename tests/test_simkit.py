@@ -116,6 +116,12 @@ def _reference_draws(seed: int, index: range, K: int, q: int, M: int, complex_va
 CHUNK_INDICES = [range(0, 6), range(2**64 - 2, 2**64 + 2), range(2**128 - 3, 2**128)]
 
 
+def _chunk_draw(streams, index: range, K: int, q: int, n: int):
+    """_TrialStreams.draw with a fresh (T, n) array for the normals."""
+    normals = np.empty((len(index), n))
+    return streams.draw(index, K, q, normals), normals
+
+
 class TestChunkDraw:
     """_TrialStreams.draw decodes a chunk's symbols from raw Philox words;
     it must equal the per-trial integers and standard_normal calls bit for
@@ -129,7 +135,7 @@ class TestChunkDraw:
         streams = simkit._TrialStreams(20261020)
         n = 2 * 27 if complex_valued else 27
         for index in CHUNK_INDICES:
-            drawn, Z = streams.draw(index, K, q, n)
+            drawn, Z = _chunk_draw(streams, index, K, q, n)
             ref_drawn, ref_Z = _reference_draws(20261020, index, K, q, 27, complex_valued)
             assert drawn.dtype == ref_drawn.dtype and np.array_equal(drawn, ref_drawn)
             assert Z.tobytes() == ref_Z.tobytes()
@@ -141,10 +147,19 @@ class TestChunkDraw:
         streams = simkit._TrialStreams(7)
         words = np.array([streams.seek(i).bit_generator.random_raw(27) for i in range(8)])
         assert simkit._bounded(words, 54, q)[1].sum() >= 4
-        drawn, Z = streams.draw(range(8), 54, q, 9)
+        drawn, Z = _chunk_draw(streams, range(8), 54, q, 9)
         ref_drawn, ref_Z = _reference_draws(7, range(8), 54, q, 9, False)
         assert np.array_equal(drawn, ref_drawn)
         assert Z.tobytes() == ref_Z.tobytes()
+
+    @pytest.mark.parametrize("q", [2, 3, 2**31 + 1, 2**32 - 1, 2**32])
+    def test_largest_products(self, q):
+        # every half at 2^32 - 1 gives the top index, from a product near
+        # 2^64 that must not wrap; its low half, 2^32 - q mod 2^32, is
+        # never below the threshold (2^32 - q) mod q
+        drawn, rejected = simkit._bounded(np.full((2, 3), 2**64 - 1, dtype=np.uint64), 5, q)
+        assert drawn.dtype == np.int64 and drawn.tolist() == [[q - 1] * 5] * 2
+        assert not rejected.any()
 
     @pytest.mark.parametrize("q", [2, 5])
     def test_forced_fallback_equals_integers(self, q, monkeypatch):
@@ -156,17 +171,17 @@ class TestChunkDraw:
             return drawn, rejected
 
         monkeypatch.setattr(simkit, "_bounded", flag_row_one)
-        drawn, Z = simkit._TrialStreams(3).draw(range(10, 14), 55, q, 2 * 9)
+        drawn, Z = _chunk_draw(simkit._TrialStreams(3), range(10, 14), 55, q, 2 * 9)
         ref_drawn, ref_Z = _reference_draws(3, range(10, 14), 55, q, 9, True)
         assert np.array_equal(drawn, ref_drawn)
         assert Z.tobytes() == ref_Z.tobytes()
 
     def test_index_bound_checked(self):
         streams = simkit._TrialStreams(5)
-        assert streams.draw(range(2**128 - 1, 2**128), 4, 2, 3)[0].shape == (1, 4)
+        assert _chunk_draw(streams, range(2**128 - 1, 2**128), 4, 2, 3)[0].shape == (1, 4)
         for index in (range(2**128 - 2, 2**128 + 1), range(-1, 3)):
             with pytest.raises(ValueError, match="below 2\\^128"):
-                streams.draw(index, 4, 2, 3)
+                _chunk_draw(streams, index, 4, 2, 3)
 
     @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
     def test_one_move_per_trial(self, chain_9x18, design3, monkeypatch, con):
