@@ -50,7 +50,8 @@ DEFAULT_REFERENCE_SNR = 10.0  # linear; equals 10 dB
 # (vector, column) responses per block of the search: 3^m_p * m_p per
 # candidate, so about 100 candidates at m_p = 4; larger searches are solved
 # a block at a time, so memory stays bounded.  It bounds the blocks of the
-# canonical test the same way: m_p! * k image values per k-set
+# canonical test the same way (m_p! * k image values per k-set), and those of
+# the record encoder (2 m_p (m_p + 1) value slots per record)
 _BLOCK_VALUES = 1 << 15
 
 
@@ -216,10 +217,10 @@ def _record_template(m_p: int) -> tuple[str, ...]:
     return tuple(text[2:-2].split(json.dumps(_SLOT)))
 
 
-def _records_json(P, alpha, weights, gains) -> str:
-    """The JSON text of a list of designs, byte for byte what
-    `json.dumps(indent=2) + "\n"` writes for the list of their
-    `to_json_dict()`s.
+def _records_json(P, alpha, weights, gains) -> list[str]:
+    """The JSON text of each of a block of designs as an item of a list,
+    byte for byte what `json.dumps(indent=2)` writes for their
+    `to_json_dict()`s between the list's brackets and commas.
 
     P and alpha are (N, m_p, m_p), weights (N, m_p), and gains (N, m_p) the
     gains as integers over lcm(1..m_p).  The block is checked first (C1-C3,
@@ -233,7 +234,7 @@ def _records_json(P, alpha, weights, gains) -> str:
     if not np.array_equal(gains * (alpha * alpha).sum(axis=2), weights * weights * lcm):
         raise CombiningContractError("gains do not match w^2 / ||alpha||^2")
     if n == 0:
-        return "[]\n"
+        return []
     distinct, gain_codes = np.unique(gains, return_inverse=True)
     texts = [str(v) for v in range(-m, m + 1)]
     texts += [json.dumps(str(Fraction(int(g), lcm))) for g in distinct]
@@ -241,13 +242,39 @@ def _records_json(P, alpha, weights, gains) -> str:
         [P.reshape(n, -1) + m, alpha.reshape(n, -1) + m, weights + m,
          gain_codes.reshape(n, m) + len(texts) - len(distinct)], axis=1)
     # pieces[k, c]: the template text before slot k, then the text of code c
+    # (and after the last slot, the rest of the record)
     template = _record_template(m)
     pieces = np.array([[head + t for t in texts] for head in template[:-1]], dtype=object)
-    body = np.empty((n, codes.shape[1] + 1), dtype=object)
-    body[:, :-1] = pieces[np.arange(codes.shape[1]), codes]
-    body[:, -1] = template[-1] + ",\n"
-    body[-1, -1] = template[-1] + "\n]\n"
-    return "[\n" + "".join(body.ravel().tolist())
+    pieces[-1] += template[-1]
+    k = codes.shape[1]
+    flat = pieces[np.arange(k), codes].ravel().tolist()
+    return ["".join(flat[i:i + k]) for i in range(0, len(flat), k)]
+
+
+def _record_texts(m_p: int, cols, best, weights, gains) -> list[str]:
+    """The record text of each design given as rows of column values,
+    isolating-vector indices, weights and gains over lcm(1..m_p), encoded
+    and checked by `_records_json` a block of at most `_BLOCK_VALUES` slots
+    at a time."""
+    vecs, _ = coefficient_vectors(m_p)
+    per_block = max(1, _BLOCK_VALUES // (2 * m_p * (m_p + 1)))
+    texts = []
+    for i in range(0, len(cols), per_block):
+        c, b, w, g = (np.asarray(a[i:i + per_block], dtype=np.int64)
+                      for a in (cols, best, weights, gains))
+        P = (c[:, None, :] >> np.arange(m_p)[:, None]) & 1
+        texts += _records_json(P, vecs[b], w, g)
+    return texts
+
+
+def _json_list(texts: list[str]) -> str:
+    """The list of the records with these texts, as `json.dumps(indent=2) +
+    "\n"` writes it.  Takes over `texts`."""
+    if not texts:
+        return "[]\n"
+    texts[0] = "[\n" + texts[0]
+    texts[-1] += "\n]\n"
+    return ",\n".join(texts)
 
 
 _COEFF_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -401,6 +428,85 @@ class ScoredDesign:
     score: float
 
 
+class _Catalog:
+    """What Algorithm 1 finds for one size that no scoring SNR changes.
+
+    The orbit representatives are solved, and the feasible ones expanded
+    into their members, once.  Member i (in canonical order: column values
+    ascending) has column values `cols[i]` (ascending), the index into
+    `coefficient_vectors(m_p)` of each column's isolating vector `best[i]`,
+    `weights[i]`, `gains[i]` as integers over `lcm` = lcm(1..m_p), and its
+    feasible orbit `orbit[i]`.  The first four are int16, which keeps the
+    catalog small: up to the hard cap no value reaches 2^15 (3^8 vectors,
+    gains at most 8 * 840).  `multisets` holds the distinct gain multisets,
+    each sorted descending, and `multiset[k]` is orbit k's index into them.
+    Each member's record text is encoded the first time a ranking writes
+    it, and kept.
+    """
+
+    def __init__(self, m_p: int):
+        vecs, norms = coefficient_vectors(m_p)
+        # the response of every vector to every nonzero column value, shared
+        # by all candidates: (3^m, 2^m - 1), value c at index c - 1.  int32
+        # halves the memory traffic; no response exceeds m in magnitude
+        bits = _matrix_from_column_values(m_p, range(1, 2**m_p)).entries
+        table = (vecs @ bits).astype(np.int32)
+        reps = _orbit_representatives(m_p)
+        per_block = max(1, _BLOCK_VALUES // (len(vecs) * m_p))
+        solved = [_isolating_vectors(table[:, reps[i:i + per_block] - 1])
+                  for i in range(0, len(reps), per_block)]
+        feasible = np.concatenate([f for f, _ in solved]).all(axis=1)
+        reps, best = reps[feasible], np.concatenate([b for _, b in solved])[feasible]
+        # every nonzero norm divides lcm(1..m), so w^2 * lcm / ||alpha||^2 is
+        # the gain as an exact integer over lcm (at most m * lcm); sorted
+        # descending, a row keys the gain multiset, on which alone the rate
+        # depends
+        self.m_p, self.lcm = m_p, math.lcm(*range(1, m_p + 1))
+        weights = table[best, reps - 1].astype(np.int64)
+        keys = -np.sort(-(weights * weights * (self.lcm // norms[best])), axis=1)
+        _, multisets, self.multiset = np.unique(_row_keys(keys, m_p * self.lcm + 1),
+                                                return_index=True, return_inverse=True)
+        self.multisets = keys[multisets]
+        cols, best, self.orbit = _orbit_members(m_p, reps, best)
+        self.cols, self.best = cols.astype(np.int16), best.astype(np.int16)
+        del cols, best  # the int64 copies, before the next arrays are made
+        self.weights = table[self.best, self.cols - 1].astype(np.int16)
+        self.gains = self.weights * self.weights * (self.lcm // norms.astype(np.int16)[self.best])
+        for a in (self.multiset, self.multisets, self.orbit, self.cols, self.best,
+                  self.weights, self.gains):
+            a.setflags(write=False)
+        self._texts = np.empty(len(self.cols), dtype=object)
+
+    def ranking(self, rows: np.ndarray, scores: np.ndarray) -> "Ranking":
+        """Members `rows`, in that order, with their scores: read-only
+        arrays, so that they stay the rows whose texts the catalog keeps."""
+        arrays = [a[rows].astype(np.int64) for a in (self.cols, self.best, self.weights, self.gains)]
+        for a in (*arrays, rows, scores):
+            a.setflags(write=False)
+        ranking = Ranking(self.m_p, *arrays, scores)
+        ranking._source = (self, rows)
+        return ranking
+
+    def texts(self, rows: np.ndarray) -> list[str]:
+        """The record texts of members `rows` (distinct), in that order;
+        those not yet encoded are encoded now."""
+        missing = rows[np.equal(self._texts[rows], None)]
+        if len(missing):
+            self._texts[missing] = _record_texts(self.m_p, self.cols[missing], self.best[missing],
+                                                 self.weights[missing], self.gains[missing])
+        return self._texts[rows].tolist()
+
+
+_CATALOG_CACHE: dict[int, _Catalog] = {}
+
+
+def _catalog(m_p: int) -> _Catalog:
+    """The catalog of m_p x m_p designs.  Cached per size."""
+    if m_p not in _CATALOG_CACHE:
+        _CATALOG_CACHE[m_p] = _Catalog(m_p)
+    return _CATALOG_CACHE[m_p]
+
+
 class Ranking(Sequence[ScoredDesign]):
     """Algorithm 1's ranked feasible designs, held as arrays.
 
@@ -409,8 +515,14 @@ class Ranking(Sequence[ScoredDesign]):
     weights, the gains as integers over lcm(1..m_p), and the score.  As a
     sequence of ScoredDesign it builds and validates a CombinerDesign only
     for the items read; `json_text` writes every record from the arrays.
-    (A plain class: a dataclass would add about a millisecond to every
-    `import kronnoma`.)
+
+    A ranking that `run_algorithm1` returns, and its slices, are rows of the
+    size's catalog, and their arrays are read-only: each record's text is
+    encoded and checked the first time any ranking of the process writes
+    it, and kept in the catalog.  A ranking built by hand has no catalog,
+    and every call of `json_text` encodes and checks all its records.  (A
+    plain class: a dataclass would add about a millisecond to every `import
+    kronnoma`.)
     """
 
     def __init__(self, m_p: int, cols: np.ndarray, best: np.ndarray, weights: np.ndarray,
@@ -421,14 +533,19 @@ class Ranking(Sequence[ScoredDesign]):
         self.weights = weights  # (N, m_p)
         self.gains = gains  # (N, m_p)
         self.scores = scores  # (N,)
+        self._source: tuple[_Catalog, np.ndarray] | None = None  # (catalog, member rows)
 
     def __len__(self) -> int:
         return len(self.scores)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Ranking(self.m_p, self.cols[i], self.best[i], self.weights[i],
+            part = Ranking(self.m_p, self.cols[i], self.best[i], self.weights[i],
                            self.gains[i], self.scores[i])
+            if self._source is not None:
+                catalog, rows = self._source
+                part._source = (catalog, rows[i])
+            return part
         i = range(len(self))[i]
         P = _matrix_from_column_values(self.m_p, self.cols[i])
         return ScoredDesign(_design(P, self.best[i], self.weights[i].tolist()), float(self.scores[i]))
@@ -436,9 +553,12 @@ class Ranking(Sequence[ScoredDesign]):
     def json_text(self) -> str:
         """The records' JSON, as `json.dumps([sd.design.to_json_dict() for sd
         in self], indent=2) + "\n"` writes it, with no design built."""
-        P = (self.cols[:, None, :] >> np.arange(self.m_p)[:, None]) & 1
-        alpha = coefficient_vectors(self.m_p)[0][self.best]
-        return _records_json(P, alpha, self.weights, self.gains)
+        if self._source is None:
+            texts = _record_texts(self.m_p, self.cols, self.best, self.weights, self.gains)
+        else:
+            catalog, rows = self._source
+            texts = catalog.texts(rows)
+        return _json_list(texts)
 
 
 def run_algorithm1(
@@ -451,44 +571,25 @@ def run_algorithm1(
     ties broken by canonical column encoding ascending.
 
     The score is the closed-form sum rate for a [1 1] seed with one
-    recursion at reference SNR `ref_snr` (linear).  Permuting the rows of a
-    candidate keeps its feasibility and its gains (alpha Pi^T isolates the
-    columns of Pi P), so only one representative per orbit is solved and
-    rated; the feasible orbits are then expanded into their members.  The
-    ranking keeps the `top` best (all by default) and builds no design until
-    one is read.
+    recursion at reference SNR `ref_snr` (linear, a real number).  Permuting
+    the rows of a candidate keeps its feasibility and its gains (alpha Pi^T
+    isolates the columns of Pi P), so only one representative per orbit is
+    solved and rated; the feasible orbits are then expanded into their
+    members.  None of that depends on `ref_snr`, so it is done once per size
+    and process (`_Catalog`); a call rates the distinct gain multisets at
+    `ref_snr`, orders the members by score and keeps the `top` best (all by
+    default).  It builds no design until one is read.
     """
     _check_cap(m_p)
     if top is not None and (isinstance(top, bool) or not isinstance(top, numbers.Integral)
                             or top < 1):
         raise ValueError(f"top must be a positive integer, not {top!r}")
-    vecs, norms = coefficient_vectors(m_p)
-    # the response of every vector to every nonzero column value, shared by
-    # all candidates: (3^m, 2^m - 1), value c at index c - 1.  int32 halves
-    # the memory traffic; no response exceeds m in magnitude
-    bits = _matrix_from_column_values(m_p, range(1, 2**m_p)).entries
-    table = (vecs @ bits).astype(np.int32)
-    reps = _orbit_representatives(m_p)
-    per_block = max(1, _BLOCK_VALUES // (len(vecs) * m_p))
-    solved = [_isolating_vectors(table[:, reps[i:i + per_block] - 1])
-              for i in range(0, len(reps), per_block)]
-    feasible = np.concatenate([f for f, _ in solved]).all(axis=1)
-    reps, best = reps[feasible], np.concatenate([b for _, b in solved])[feasible]
-    # every nonzero norm divides lcm(1..m), so w^2 * lcm / ||alpha||^2 is the
-    # gain as an exact integer over lcm (at most m * lcm); sorted descending,
-    # a row keys the gain multiset, on which alone the rate depends
-    lcm = math.lcm(*range(1, m_p + 1))
-    weights = table[best, reps - 1].astype(np.int64)
-    keys = -np.sort(-(weights * weights * (lcm // norms[best])), axis=1)
-    _, multisets, which = np.unique(_row_keys(keys, m_p * lcm + 1), return_index=True,
-                                    return_inverse=True)
+    if isinstance(ref_snr, bool) or not isinstance(ref_snr, numbers.Real):
+        raise ValueError(f"ref_snr must be a real number, not {ref_snr!r}")
+    catalog = _catalog(m_p)
     F = PatternMatrix(np.ones((1, 2), dtype=np.int64))
-    orbit_scores = _single_recursion_rates(F, keys[multisets], lcm, float(ref_snr))[which]
-    cols, best, orbit = _orbit_members(m_p, reps, best)
+    rates = _single_recursion_rates(F, catalog.multisets, catalog.lcm, float(ref_snr))
     # members come in column order, so a stable sort on the score ranks them
-    scores = orbit_scores[orbit]
+    scores = rates[catalog.multiset][catalog.orbit]
     order = np.argsort(-scores, kind="stable")[:top]
-    cols, best, scores = cols[order], best[order], scores[order]
-    weights = table[best, cols - 1].astype(np.int64)
-    gains = weights * weights * (lcm // norms[best])
-    return Ranking(m_p, cols, best, weights, gains, scores)
+    return catalog.ranking(order, scores[order])

@@ -48,6 +48,13 @@ def _count_designs(monkeypatch) -> list:
     return built
 
 
+@pytest.fixture
+def fresh_catalogs(monkeypatch):
+    """An empty catalog cache for one test: every size it searches is
+    solved anew, and the catalogs it builds are dropped after it."""
+    monkeypatch.setattr(combiner, "_CATALOG_CACHE", {})
+
+
 class TestCoefficientVectors:
     def test_shape_and_order(self):
         vecs, norms = coefficient_vectors(2)
@@ -253,6 +260,19 @@ class TestRunAlgorithm1:
     def test_top_accepts_numpy_integers(self):
         assert len(run_algorithm1(3, top=np.int64(4))) == 4
 
+    @pytest.mark.parametrize("ref_snr", ["10", True, np.bool_(True), None, 1 + 0j])
+    def test_ref_snr_must_be_a_real_number(self, fresh_catalogs, ref_snr):
+        # "10" used to rank at 10 and True at 1.0, through float(ref_snr)
+        with pytest.raises(ValueError, match="ref_snr must be a real number"):
+            run_algorithm1(3, ref_snr=ref_snr)
+        assert combiner._CATALOG_CACHE == {}  # refused before the catalog is read
+
+    @pytest.mark.parametrize("ref_snr", [np.float64(2.5), np.float32(2.5), 2, np.int64(2)])
+    def test_ref_snr_accepts_numpy_and_integer_reals(self, ref_snr):
+        want = run_algorithm1(4, ref_snr=float(ref_snr))
+        got = run_algorithm1(4, ref_snr=ref_snr)
+        assert np.array_equal(got.scores, want.scores) and np.array_equal(got.cols, want.cols)
+
     def test_top_builds_only_returned_designs(self, monkeypatch):
         built = _count_designs(monkeypatch)
         got = run_algorithm1(4, top=7)
@@ -315,8 +335,10 @@ class TestBlockSearch:
     def test_block_size_does_not_matter(self, monkeypatch, block_values):
         want = run_algorithm1(4)
         monkeypatch.setattr(combiner, "_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(combiner, "_CATALOG_CACHE", {})  # solved and encoded anew
         got = run_algorithm1(4)
         assert [(sd.design, sd.score) for sd in got] == [(sd.design, sd.score) for sd in want]
+        assert got.json_text() == want.json_text()
 
     def test_default_scorer_rates_each_gain_multiset_once(self, monkeypatch):
         calls = []
@@ -474,7 +496,7 @@ class TestOrbitSearch:
             resp = vecs @ bits.T  # resp[v, c]
             assert (resp[vv[:, :, None], pv[:, None, :]] == resp).all()
 
-    def test_peak_memory_mp5(self):
+    def test_peak_memory_mp5(self, fresh_catalogs):
         # the block solver over all 169,911 candidates peaked at 15.3 MiB
         import tracemalloc
 
@@ -614,3 +636,90 @@ class TestBatchedCheck:
         with pytest.raises(CombiningContractError, match="must be in"):
             combiner._records_json(P3.entries[None], alpha, np.array([[4, 4, 4]]),
                                    np.array([[8, 8, 8]]))
+
+
+def _encoded_columns(monkeypatch) -> list:
+    """Patch the checked encoder; returns the column values of each record
+    it encodes from then on."""
+    encoded = []
+
+    def counting(P, alpha, weights, gains):
+        values = (P << np.arange(P.shape[1])[:, None]).sum(axis=1)
+        encoded.extend(map(tuple, values.tolist()))
+        return _RECORDS_JSON(P, alpha, weights, gains)
+
+    monkeypatch.setattr(combiner, "_records_json", counting)
+    return encoded
+
+
+_RECORDS_JSON = combiner._records_json
+
+
+class TestCatalog:
+    """Each size is solved, expanded and encoded once per process; a call
+    rates the gain multisets at its SNR and orders the catalog's members."""
+
+    @pytest.mark.parametrize("m_p, top", [
+        *itertools.product([1, 2, 3, 4], [None, 1, 7]), (5, 7)])
+    def test_rankings_at_a_b_a(self, fresh_catalogs, m_p, top):
+        # 10 and 0.3 order the 4x4 and 5x5 designs differently
+        for snr in (10.0, 0.3, 10.0):
+            ranking = run_algorithm1(m_p, ref_snr=snr, top=top)
+            want = _block_search(m_p, snr)[:top]
+            for name in ("cols", "best", "weights", "gains", "scores"):
+                assert np.array_equal(getattr(ranking, name), getattr(want, name)), name
+            assert ranking.json_text() == _json_reference(ranking)
+
+    def test_solved_once_per_size(self, fresh_catalogs, monkeypatch):
+        solved = []
+        representatives = combiner._orbit_representatives
+
+        def counting(m_p):
+            solved.append(m_p)
+            return representatives(m_p)
+
+        monkeypatch.setattr(combiner, "_orbit_representatives", counting)
+        for m_p, snr, top in [(3, 10.0, None), (4, 0.5, 3), (3, 0.5, 1), (4, 10.0, None),
+                              (3, 1e4, 7)]:
+            run_algorithm1(m_p, ref_snr=snr, top=top).json_text()
+        assert solved == [3, 4]
+
+    def test_each_record_encoded_once(self, fresh_catalogs, monkeypatch):
+        encoded = _encoded_columns(monkeypatch)
+        head = run_algorithm1(4, ref_snr=0.5, top=3)
+        assert encoded == []  # nothing is encoded until written
+        head.json_text()
+        assert encoded == list(map(tuple, head.cols.tolist()))
+        full = run_algorithm1(4)
+        assert full.json_text() == _json_reference(full)
+        assert len(encoded) == len(set(encoded)) == 759
+        assert set(encoded) == set(map(tuple, full.cols.tolist()))
+        full.json_text()
+        run_algorithm1(4, ref_snr=2.0)[10:20].json_text()
+        assert len(encoded) == 759
+
+    def test_hand_built_ranking_is_encoded_on_every_write(self, monkeypatch):
+        ranking = run_algorithm1(4, top=12)
+        arrays = [getattr(ranking, name).copy() for name in ("cols", "best", "weights", "gains", "scores")]
+        built = combiner.Ranking(4, *arrays)
+        encoded = _encoded_columns(monkeypatch)
+        assert built.json_text() == built.json_text() == _json_reference(ranking)
+        assert encoded == 2 * list(map(tuple, ranking.cols.tolist()))
+
+    def test_slices_write_reference_bytes(self, fresh_catalogs):
+        ranking = run_algorithm1(4, ref_snr=0.5)
+        parts = (ranking[100:300:7], ranking[::-5], ranking[750:], ranking[5:5], ranking[-3:2:-40])
+        for part in parts:
+            assert part.json_text() == _json_reference(part)
+        assert ranking.json_text() == _json_reference(ranking)
+        for part in parts:
+            assert part.json_text() == _json_reference(part)
+
+    def test_ranking_arrays_are_read_only(self):
+        # the catalog's texts are the texts of these rows
+        ranking = run_algorithm1(3)
+        for name in ("cols", "best", "weights", "gains", "scores"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ranking, name)[0] += 1
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ranking[2:5], name)[0] += 1
