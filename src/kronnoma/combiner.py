@@ -434,53 +434,63 @@ class _Catalog:
     The orbit representatives are solved, and the feasible ones expanded
     into their members, once.  Member i (in canonical order: column values
     ascending) has column values `cols[i]` (ascending), the index into
-    `coefficient_vectors(m_p)` of each column's isolating vector `best[i]`,
-    `weights[i]`, `gains[i]` as integers over `lcm` = lcm(1..m_p), and its
-    feasible orbit `orbit[i]`.  The first four are int16, which keeps the
-    catalog small: up to the hard cap no value reaches 2^15 (3^8 vectors,
-    gains at most 8 * 840).  `multisets` holds the distinct gain multisets,
-    each sorted descending, and `multiset[k]` is orbit k's index into them.
-    Each member's record text is encoded the first time a ranking writes
-    it, and kept.
+    `coefficient_vectors(m_p)` of each column's isolating vector `best[i]`
+    (both int16, which keeps the catalog small: up to the hard cap no value
+    reaches 2^15), and its feasible orbit `orbit[i]`; its weights and gains
+    are looked up in the response table as a ranking or the encoder reads
+    them.  `multisets` holds the distinct gain multisets, each sorted
+    descending, and `multiset[k]` is orbit k's index into them.  Each
+    member's record text is encoded the first time a ranking writes it, and
+    kept.
     """
 
     def __init__(self, m_p: int):
-        vecs, norms = coefficient_vectors(m_p)
+        vecs, self.norms = coefficient_vectors(m_p)
         # the response of every vector to every nonzero column value, shared
         # by all candidates: (3^m, 2^m - 1), value c at index c - 1.  int32
         # halves the memory traffic; no response exceeds m in magnitude
         bits = _matrix_from_column_values(m_p, range(1, 2**m_p)).entries
-        table = (vecs @ bits).astype(np.int32)
+        self.table = (vecs @ bits).astype(np.int32)
         reps = _orbit_representatives(m_p)
         per_block = max(1, _BLOCK_VALUES // (len(vecs) * m_p))
-        solved = [_isolating_vectors(table[:, reps[i:i + per_block] - 1])
+        solved = [_isolating_vectors(self.table[:, reps[i:i + per_block] - 1])
                   for i in range(0, len(reps), per_block)]
         feasible = np.concatenate([f for f, _ in solved]).all(axis=1)
         reps, best = reps[feasible], np.concatenate([b for _, b in solved])[feasible]
-        # every nonzero norm divides lcm(1..m), so w^2 * lcm / ||alpha||^2 is
-        # the gain as an exact integer over lcm (at most m * lcm); sorted
-        # descending, a row keys the gain multiset, on which alone the rate
-        # depends
         self.m_p, self.lcm = m_p, math.lcm(*range(1, m_p + 1))
-        weights = table[best, reps - 1].astype(np.int64)
-        keys = -np.sort(-(weights * weights * (self.lcm // norms[best])), axis=1)
+        # sorted descending, a row of gains keys the gain multiset, on which
+        # alone the rate depends
+        keys = -np.sort(-self._weights_gains(reps, best)[1], axis=1)
         _, multisets, self.multiset = np.unique(_row_keys(keys, m_p * self.lcm + 1),
                                                 return_index=True, return_inverse=True)
         self.multisets = keys[multisets]
         cols, best, self.orbit = _orbit_members(m_p, reps, best)
         self.cols, self.best = cols.astype(np.int16), best.astype(np.int16)
-        del cols, best  # the int64 copies, before the next arrays are made
-        self.weights = table[self.best, self.cols - 1].astype(np.int16)
-        self.gains = self.weights * self.weights * (self.lcm // norms.astype(np.int16)[self.best])
-        for a in (self.multiset, self.multisets, self.orbit, self.cols, self.best,
-                  self.weights, self.gains):
+        for a in (self.table, self.multiset, self.multisets, self.orbit, self.cols, self.best):
             a.setflags(write=False)
         self._texts = np.empty(len(self.cols), dtype=object)
+
+    def _weights_gains(self, cols: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The weights of designs given by column values and isolating-vector
+        indices, and their gains as integers over lcm: every nonzero norm
+        divides lcm(1..m), so w^2 * lcm / ||alpha||^2 is exact (at most
+        m * lcm)."""
+        weights = self.table[best, cols - 1].astype(np.int64)
+        gains = self.lcm // self.norms[best]
+        gains *= weights
+        gains *= weights
+        return weights, gains
+
+    def _members(self, rows: np.ndarray) -> list[np.ndarray]:
+        """The column values, isolating-vector indices, weights and gains of
+        members `rows`, int64."""
+        cols, best = self.cols[rows].astype(np.int64), self.best[rows].astype(np.int64)
+        return [cols, best, *self._weights_gains(cols, best)]
 
     def ranking(self, rows: np.ndarray, scores: np.ndarray) -> "Ranking":
         """Members `rows`, in that order, with their scores: read-only
         arrays, so that they stay the rows whose texts the catalog keeps."""
-        arrays = [a[rows].astype(np.int64) for a in (self.cols, self.best, self.weights, self.gains)]
+        arrays = self._members(rows)
         for a in (*arrays, rows, scores):
             a.setflags(write=False)
         ranking = Ranking(self.m_p, *arrays, scores)
@@ -492,8 +502,7 @@ class _Catalog:
         those not yet encoded are encoded now."""
         missing = rows[np.equal(self._texts[rows], None)]
         if len(missing):
-            self._texts[missing] = _record_texts(self.m_p, self.cols[missing], self.best[missing],
-                                                 self.weights[missing], self.gains[missing])
+            self._texts[missing] = _record_texts(self.m_p, *self._members(missing))
         return self._texts[rows].tolist()
 
 
