@@ -260,10 +260,9 @@ def _record_texts(m_p: int, cols, best, weights, gains) -> list[str]:
     per_block = max(1, _BLOCK_VALUES // (2 * m_p * (m_p + 1)))
     texts = []
     for i in range(0, len(cols), per_block):
-        c, b, w, g = (np.asarray(a[i:i + per_block], dtype=np.int64)
-                      for a in (cols, best, weights, gains))
-        P = (c[:, None, :] >> np.arange(m_p)[:, None]) & 1
-        texts += _records_json(P, vecs[b], w, g)
+        block = slice(i, i + per_block)
+        P = (cols[block, None, :] >> np.arange(m_p)[:, None]) & 1
+        texts += _records_json(P, vecs[best[block]], weights[block], gains[block])
     return texts
 
 

@@ -638,6 +638,9 @@ class TestBatchedCheck:
                                    np.array([[8, 8, 8]]))
 
 
+_RECORDS_JSON = combiner._records_json
+
+
 def _encoded_columns(monkeypatch) -> list:
     """Patch the checked encoder; returns the column values of each record
     it encodes from then on."""
@@ -652,9 +655,6 @@ def _encoded_columns(monkeypatch) -> list:
     return encoded
 
 
-_RECORDS_JSON = combiner._records_json
-
-
 class TestCatalog:
     """Each size is solved, expanded and encoded once per process; a call
     rates the gain multisets at its SNR and orders the catalog's members."""
@@ -662,7 +662,7 @@ class TestCatalog:
     @pytest.mark.parametrize("m_p, top", [
         *itertools.product([1, 2, 3, 4], [None, 1, 7]), (5, 7)])
     def test_rankings_at_a_b_a(self, fresh_catalogs, m_p, top):
-        # 10 and 0.3 order the 4x4 and 5x5 designs differently
+        # 10 and 0.3 order the 4x4 designs differently (from row 221 on)
         for snr in (10.0, 0.3, 10.0):
             ranking = run_algorithm1(m_p, ref_snr=snr, top=top)
             want = _block_search(m_p, snr)[:top]
