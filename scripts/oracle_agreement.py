@@ -23,6 +23,7 @@ from kronnoma import (
     find_combiners,
     run_monte_carlo,
 )
+from kronnoma.cli import RunConfig, _attach_negative_values, _float_list, db_to_linear
 
 P3 = PatternMatrix(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
 
@@ -35,22 +36,29 @@ def parse_args(argv):
         "--snr-db", default="0,5,10,15,20",
         help="comma list of dB points, ascending",
     )
-    return ap.parse_args(argv)
+    return ap.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    chain = FactorChain(PatternMatrix(np.array([[1, 1]])), P3, 1)
-    cfg = DetectionConfig(chain, find_combiners(P3), BPSK)
-    snrs = [10.0 ** (float(tok) / 10.0) for tok in args.snr_db.split(",")]
-
-    points = run_monte_carlo(
-        cfg, snrs, args.trials, args.seed, with_oracle=True
-    )
+    try:
+        # the table needs at least one trial per point; the grid and the seed
+        # follow the rules of `kronnoma simulate`
+        if args.trials < 1:
+            raise ValueError("trial count must be at least 1")
+        run = RunConfig("simulate", snr_db_grid=_float_list(args.snr_db), trials=args.trials,
+                        seed=args.seed)
+        snrs = [db_to_linear(db) for db in run.snr_db_grid]
+        chain = FactorChain(PatternMatrix(np.array([[1, 1]])), P3, 1)
+        cfg = DetectionConfig(chain, find_combiners(P3), BPSK)
+        points = run_monte_carlo(cfg, snrs, run.trials, run.seed, with_oracle=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'snr_db':>8} {'coupled_ser':>12} {'agreement':>10} {'adds':>8} {'muls':>8}")
-    for db_tok, pt in zip(args.snr_db.split(","), points):
+    for db, pt in zip(run.snr_db_grid, points):
         print(
-            f"{float(db_tok):8.1f} {pt.coupled_ser:12.5f} "
+            f"{db:8.1f} {pt.coupled_ser:12.5f} "
             f"{pt.oracle_agreement:10.4f} {pt.measured_adds:8d} {pt.measured_muls:8d}"
         )
     print(

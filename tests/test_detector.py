@@ -798,10 +798,54 @@ class TestOracleReference:
             assert np.array_equal(sym, want_sym)
             assert np.array_equal(ties, want_ties)
 
+    # layouts whose rows reach the class axes out of order: a column that no
+    # row touches, in the middle or last (the running score is then widened
+    # after the last row), all-zero rows (the first one scored over a single
+    # class), and the rows of [1 1] (x) P3 reversed, so that the first row
+    # already reaches the last axis.  [[1 0 1], [0 0 1]] (x) P3 has 4^9 QPSK
+    # hypotheses, too many to enumerate here, so QPSK takes it with [1 1]
+    # in place of P3
+    LAYOUTS = {
+        "zero-column-middle": lambda P3: np.kron([[1, 0, 1], [0, 0, 1]], P3.entries),
+        "zero-column-middle-small": lambda P3: np.kron([[1, 0, 1], [0, 0, 1]], [[1, 1]]),
+        "zero-column-last": lambda P3: np.c_[np.kron([[1, 1]], P3.entries), np.zeros(3, int)],
+        "zero-rows": lambda P3: np.insert(np.kron([[1, 1]], P3.entries), [0, 2], 0, axis=0),
+        "reversed-rows": lambda P3: np.kron([[1, 1]], P3.entries)[::-1],
+    }
+
+    @pytest.mark.parametrize("layout, con", [
+        pytest.param(layout, con, id=f"{layout}-{name}")
+        for layout in LAYOUTS
+        for con, name in ((BPSK, "bpsk"), (QPSK, "qpsk"))
+        if (layout, name) != ("zero-column-middle", "qpsk")
+    ])
+    @pytest.mark.parametrize("offsets", ["unit", "random"])
+    def test_layouts_match_enumeration(self, P3, layout, con, offsets, monkeypatch):
+        from kronnoma import detector
+
+        G = PatternMatrix(self.LAYOUTS[layout](P3))
+        rng = np.random.default_rng(400 + con.size)
+        offs = _offsets(offsets, G.cols, rng)
+        X = con.symbols[rng.integers(0, con.size, (8, G.cols))]
+        Y = (X * offs) @ G.entries.T
+        noisy = Y + 0.6 * rng.standard_normal(Y.shape)
+        if con is QPSK:
+            noisy = noisy + 0.6j * rng.standard_normal(Y.shape)
+        Y = np.concatenate([Y[:2], noisy[2:]])  # noiseless rows tie
+        want_sym, want_ties = _reference_oracle(Y, G, con, offs)
+        if layout.startswith("zero-column"):  # users that no row touches tie in every trial
+            assert (want_ties > 1).all()
+        for chunk in (detector._ORACLE_CHUNK, 16, 8, con.size, 1):
+            monkeypatch.setattr(detector, "_ORACLE_CHUNK", chunk)
+            sym, ties = brute_force_map_oracle(Y, G, con, power_offsets=offs)
+            assert np.array_equal(sym, want_sym)
+            assert np.array_equal(ties, want_ties)
+
     def test_peak_memory_9x18(self, chain_9x18):
-        # one 2^18-hypothesis call on 8 trials: 3^9 classes, so per-user
-        # columns, one prediction table and one score block of 19,683
-        # classes (about 6.4 MiB), far below the 2^18 x 9 table
+        # one 2^18-hypothesis call on 8 trials: 3^9 classes, so prediction
+        # rows of at most 19,683 classes and one score block (about 3.1 MiB),
+        # far below the 2^18 x 9 table; no user has a column over the table
+        # (with 18 such columns the call peaked at 6.35 MiB)
         import tracemalloc
 
         G = build_chain(chain_9x18)
@@ -813,13 +857,15 @@ class TestOracleReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 4.5 * 2**20
 
     def test_peak_memory_9x18_unmerged(self, chain_9x18):
         # non-integer offsets: every hypothesis is its own class, in four
-        # tables of 65,536; a table's classes are then numbered by position,
-        # so no chunk-long arrays of representatives and multiplicities are
-        # built (with them the call peaked at 15.77 MiB)
+        # tables of 65,536 (about 5.2 MiB); a table's classes are then
+        # numbered by position, so no chunk-long arrays of representatives
+        # and multiplicities are built (with them the call peaked at 15.77
+        # MiB), and no user has a column over the table (with 16 such
+        # columns it peaked at 14.77 MiB)
         import tracemalloc
 
         G = build_chain(chain_9x18)
@@ -832,7 +878,7 @@ class TestOracleReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 15 * 2**20
+        assert peak < 7 * 2**20
 
 
 class TestSic:

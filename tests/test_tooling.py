@@ -12,6 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kronnoma import BPSK, DetectionConfig, FactorChain, build_chain, detect_batch, find_combiners, run_monte_carlo
 
@@ -48,15 +49,44 @@ def test_rate_is_one_function_under_every_name():
     assert cli.sum_rate_recursive is rate.sum_rate_recursive
 
 
-def test_oracle_agreement_output_pinned(capsys):
-    # the paired recursive-vs-MAP table of the r = 1 chain at the default
-    # seed, byte for byte
+def _load_oracle_agreement():
     spec = importlib.util.spec_from_file_location("oracle_agreement", ORACLE_AGREEMENT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_oracle_agreement_output_pinned(capsys):
+    # the paired recursive-vs-MAP table of the r = 1 chain at the default
+    # seed, byte for byte
+    script = _load_oracle_agreement()
     assert script.main(["--trials", "200"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "bcd4051ffddf9291834bcb4b7d3d86d6d4fc28728273fbec10636dd994cf55dc"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--trials", "0"], "trial count must be at least 1"),
+    (["--trials", "-1"], "trial count must be at least 1"),
+    (["--snr-db", "0,x"], "could not convert string to float: 'x'"),
+    (["--snr-db="], "SNR grid must be nonempty"),
+    (["--snr-db", ","], "SNR grid must be nonempty"),
+    (["--snr-db", "5,0"], "SNR grid must be strictly ascending"),
+    (["--snr-db", "0,nan"], "SNR values must be finite"),
+    (["--snr-db=4000"], "an SNR of 4000 dB exceeds the float range"),
+    (["--seed", "-1"], "seed must fit in 64 bits"),
+])
+def test_oracle_agreement_refuses_bad_arguments(argv, message, capsys):
+    # refused as `kronnoma simulate` refuses them: exit 2, one line, no table
+    assert _load_oracle_agreement().main(["--trials", "2", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_oracle_agreement_takes_negative_points(capsys):
+    # `--snr-db -3,0` reads as a value, as in the CLI
+    assert _load_oracle_agreement().main(["--trials", "2", "--snr-db", "-3,0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[0] == "-3.0"
 
 
 def test_tracer_books_the_final_stages(F12, P3):
