@@ -36,7 +36,7 @@ from kronnoma import (
     synthesize_rx,
 )
 from kronnoma import detector as det
-from conftest import enumerate_square_candidates
+from conftest import P3_ROWS, enumerate_square_candidates
 
 
 def path_users(chain: FactorChain, path: tuple[int, ...]) -> tuple[int, ...]:
@@ -806,11 +806,11 @@ class TestOracleReference:
     # hypotheses, too many to enumerate here, so QPSK takes it with [1 1]
     # in place of P3
     LAYOUTS = {
-        "zero-column-middle": lambda P3: np.kron([[1, 0, 1], [0, 0, 1]], P3.entries),
-        "zero-column-middle-small": lambda P3: np.kron([[1, 0, 1], [0, 0, 1]], [[1, 1]]),
-        "zero-column-last": lambda P3: np.c_[np.kron([[1, 1]], P3.entries), np.zeros(3, int)],
-        "zero-rows": lambda P3: np.insert(np.kron([[1, 1]], P3.entries), [0, 2], 0, axis=0),
-        "reversed-rows": lambda P3: np.kron([[1, 1]], P3.entries)[::-1],
+        "zero-column-middle": np.kron([[1, 0, 1], [0, 0, 1]], P3_ROWS),
+        "zero-column-middle-small": np.kron([[1, 0, 1], [0, 0, 1]], [[1, 1]]),
+        "zero-column-last": np.c_[np.kron([[1, 1]], P3_ROWS), np.zeros(3, int)],
+        "zero-rows": np.insert(np.kron([[1, 1]], P3_ROWS), [0, 2], 0, axis=0),
+        "reversed-rows": np.kron([[1, 1]], P3_ROWS)[::-1],
     }
 
     @pytest.mark.parametrize("layout, con", [
@@ -820,10 +820,10 @@ class TestOracleReference:
         if (layout, name) != ("zero-column-middle", "qpsk")
     ])
     @pytest.mark.parametrize("offsets", ["unit", "random"])
-    def test_layouts_match_enumeration(self, P3, layout, con, offsets, monkeypatch):
+    def test_layouts_match_enumeration(self, layout, con, offsets, monkeypatch):
         from kronnoma import detector
 
-        G = PatternMatrix(self.LAYOUTS[layout](P3))
+        G = PatternMatrix(self.LAYOUTS[layout])
         rng = np.random.default_rng(400 + con.size)
         offs = _offsets(offsets, G.cols, rng)
         X = con.symbols[rng.integers(0, con.size, (8, G.cols))]
@@ -831,7 +831,7 @@ class TestOracleReference:
         noisy = Y + 0.6 * rng.standard_normal(Y.shape)
         if con is QPSK:
             noisy = noisy + 0.6j * rng.standard_normal(Y.shape)
-        Y = np.concatenate([Y[:2], noisy[2:]])  # noiseless rows tie
+        Y = np.concatenate([Y[:2], noisy[2:]])  # two noiseless rows: coupled users tie
         want_sym, want_ties = _reference_oracle(Y, G, con, offs)
         if layout.startswith("zero-column"):  # users that no row touches tie in every trial
             assert (want_ties > 1).all()
