@@ -54,9 +54,7 @@ from .pattern import (
     search_space_size,
 )
 from .rate import (
-    compositions,
-    multinomial,
-    multinomial_weight_check,
+    path_gain_profile,
     sum_rate_oma,
     sum_rate_pdma,
     sum_rate_recursive,
@@ -105,7 +103,6 @@ __all__ = [
     "TrialRecord",
     "brute_force_map_oracle",
     "build_chain",
-    "compositions",
     "coupled_sums",
     "detect_batch",
     "dump_chain",
@@ -113,9 +110,8 @@ __all__ = [
     "final_stage_costs",
     "find_combiners",
     "load_chain",
-    "multinomial",
-    "multinomial_weight_check",
     "op_count_bounds",
+    "path_gain_profile",
     "pattern_groups",
     "recursive_detect",
     "run_algorithm1",

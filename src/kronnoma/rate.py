@@ -2,32 +2,36 @@
 
 For a Kronecker chain G = F (x) P^{(x) r} detected by recursive combining,
 each of the m_p^r length-m_f final equation sets is reached through a path
-(j_1, ..., j_r) of combining branches and sees the SNR boosted by the product
-of per-branch gains gamma_{j_t}.  Grouping paths by how many times each
-branch occurs gives the exact average rate
+(j_1, ..., j_r) of combining branches and sees the SNR boosted by the
+product of per-branch gains gamma_{j_1} ... gamma_{j_r}.  The rate depends
+only on how many paths share each exact boost b, the path-gain profile
+{b: n_b} (`path_gain_profile`), and is
 
-    C = (1 / 2M) * sum over compositions r_1+...+r_{m_p} = r of
-        multinomial(r; r_1..r_{m_p}) *
-        log2 det( I_{m_f} + snr * gamma_1^{r_1} ... gamma_{m_p}^{r_{m_p}} * F F^T )
+    C = sum over boosts b, descending, of
+        (n_b / 2M) * log2 det( I_{m_f} + snr * b * F F^T )
 
-with M = m_f * m_p^r.  Baselines: regular PDMA detection of a full matrix A
-(joint log-det over all M resources) and single-user OMA.  All SNRs here are
-linear; dB conversion happens at the CLI boundary only.
+with M = m_f * m_p^r, so the path shares n_b / 2M sum to 1 / (2 m_f).
+Baselines: regular PDMA detection of a full matrix A (joint log-det over
+all M resources) and single-user OMA.  All SNRs here are linear; dB
+conversion happens at the CLI boundary only.
 
 Every rate takes its SNR as a number, and returns a float, or as a 1-D
 grid, and returns one rate per point; a number is a one-point grid.  A grid
-is rated in stacked log-dets, and each point's sum over compositions is
-added left to right from 0.0 (never pairwise, as np.sum adds), so a point
-gives bit for bit the same rate alone and in any grid.
+is rated in stacked log-dets, and each point's sum over boosts is added
+left to right from 0.0 (never pairwise, as np.sum adds), so a point gives
+bit for bit the same rate alone and in any grid.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from array import array
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,43 +39,9 @@ from .pattern import FactorChain, PatternMatrix
 
 LOG2 = math.log(2.0)
 
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`, in
-    colexicographic order (fixed for reproducible summation order)."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for head in compositions(total - last, parts - 1):
-            yield head + (last,)
-
-
-def multinomial(counts: Sequence[int]) -> int:
-    """multinomial(r; r_1..r_m) = r! / (r_1! ... r_m!), exact."""
-    total = sum(counts)
-    out = 1
-    acc = 0
-    for c in counts:
-        acc += c
-        out *= math.comb(acc, c)
-    assert acc == total
-    return out
-
-
-def multinomial_weight_check(m_p: int, r: int) -> int:
-    """Sum of multinomial weights over all compositions of r into m_p parts.
-
-    Equals m_p**r exactly (each recursion multiplies the number of equation
-    sets by m_p); exposed so the bookkeeping can be audited directly."""
-    return sum(multinomial(c) for c in compositions(r, m_p))
-
-
-# matrices per stacked log-det, counted over SNRs x compositions, so a deep
+# matrices per stacked log-det, counted over SNRs x terms, so a deep
 # chain's arrays stay a few MB
-_BLOCK_COMPOSITIONS = 1 << 14
+_BLOCK_TERMS = 1 << 14
 
 # entries of the M x M matrices stacked in one log-det of the PDMA rate
 _BLOCK_PDMA_VALUES = 1 << 20
@@ -92,46 +62,72 @@ def _on_grid(rates: np.ndarray, scalar: bool):
     return float(rates[0]) if scalar else rates
 
 
+def _exact_gains(gains: Iterable) -> tuple[Fraction, ...]:
+    gains = tuple(Fraction(g) for g in gains)
+    if not gains or any(g <= 0 for g in gains):
+        raise ValueError("need one or more gains, all positive")
+    return gains
+
+
+def path_gain_profile(gains: Iterable, r: int) -> Mapping[Fraction, int]:
+    """The number of recursion paths boosted by each exact boost, for
+    per-branch combining gains `gains` (one per branch, positive, exact
+    rationals preferred) over r recursions: a read-only map {boost: path
+    count} in descending boost order, whose counts sum to len(gains)^r."""
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise ValueError(f"r must be a nonnegative integer, not {r!r}")
+    return _path_gain_profile(tuple(sorted(_exact_gains(gains))), r)
+
+
+def _descending(term: tuple[Fraction, int]) -> tuple[float, Fraction]:
+    # float() is monotone, and the exact boost orders those that round alike
+    boost = term[0]
+    try:
+        return boost.numerator / boost.denominator, boost
+    except OverflowError:
+        return math.inf, boost
+
+
 # a `rate` sweep reads two profiles, its chain's and the SIC reference's
 @functools.lru_cache(maxsize=4)
-def _path_gain_profile(
-    m_p: int, r: int, gains: tuple[Fraction, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each composition of r into m_p parts, in `compositions` order, as its
-    path count float(multinomial(comp)) and its boost float(prod gains_j^{comp_j}).
-    Neither depends on the SNR, so a sweep builds them once.
-
-    A path count is stored as a float: a Python int multiplied into a float
-    is converted with float() first, so the products are the same.  The
-    caller has checked that every path count converts."""
-    nums = [[g.numerator**e for e in range(r + 1)] for g in gains]
-    dens = [[g.denominator**e for e in range(r + 1)] for g in gains]
-    mults, boosts = array("d"), array("d")
-    for comp in compositions(r, m_p):
-        mults.append(float(multinomial(comp)))
-        # int / int is correctly rounded, so this is float(Fraction(num, den))
-        boosts.append(math.prod(map(list.__getitem__, nums, comp))
-                      / math.prod(map(list.__getitem__, dens, comp)))
-    mults, boosts = np.frombuffer(mults), np.frombuffer(boosts)
-    mults.flags.writeable = boosts.flags.writeable = False
-    return mults, boosts
+def _path_gain_profile(multiset: tuple[Fraction, ...], r: int) -> Mapping[Fraction, int]:
+    """`path_gain_profile` of a sorted gain multiset, built once over its d
+    distinct gains g_i, held by c_i branches each: for each split k of r
+    among them, multinomial(r; k) * prod c_i^k_i paths are boosted
+    prod g_i^k_i, and equal boosts are merged."""
+    distinct = sorted(Counter(multiset).items(), reverse=True)
+    # the boost's numerator and denominator, the path count and the
+    # recursions left after each distinct gain; the last takes all left
+    terms = [(1, 1, 1, r)]
+    for i, (g, c) in enumerate(distinct):
+        terms = [(num * g.numerator**k, den * g.denominator**k,
+                  count * math.comb(left, k) * c**k, left - k)
+                 for num, den, count, left in terms
+                 for k in ((left,) if i == len(distinct) - 1 else range(left + 1))]
+    # splits whose boosts are equal (gains 2 and 4, say) fall side by side
+    terms = sorted(((Fraction(num, den), count) for num, den, count, _ in terms),
+                   key=_descending, reverse=True)
+    return MappingProxyType({boost: sum(count for _, count in group)
+                             for boost, group in itertools.groupby(terms, key=itemgetter(0))})
 
 
-def _log_det_sums(gram: np.ndarray, mults: np.ndarray, boosts: np.ndarray,
+def _log_det_sums(gram: np.ndarray, weights: np.ndarray, boosts: np.ndarray,
                   snrs: np.ndarray) -> np.ndarray:
-    """Per row n, the sum over compositions c of
-    mults[c] * log2 det(I + snrs[n] * boosts[n, c] * gram), added left to
-    right from 0.0.  boosts is (N, C), or (C,) when every row shares it.
+    """Per row n, the sum over terms c of
+    weights[n, c] * log2 det(I + snrs[n] * boosts[n, c] * gram), added left
+    to right from 0.0.  weights and boosts are (N, C), or (C,) when every
+    row shares them.
 
-    The matrices are stacked at most `_BLOCK_COMPOSITIONS` to a log-det,
-    rows and compositions together; a stacked log-det gives each matrix
-    the value of a lone one.  A running sum that leaves the float range
-    comes out non-finite; the caller checks."""
-    rows, count = len(snrs), len(mults)
+    The matrices are stacked at most `_BLOCK_TERMS` to a log-det, rows and
+    terms together; a stacked log-det gives each matrix the value of a lone
+    one.  A term that leaves the float range comes out non-finite; the
+    caller checks."""
+    rows, count = len(snrs), np.shape(boosts)[-1]
+    weights = np.broadcast_to(weights, (rows, count))
     boosts = np.broadcast_to(boosts, (rows, count))
     eye = np.eye(len(gram))
-    step = min(count, _BLOCK_COMPOSITIONS)
-    per = max(1, _BLOCK_COMPOSITIONS // step)
+    step = min(count, _BLOCK_TERMS)
+    per = max(1, _BLOCK_TERMS // step)
     sums = np.empty(rows)
     for lo in range(0, rows, per):
         part = slice(lo, lo + per)
@@ -142,7 +138,7 @@ def _log_det_sums(gram: np.ndarray, mults: np.ndarray, boosts: np.ndarray,
             signs, logdets = np.linalg.slogdet(eye + coeffs[..., None, None] * gram)
             if (signs <= 0).any():
                 raise ValueError("matrix is not positive definite")
-            terms = mults[block] * (logdets / LOG2)
+            terms = weights[part, block] * (logdets / LOG2)
             # np.add.accumulate adds in order along the axis (np.sum would
             # add pairwise), so each row's sum is the left-to-right one
             terms[:, 0] += total
@@ -151,39 +147,35 @@ def _log_det_sums(gram: np.ndarray, mults: np.ndarray, boosts: np.ndarray,
     return sums
 
 
-def _recursive_rates(chain: FactorChain, snrs: np.ndarray, top_gain: Fraction,
+def _recursive_rates(F: PatternMatrix, r: int, snrs: np.ndarray, top_gain: Fraction,
                      profile: Callable[[], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The recursive rate of `chain` per row n of a path-gain profile, at
-    snr snrs[n].  `profile()` gives the path counts and boosts (see
-    `_log_det_sums`); every gain is at most `top_gain`.  A refusal names
-    the first of `snrs` that fails."""
+    """The recursive rate over F after r recursions per row n of a
+    path-gain profile, at snr snrs[n].  `profile()` gives the path shares
+    and boosts (see `_log_det_sums`); every gain is at most `top_gain`.  A
+    refusal names the first of `snrs` that fails."""
     if not len(snrs):
         return np.empty(0)
-    F = chain.F.entries.astype(float)
+    F = F.entries.astype(float)
     gram = F @ F.T
-    peak = float(gram.max())
     at = 0
     try:
         with np.errstate(over="ignore"):
-            # both checks refuse a chain before any composition is
-            # enumerated.  Every boost is at most top_gain^r and float() is
-            # monotone, so this bound covers every snr * boost * F F^T term
-            over = ~np.isfinite(snrs * float(top_gain**chain.r) * peak)
+            # refuses a chain before its profile is built.  Every boost is
+            # at most top_gain^r and float() is monotone, so this bound
+            # covers every snr * boost * F F^T term
+            over = ~np.isfinite(snrs * float(top_gain**r) * float(gram.max()))
             if over.any():
                 at = int(over.argmax())
                 raise OverflowError("snr * gain * F F^T is not finite")
-            # the sum ends dividing by 2M, which float() must convert; M =
-            # m_p^r * m_f bounds every path count, so each of those converts too
-            paths = float(2 * chain.M)
             sums = _log_det_sums(gram, *profile(), snrs)
         over = ~np.isfinite(sums)
         if over.any():
             at = int(over.argmax())
             raise OverflowError("a log-det term is not finite")
-        return sums / paths
+        return sums
     except OverflowError as exc:
         raise ValueError(
-            f"the rate of a depth-{chain.r} chain at snr={snrs[at]:.6g} exceeds the float range ({exc})"
+            f"the rate of a depth-{r} chain at snr={snrs[at]:.6g} exceeds the float range ({exc})"
         ) from exc
 
 
@@ -194,16 +186,20 @@ def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float | Sequenc
 
     `snr` is a number, which gives a float, or a 1-D sequence, which gives
     an array with one rate per point; a number is rated as a one-point grid.
-    Each point's sum over compositions is added left to right from 0.0, so
-    a point rates bit for bit the same alone and in any grid."""
+    Each point's sum over boosts is added left to right from 0.0, so a
+    point rates bit for bit the same alone and in any grid."""
     snrs, scalar = _snr_grid(snr)
-    gains = tuple(Fraction(g) for g in gains)
+    gains = _exact_gains(gains)
     if len(gains) != chain.m_p:
         raise ValueError("need one gain per combining branch")
-    if any(g <= 0 for g in gains):
-        raise ValueError("gains must be positive")
-    profile = functools.partial(_path_gain_profile, chain.m_p, chain.r, gains)
-    return _on_grid(_recursive_rates(chain, snrs, max(gains), profile), scalar)
+
+    def profile() -> tuple[np.ndarray, np.ndarray]:
+        # int / int is correctly rounded: float(Fraction(n, 2M)), float(boost)
+        terms, paths = path_gain_profile(gains, chain.r).items(), 2 * chain.M
+        return (np.array([n / paths for _, n in terms]),
+                np.array([b.numerator / b.denominator for b, _ in terms]))
+
+    return _on_grid(_recursive_rates(chain.F, chain.r, snrs, max(gains), profile), scalar)
 
 
 def _single_recursion_rates(F: PatternMatrix, gains: np.ndarray, denominator: int,
@@ -211,13 +207,20 @@ def _single_recursion_rates(F: PatternMatrix, gains: np.ndarray, denominator: in
     """sum_rate_recursive(FactorChain(F, P, 1), gains[n] / denominator, snr)
     for each row n of the positive integer array `gains`, one row per
     branch of an m_p x m_p factor P, in one stacked evaluation.  The rate
-    reads only the size of P.  At r = 1 the compositions are the unit
-    vectors in branch order, each one path, so a row's boosts are its gains."""
-    snrs = np.repeat(_snr_grid(snr)[0], len(gains))
-    m_p = gains.shape[1]
-    chain = FactorChain(F, PatternMatrix(np.eye(m_p, dtype=np.int64)), 1)
+    reads only the size of P.  At r = 1 a row's profile holds each distinct
+    gain, descending, with the number of branches that have it; shorter
+    rows are padded with terms of share 0."""
+    gains = -np.sort(-gains, axis=1)
+    N, m_p = gains.shape
+    # term t of row n is its t-th run of equal gains (every gain is positive)
+    starts = np.diff(gains, axis=1, prepend=0) != 0
+    term = np.cumsum(starts, axis=1) - 1 + m_p * np.arange(N)[:, None]
+    counts = np.bincount(term.ravel(), minlength=N * m_p).reshape(N, m_p)
+    boosts = np.zeros((N, m_p))
+    boosts.flat[term[starts]] = gains[starts] / denominator
+    snrs = np.repeat(_snr_grid(snr)[0], N)
     top = Fraction(int(gains.max()), denominator)
-    return _recursive_rates(chain, snrs, top, lambda: (np.ones(m_p), gains / denominator))
+    return _recursive_rates(F, 1, snrs, top, lambda: (counts / (2 * F.rows * m_p), boosts))
 
 
 def sum_rate_pdma(A: PatternMatrix, snr: float | Sequence[float]) -> float | np.ndarray:

@@ -21,7 +21,7 @@ from kronnoma import (
     build_chain,
     dump_chain,
     estimate_gain,
-    multinomial_weight_check,
+    path_gain_profile,
     recursive_detect,
     run_algorithm1,
     run_monte_carlo,
@@ -112,9 +112,10 @@ def test_criterion_06_general_rate_matches_specialization(chain_9x18):
         closed = 0.5 * math.log2(1.0 + 2.0 * (4.0 / 3.0) ** 2 * snr)
         assert abs(general - closed) <= 1e-12 * closed
     for m_p in range(1, 7):
-        for r in range(0, 9):
-            assert multinomial_weight_check(m_p, r) == m_p**r
-    _announce(6, "general rate == closed form to 1e-12; multinomial weights sum to m_p^r")
+        for gains in ([THIRD] * m_p, [Fraction(1)] + [THIRD] * (m_p - 1), range(1, m_p + 1)):
+            for r in range(0, 9):
+                assert sum(path_gain_profile(gains, r).values()) == m_p**r
+    _announce(6, "general rate == closed form to 1e-12; path counts sum to m_p^r")
 
 
 def test_criterion_07_cancellation_reference_dominates(chain_9x18):

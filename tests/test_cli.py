@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,18 +297,20 @@ class TestRate:
         assert capsys.readouterr().err == "error: an SNR of 3200 dB exceeds the float range\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_running_sum_past_float_range_exit_2(self, tmp_path, F12, P3, capsys):
-        # the sum over compositions leaves the float range at 0 dB; it is
-        # refused with no numpy overflow warning
-        r = 642
+    @pytest.mark.parametrize("r", [642, 800])
+    def test_deep_chain_rated_exit_0(self, tmp_path, F12, P3, capsys, r):
+        # 3^r paths and 2M = 2 * 3^r have no float, but their shares do: the
+        # rate at 0 dB is 0.5 log2(1 + 2 (4/3)^r), with no numpy warning
         deep = tmp_path / "deep.json"
         dump_chain(FactorChain(F12, P3, r), str(deep))
         assert main(["rate", "--chain", str(deep), "--baselines", "oma",
-                     "--snr-db-max", "0"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: the rate of a depth-{r} chain at snr=1 exceeds the float range"
-            " (a log-det term is not finite)\n"
-        )
+                     "--snr-db-max", "0"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "snr_db,c_recursive,c_oma"
+        snr_db, c_recursive, c_oma = row.split(",")
+        assert (snr_db, c_oma) == ("0", "0.5")
+        closed = 0.5 * math.log2(1.0 + 2.0 * float(Fraction(4, 3) ** r))
+        assert float(c_recursive) == pytest.approx(closed, rel=1e-11)
 
     @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
     def test_grid_cap_exit_3(self, chain_file, capsys, step):
