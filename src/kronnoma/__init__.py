@@ -48,10 +48,8 @@ from .pattern import (
     FactorChain,
     PatternMatrix,
     build_chain,
-    dump_chain,
     load_chain,
     pattern_groups,
-    search_space_size,
 )
 from .rate import (
     path_gain_profile,
@@ -62,9 +60,7 @@ from .rate import (
 )
 from .simkit import (
     MonteCarloPoint,
-    PathGain,
     TrialRecord,
-    estimate_gain,
     run_monte_carlo,
     synthesize_rx,
     trial_rng,
@@ -95,7 +91,6 @@ __all__ = [
     "OpBoundViolation",
     "OpCounters",
     "OpCountReport",
-    "PathGain",
     "PatternMatrix",
     "RecursionRecord",
     "ScoredDesign",
@@ -105,8 +100,6 @@ __all__ = [
     "build_chain",
     "coupled_sums",
     "detect_batch",
-    "dump_chain",
-    "estimate_gain",
     "final_stage_costs",
     "find_combiners",
     "load_chain",
@@ -116,7 +109,6 @@ __all__ = [
     "recursive_detect",
     "run_algorithm1",
     "run_monte_carlo",
-    "search_space_size",
     "sum_rate_oma",
     "sum_rate_pdma",
     "sum_rate_recursive",

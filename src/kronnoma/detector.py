@@ -18,11 +18,13 @@ final_stage_map (the batched MAP sweep) and sic_enhanced_final (the batched
 cancellation) are its final stages.  recursive_detect runs the same stages
 on a batch of one and keeps the full trace, which detect_batch does not
 hold on to.  _cascade, the mode product with one coefficient matrix per
-level, is the one Kronecker operator: the kernel and simkit.estimate_gain
-apply L through it, and simkit.synthesize_rx applies G = F (x) P^(x)r.
-Neither is formed; the dense G is built only for the oracle and the PDMA
-rate.  Every arithmetic operation is counted by the code that performs it
-and checked against closed-form bounds on every run.  The symbol alphabets
+level, is the one Kronecker operator: the kernel applies L through it, and
+simkit.synthesize_rx applies G = F (x) P^(x)r.  Neither is formed; the
+dense G is built only for the oracle and the PDMA rate.  The plan of a
+pass holds its per-path quantities as exact integer arrays, Kronecker
+products of per-class rows, and no object per path.  Every arithmetic
+operation is counted by the code that performs it and checked against
+closed-form bounds on every run.  The symbol alphabets
 (Constellation, BPSK, QPSK) are defined here, beside the configuration, the
 sweeps and the oracle that read them.
 
@@ -355,18 +357,11 @@ def _hypothesis_indices(q: int, k: int) -> np.ndarray:
     return _HYP_CACHE[key]
 
 
-class _SetInfo(NamedTuple):
-    path: tuple[int, ...]
-    weight: int
-    gain: Fraction
-    mult: int
-
-
 class _Sweep(NamedTuple):
     """Exhaustive MAP hypotheses of S regular sets w_s * F (offs_s . x) that
     share the outer factor F and the constellation."""
 
-    sets: tuple[_SetInfo, ...]
+    weights: np.ndarray  # (S,) exact int64 w_s
     hyp: np.ndarray  # (H, k_f) symbol indices, first position most significant
     unit: np.ndarray  # (S, H, m_f) noiseless F (offs_s . x) per hypothesis
     wunit: np.ndarray  # (S, H, m_f) the same times the set's |weight|
@@ -376,9 +371,9 @@ class _Sweep(NamedTuple):
     muls: int
 
 
-def _sweep(F: PatternMatrix, constellation: Constellation, offsets, sets, positions) -> _Sweep:
-    """Hypothesis tables for S sets with nonzero weights and per-set user
-    offsets (S, k_f)."""
+def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights, positions) -> _Sweep:
+    """Hypothesis tables for S sets with nonzero weights (S,) and per-set
+    user offsets (S, k_f)."""
     q, k_f = constellation.size, F.cols
     n_hyp = q**k_f
     if n_hyp > DEFAULT_HYPOTHESIS_CAP:
@@ -388,14 +383,18 @@ def _sweep(F: PatternMatrix, constellation: Constellation, offsets, sets, positi
     hyp = _hypothesis_indices(q, k_f)
     X = constellation.symbols[hyp]  # (H, k_f)
     Ft = F.entries.T.astype(float)
-    # one table per distinct offsets row: with unit offsets every set shares one
-    distinct, inverse = np.unique(offsets, axis=0, return_inverse=True)
+    # one table per distinct offsets row: with unit offsets every set shares
+    # one.  Rows are compared as raw bytes, which for positive finite offsets
+    # is equality of values, by one 1-D sort: unique(axis=0) is ~8x slower
+    offsets = np.ascontiguousarray(offsets, dtype=float)
+    rows = offsets.view(np.dtype((np.void, offsets.itemsize * k_f))).reshape(-1)
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    distinct = distinct.view(float).reshape(-1, k_f)
     tables = np.array([(X * offs) @ Ft for offs in distinct]).reshape(len(distinct), n_hyp, F.rows)
-    unit = tables[inverse.reshape(-1)]
-    weights = np.array([s.weight for s in sets], dtype=float)
-    wunit = np.abs(weights)[:, None, None] * unit
+    unit = tables[inverse]
+    wunit = np.abs(weights).astype(float)[:, None, None] * unit
     n_add = n_hyp * (int(F.entries.sum()) + F.rows - 1)
-    return _Sweep(sets, hyp, unit, wunit, weights < 0, positions, n_add, n_hyp * (k_f + 2 * F.rows))
+    return _Sweep(weights, hyp, unit, wunit, weights < 0, positions, n_add, n_hyp * (k_f + 2 * F.rows))
 
 
 class _Solve(NamedTuple):
@@ -500,7 +499,6 @@ class _Plan(NamedTuple):
     """Static structure of a configuration's detection pass."""
 
     alphas: tuple[np.ndarray, ...]  # per level, the rows of the classes it combines
-    levels: tuple[tuple[_SetInfo, ...], ...]  # per level, its outputs in kernel order
     plain: _Sweep  # the sets reached by combining at every level
     parent_weights: np.ndarray  # weights of the last level's parents (SIC)
     sic: _SicStep | None
@@ -509,45 +507,49 @@ class _Plan(NamedTuple):
 
 def check_receiver_size(chain: FactorChain) -> None:
     """Refuse a chain whose receiver would hold more than
-    MAX_RECEIVER_VALUES values: the plan's path digits, sum over levels
-    l <= r of l * m_p^l (in closed form), and one trial's M + K values."""
-    c, x = chain, chain.m_p
-    digits = (c.r * (c.r + 1) // 2 if x == 1
-              else x * (c.r * x ** (c.r + 1) - (c.r + 1) * x**c.r + 1) // (x - 1) ** 2)
-    if c.M + c.K + digits > MAX_RECEIVER_VALUES:
+    MAX_RECEIVER_VALUES values: one trial's M + K values.  The plan's
+    per-path arrays grow with K as well."""
+    c = chain
+    if c.M + c.K > MAX_RECEIVER_VALUES:
         # M and K in factored form: at depth r their decimal digits grow without bound
-        raise DimensionOverflowError(f"the receiver of a {c.m_f}*{x}^{c.r} x {c.k_f}*{x}^{c.r} chain "
+        raise DimensionOverflowError(f"the receiver of a {c.m_f}*{c.m_p}^{c.r} x {c.k_f}*{c.m_p}^{c.r} chain "
                                      f"would hold more than {MAX_RECEIVER_VALUES} values; refuse to build")
+
+
+def _per_path(row, alphas) -> np.ndarray:
+    """Products of `row` (one integer per class) along every path through
+    the levels whose alpha rows are given, in path order: the Kronecker
+    product row (x) row (x) ..., each factor cut to its level's classes.
+
+    Exact in int64: every |row| entry (a weight or ||alpha_j||^2) is at most
+    m_p, and check_receiver_size keeps m_p^r below 2^22."""
+    out = np.ones(1, np.int64)
+    for alpha in alphas:
+        out = np.multiply.outer(out, row[: len(alpha)]).ravel()
+    return out
 
 
 def _build_plan(cfg: DetectionConfig) -> _Plan:
     chain, design = cfg.chain, cfg.design
     m_p, r = chain.m_p, chain.r
     check_receiver_size(chain)
-    norms = [int(a @ a) for a in design.alpha]
-    sets = parents = (_SetInfo((), 1, Fraction(1), 1),)
-    levels = []  # per level: the alpha rows of its classes, and its outputs
-    for level in range(1, r + 1):
-        classes = range(m_p - 1 if cfg.sic and level == r else m_p)
-        parents = sets
-        sets = tuple(
-            _SetInfo(s.path + (j,), s.weight * design.weights[j], s.gain * design.gains[j], s.mult * norms[j])
-            for s in parents
-            for j in classes
-        )
-        levels.append((design.alpha[: len(classes)], sets))
+    alphas = tuple(design.alpha[: m_p - 1 if cfg.sic and level == r else m_p] for level in range(1, r + 1))
+    weights = np.array(design.weights, dtype=np.int64)
 
     # paths in branch-lexicographic order, the first branch the most
     # significant digit; branch t is the inner-factor digit of place value
     # m_p^t, and the outer-factor column c_f adds c_f * m_p^r
+    inner = np.zeros(1, np.int64)
+    for t in range(r):
+        inner = np.add.outer(inner, m_p**t * np.arange(m_p)).ravel()
     n_paths = m_p**r
-    digits = np.arange(n_paths)[:, None] // m_p ** np.arange(r - 1, -1, -1) % m_p
-    users = (digits @ m_p ** np.arange(r))[:, None] + n_paths * np.arange(chain.k_f)
+    users = inner[:, None] + n_paths * np.arange(chain.k_f)
     cancelled = cfg.sic & (np.arange(n_paths) % m_p == m_p - 1)
 
-    def sweep(infos, positions):
-        return _sweep(chain.F, cfg.constellation, cfg.power_offsets[users[positions]], infos, positions)
+    def sweep(set_weights, positions):
+        return _sweep(chain.F, cfg.constellation, cfg.power_offsets[users[positions]], set_weights, positions)
 
+    parent_weights = _per_path(weights, alphas[:-1])
     sic = None
     if cfg.sic:
         # alpha P = diag(w) with w != 0 makes P invertible, so class j
@@ -555,14 +557,11 @@ def _build_plan(cfg: DetectionConfig) -> _Plan:
         j, E = m_p - 1, chain.P.entries
         rows = np.flatnonzero(E[:, j])
         cancel = tuple((jp, int(E[rows, jp].sum())) for jp in range(j) if E[rows, jp].any())
-        d = rows.size
-        infos = [_SetInfo(p.path + (j,), p.weight * d, p.gain * d, p.mult * d) for p in parents]
-        sic = _SicStep(rows, cancel, sweep(infos, np.flatnonzero(cancelled)))
+        sic = _SicStep(rows, cancel, sweep(parent_weights * rows.size, np.flatnonzero(cancelled)))
     return _Plan(
-        alphas=tuple(alpha for alpha, _ in levels),
-        levels=tuple(sets for _, sets in levels),
-        plain=sweep(sets, np.flatnonzero(~cancelled)),
-        parent_weights=np.array([p.weight for p in parents], dtype=np.int64),
+        alphas=alphas,
+        plain=sweep(_per_path(weights, alphas), np.flatnonzero(~cancelled)),
+        parent_weights=parent_weights,
         sic=sic,
         users=users,
     )
@@ -631,40 +630,53 @@ def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
     y = np.asarray(y)
     if y.shape != (chain.M,):
         raise ValueError("y must have one value per resource element")
-    plan = cfg._plan
+    plan, design = cfg._plan, cfg.design
+    # the trace's per-path quantities, derived here since the plan keeps
+    # only the final weights: CombinerDesign enforces g_j = w_j^2 / ||alpha_j||^2,
+    # so a path's gain product is its weight squared over its noise multiplier
+    weights = np.array(design.weights, dtype=np.int64)
+    norms = (design.alpha * design.alpha).sum(axis=1)
     counters = OpCounters()
     stages = _stages(y[None], cfg, counters)
     records = []
-    for level, (sets, out) in enumerate(zip(plan.levels, stages), start=1):
+    for level, out in zip(range(1, chain.r + 1), stages):
+        alphas = plan.alphas[:level]
+        w, mult = _per_path(weights, alphas).tolist(), _per_path(norms, alphas).tolist()
         records.append(
             RecursionRecord(
                 level=level,
                 super_groups_in=chain.m_p ** (level - 1),
                 equations_per_group=chain.M // chain.m_p ** (level - 1),
                 group_size=chain.m_p,
-                paths=tuple(s.path for s in sets),
+                paths=tuple(itertools.product(*(range(len(a)) for a in alphas))),
                 combined=tuple(out[0]),
-                weights=tuple(s.weight for s in sets),
-                gain_products=tuple(s.gain for s in sets),
-                noise_multipliers=tuple(s.mult for s in sets),
+                weights=tuple(w),
+                gain_products=tuple(Fraction(x * x, n) for x, n in zip(w, mult)),
+                noise_multipliers=tuple(mult),
                 adds_so_far=counters.adds,
                 muls_so_far=counters.muls,
             )
         )
     solves, batch = next(stages)
     symbols = batch.symbols[0]
+    paths = list(itertools.product(range(chain.m_p), repeat=chain.r))
     final_sets = [None] * len(plan.users)  # in path order
     for solve in solves:
-        for i, (s, p) in enumerate(zip(solve.sweep.sets, solve.sweep.positions)):
+        sweep = solve.sweep
+        used_sic = sweep is not plan.plain
+        # a cancelled set sums its parent's d rows that carry the class
+        mults = (_per_path(norms, plan.alphas[:-1]) * len(plan.sic.rows) if used_sic
+                 else _per_path(norms, plan.alphas))
+        for i, (p, w, mult) in enumerate(zip(sweep.positions, sweep.weights.tolist(), mults.tolist())):
             users = plan.users[p]
             final_sets[p] = FinalSet(
-                path=s.path,
+                path=paths[p],
                 users=tuple(users.tolist()),
                 values=solve.z[0, i].copy(),  # at r = 0 a view of y
-                weight=s.weight,
-                gain=s.gain,
-                noise_multiplier=s.mult,
-                used_sic=solve.sweep is not plan.plain,
+                weight=w,
+                gain=Fraction(w * w, mult),
+                noise_multiplier=mult,
+                used_sic=used_sic,
                 decided=tuple(symbols[users]),
                 unit_prediction=solve.units[0, i],
                 tie_count=int(solve.ties[0, i]),

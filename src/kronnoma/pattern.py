@@ -16,7 +16,6 @@ product of tiny per-factor enumerations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -236,21 +235,6 @@ def pattern_groups(G: PatternMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for v in seen.values())
 
 
-def search_space_size(m: int, k: int) -> int:
-    """Number of m x k binary matrices with distinct nonzero columns, counted
-    as unordered column subsets: binomial(2^m - 1, k).  Zero when the pool of
-    distinct nonzero columns is smaller than k."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive")
-    return math.comb(2**m - 1, k)
-
-
 def load_chain(path: str) -> FactorChain:
     with open(path, "r", encoding="utf-8") as fh:
         return FactorChain.from_json_dict(json.load(fh))
-
-
-def dump_chain(chain: FactorChain, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chain.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,4 +1,4 @@
-"""Seeded signal synthesis, gain calibration, and Monte Carlo measurement.
+"""Seeded signal synthesis and Monte Carlo measurement.
 
 Randomness policy: everything is driven by a counter-based generator
 (numpy Philox) keyed with an explicit 64-bit seed.  Monte Carlo trials draw
@@ -28,12 +28,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import detector as det
-from .combiner import CombinerDesign
 from .pattern import FactorChain, build_chain, pattern_groups
 
 
@@ -179,62 +177,6 @@ class TrialRecord:
     received: np.ndarray
     decisions: dict[str, np.ndarray]
     ambiguous: dict[str, bool]
-
-
-@dataclass(frozen=True)
-class PathGain:
-    """Empirical combining gain along one branch path versus the exact value."""
-
-    path: tuple[int, ...]
-    expected: Fraction
-    measured: float
-    n_samples: int
-
-    @property
-    def rel_se(self) -> float:
-        # relative standard error of a Gaussian sample-variance estimate,
-        # propagated to the gain (first order)
-        return math.sqrt(2.0 / (self.n_samples - 1))
-
-    @property
-    def within(self) -> float:
-        """|measured - expected| in units of the standard error."""
-        return abs(self.measured / float(self.expected) - 1.0) / self.rel_se
-
-
-def estimate_gain(
-    design: CombinerDesign,
-    chain: FactorChain,
-    noise_variance: float,
-    trials: int,
-    seed: int = 0,
-) -> list[PathGain]:
-    """Measure per-path combining SNR gains on pure noise.
-
-    Runs the detector's combining cascade on noise-only inputs and compares
-    (weight product)^2 * sigma^2 / measured variance against the exact
-    rational gain product along each branch path, both taken from the
-    detector's plan of the chain.  Uses one seeded bulk stream (single pass,
-    no per-trial parallelism to preserve)."""
-    if trials < 3:
-        raise ValueError("need at least 3 trials to estimate a variance")
-    if not noise_variance > 0:
-        raise ValueError("noise variance must be positive")
-    plan = det.DetectionConfig(chain, design, det.BPSK)._plan  # refuses a design for another P
-    rng = trial_rng(seed, 0)
-    noise = math.sqrt(noise_variance) * rng.standard_normal((trials, chain.M))
-    # every class at every level: the final-set inputs (trials, m_p^r, m_f),
-    # paths in branch-lexicographic order; at r = 0 the one set is the input
-    combined = noise.reshape(trials, 1, -1)
-    for combined in det._cascade(noise, plan.alphas, det.OpCounters()):
-        pass
-    out = []
-    for pi, s in enumerate(plan.plain.sets):
-        # the m_f equations of one path share the same combining row norm
-        samples = combined[:, pi].reshape(-1)
-        measured = s.weight * s.weight * noise_variance / float(samples.var(ddof=1))
-        out.append(PathGain(s.path, s.gain, measured, samples.size))
-    return out
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:

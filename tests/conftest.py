@@ -1,8 +1,9 @@
 """Shared fixtures: the two reference square factors, the combining
-coefficients the solver must reproduce for them, and the factor chains
-used across the suite."""
+coefficients the solver must reproduce for them, the factor chains used
+across the suite, and small helpers the tests share."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -79,3 +80,19 @@ def reference_noise(rng: np.random.Generator, n: int, variance: float, complex_v
         scale = math.sqrt(variance / 2.0)
         return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return math.sqrt(variance) * rng.standard_normal(n)
+
+
+def search_space_size(m: int, k: int) -> int:
+    """Number of m x k binary matrices with distinct nonzero columns, counted
+    as unordered column subsets: binomial(2^m - 1, k).  Zero when the pool of
+    distinct nonzero columns is smaller than k."""
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be positive")
+    return math.comb(2**m - 1, k)
+
+
+def dump_chain(chain: FactorChain, path: str) -> None:
+    """Write a chain as the JSON that load_chain and the CLI read."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(chain.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")

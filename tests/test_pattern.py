@@ -15,9 +15,9 @@ from kronnoma import (
     PatternMatrix,
     build_chain,
     pattern_groups,
-    search_space_size,
 )
 from kronnoma.pattern import MAX_DEPTH, kronecker
+from conftest import search_space_size
 
 binary_matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
