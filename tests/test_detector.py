@@ -431,21 +431,6 @@ class TestPathGains:
                 want[list(fs.users), p] = fs.weight * chain.F.entries.T
             assert np.array_equal(_final_outputs(build_chain(chain).entries.T, cfg), want)
 
-    def test_reference_gain_products(self, F12, P3, P4, design3, design4, chain_9x18):
-        def gains(chain, design):
-            trace = recursive_detect(np.zeros(chain.M), _cfg(chain, design)).trace
-            return {fs.path: fs.gain for fs in trace.final_sets}
-
-        assert set(gains(chain_9x18, design3).values()) == {Fraction(16, 9)}
-        by_path = gains(FactorChain(F12, P4, 2), design4)
-        assert len(by_path) == 16
-        # the gamma = 1 branch contributes no gain
-        assert (by_path[(3, 3)], by_path[(0, 3)], by_path[(0, 0)]) == (1, Fraction(4, 3), Fraction(16, 9))
-        # no combining at r = 0, and an identity design gains nothing
-        assert gains(FactorChain(F12, P3, 0), design3) == {(): 1}
-        eye = PatternMatrix(np.eye(3, dtype=int))
-        assert set(gains(FactorChain(F12, eye, 1), find_combiners(eye)).values()) == {1}
-
 
 def _reference_sets(cfg):
     """Per level, the outputs (path, weight, gain, noise multiplier) in

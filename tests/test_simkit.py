@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from kronnoma import (
     build_chain,
     find_combiners,
     pattern_groups,
+    recursive_detect,
     run_monte_carlo,
     synthesize_rx,
     trial_rng,
@@ -302,6 +304,53 @@ class TestUserGroups:
     def test_zero_column_is_one_group(self, P3):
         chain = FactorChain(PatternMatrix(np.array(SEED_FACTORS[1])), P3, 1)
         assert simkit._user_groups(chain) == ((0,), (1,), (2,), (3, 4, 5), (6,), (7,), (8,))
+
+
+class TestEstimateGain:
+    """Each path's combining gain, measured exactly on the detector's own
+    combining and compared with the gain its final set reports."""
+
+    @staticmethod
+    def gains(chain, design):
+        # m_f = 1: one combined value per path.  A user's column of G combines
+        # to the path's weight, the unit inputs to its combining-map row, so
+        # the gain is weight^2 over the row's squared norm
+        cfg = DetectionConfig(chain, design, BPSK)
+
+        def combined(y):
+            return [fs.values[0] for fs in recursive_detect(y, cfg).trace.final_sets]
+
+        rows = np.array([combined(e) for e in np.eye(chain.M)])
+        cols = np.array([combined(g) for g in build_chain(chain).entries.T])
+        out = {}
+        for p, fs in enumerate(recursive_detect(np.zeros(chain.M), cfg).trace.final_sets):
+            measured = Fraction(int(cols[fs.users[0], p]) ** 2, int((rows[:, p] ** 2).sum()))
+            assert measured == fs.gain
+            out[fs.path] = measured
+        return out
+
+    def test_identity_design_gains_are_one(self, F12, P3, design3):
+        eye = PatternMatrix(np.eye(3, dtype=int))
+        assert set(self.gains(FactorChain(F12, eye, 1), find_combiners(eye)).values()) == {1}
+        # no combining at r = 0: the one final set is the received value
+        assert self.gains(FactorChain(F12, P3, 0), design3) == {(): 1}
+
+    def test_reference_design_paths(self, chain_9x18, design3):
+        gains = self.gains(chain_9x18, design3)
+        assert len(gains) == 9
+        assert set(gains.values()) == {Fraction(16, 9)}
+
+    def test_reference_4x4_design_mixed_paths(self, F12, P4, design4):
+        by_path = self.gains(FactorChain(F12, P4, 2), design4)
+        assert len(by_path) == 16
+        # the gamma = 1 branch contributes no gain: path through it twice
+        assert by_path[(3, 3)] == 1
+        assert by_path[(0, 3)] == Fraction(4, 3)
+        assert by_path[(0, 0)] == Fraction(16, 9)
+
+    def test_design_for_another_inner_factor_refused(self, chain_9x18, design4):
+        with pytest.raises(DetectionError, match="different inner factor"):
+            DetectionConfig(chain_9x18, design4, BPSK)
 
 
 class TestWilsonInterval:
