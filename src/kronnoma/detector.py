@@ -328,21 +328,39 @@ class BatchDetection(NamedTuple):
     report: OpCountReport
 
 
+class _Members(NamedTuple):
+    """Duplicate-column user groups as arrays: per distinct group size,
+    the groups' positions (n,) and their members (n, size), each group's
+    in ascending order."""
+
+    count: int
+    by_size: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _members(groups) -> _Members:
+    """_Members of groups given one tuple of users each (pattern_groups)."""
+    sizes = np.array([len(g) for g in groups], dtype=np.intp)
+    by_size = []
+    for size in np.unique(sizes).tolist():
+        positions = np.flatnonzero(sizes == size)
+        by_size.append((positions, np.array([groups[i] for i in positions.tolist()], dtype=np.intp)))
+    return _Members(len(groups), tuple(by_size))
+
+
 def coupled_sums(symbols, groups, power_offsets) -> np.ndarray:
     """Offset-weighted symbol sum per duplicate-column user group.
 
     Users sharing a pattern column are only jointly observable; their
     offset-weighted sum is the quantity a detector can actually decide.
+    groups is pattern_groups output, one tuple of users per group, or the
+    same groups as member arrays (_Members), which simkit builds once per run.
     symbols may hold one trial (K,) or a batch (T, K); the group axis is
     last."""
+    members = groups if isinstance(groups, _Members) else _members(groups)
     weighted = np.asarray(power_offsets) * np.asarray(symbols)
-    out = np.empty(weighted.shape[:-1] + (len(groups),), dtype=weighted.dtype)
-    by_size: dict[int, list[int]] = {}
-    for gi, g in enumerate(groups):
-        by_size.setdefault(len(g), []).append(gi)
-    for gis in by_size.values():
-        members = np.array([groups[gi] for gi in gis])
-        out[..., gis] = weighted[..., members].sum(axis=-1)
+    out = np.empty(weighted.shape[:-1] + (members.count,), dtype=weighted.dtype)
+    for positions, users in members.by_size:
+        out[..., positions] = weighted[..., users].sum(axis=-1)
     return out
 
 
@@ -363,8 +381,8 @@ class _Sweep(NamedTuple):
 
     weights: np.ndarray  # (S,) exact int64 w_s
     hyp: np.ndarray  # (H, k_f) symbol indices, first position most significant
-    unit: np.ndarray  # (S, H, m_f) noiseless F (offs_s . x) per hypothesis
-    wunit: np.ndarray  # (S, H, m_f) the same times the set's |weight|
+    tables: np.ndarray  # (D, H, m_f) noiseless F (offs . x) per hypothesis, per distinct offsets row
+    table: np.ndarray  # (S,) each set's row of tables
     negative: np.ndarray  # (S,) w_s < 0: the set's equations are negated first
     positions: np.ndarray  # (S,) index of each set in path order
     adds: int  # per invocation, by the accounting model
@@ -391,10 +409,9 @@ def _sweep(F: PatternMatrix, constellation: Constellation, offsets, weights, pos
     distinct, inverse = np.unique(rows, return_inverse=True)
     distinct = distinct.view(float).reshape(-1, k_f)
     tables = np.array([(X * offs) @ Ft for offs in distinct]).reshape(len(distinct), n_hyp, F.rows)
-    unit = tables[inverse]
-    wunit = np.abs(weights).astype(float)[:, None, None] * unit
     n_add = n_hyp * (int(F.entries.sum()) + F.rows - 1)
-    return _Sweep(weights, hyp, unit, wunit, weights < 0, positions, n_add, n_hyp * (k_f + 2 * F.rows))
+    return _Sweep(weights, hyp, tables, inverse.reshape(-1), weights < 0, positions, n_add,
+                  n_hyp * (k_f + 2 * F.rows))
 
 
 class _Solve(NamedTuple):
@@ -416,21 +433,29 @@ def final_stage_map(sweep: _Sweep, z, counters: OpCounters) -> _Solve:
     decided on its negated equations (the same equations, with a positive
     weight).  argmin takes the first occurrence, so the lowest hypothesis
     index wins ties; the tie count is the number of hypotheses sharing the
-    best score."""
+    best score.  The sets are swept in blocks of sets and trials whose
+    scores number at most _SWEEP_VALUES (at least one set and one trial),
+    each set's |w| times its table formed per block of sets."""
     T, S = z.shape[:2]
     flipped = np.where(sweep.negative[:, None], -z, z)
     best = np.empty((T, S), dtype=np.intp)
     ties = np.empty((T, S), dtype=np.intp)
-    step = max(1, _SWEEP_VALUES // max(1, sweep.wunit.size))
-    for lo in range(0, T, step):
-        score = (np.abs(flipped[lo : lo + step, :, None, :] - sweep.wunit) ** 2).sum(axis=-1)
-        b = score.argmin(axis=-1)
-        best[lo : lo + step] = b
-        ties[lo : lo + step] = (score == np.take_along_axis(score, b[..., None], -1)).sum(axis=-1)
+    per_set = sweep.tables[0].size
+    n_sets = max(1, min(S, _SWEEP_VALUES // per_set))
+    step = max(1, _SWEEP_VALUES // (n_sets * per_set))
+    magnitude = np.abs(sweep.weights).astype(float)
+    for first in range(0, S, n_sets):
+        sets = slice(first, first + n_sets)
+        wunit = magnitude[sets, None, None] * sweep.tables[sweep.table[sets]]
+        for lo in range(0, T, step):
+            score = (np.abs(flipped[lo : lo + step, sets, None, :] - wunit) ** 2).sum(axis=-1)
+            b = score.argmin(axis=-1)
+            best[lo : lo + step, sets] = b
+            ties[lo : lo + step, sets] = (score == np.take_along_axis(score, b[..., None], -1)).sum(axis=-1)
     counters.adds += T * S * sweep.adds
     counters.muls += T * S * sweep.muls
     counters.final_invocations += T * S
-    return _Solve(sweep, z, best, ties, sweep.unit[np.arange(S), best])
+    return _Solve(sweep, z, best, ties, sweep.tables[sweep.table, best])
 
 
 def _cascade(Y, levels, counters: OpCounters):
@@ -755,34 +780,43 @@ def brute_force_map_oracle(
     its lowest-index member, which is the lowest-index member of each
     group's sum, since the index is a sum of per-group terms.  The tie
     count adds up the members of the best-scoring classes and the decision
-    is the lowest representative among them, compared by index because
-    class order is not index order; both are those of scoring every
-    hypothesis, bit for bit.  On the 9x18 BPSK chain with unit offsets,
-    3^9 = 19,683 classes stand for the 2^18 hypotheses: a call on 8 trials
-    peaks at about 3.1 MiB of traced allocations, and scoring costs about
-    0.17 ms per trial, against 2.9 ms with non-integer offsets (2 vCPUs).
+    is the lowest representative among them; both are those of scoring
+    every hypothesis, bit for bit.  The classes are the Kronecker product
+    of the groups' classes: they are taken in tables of at most
+    _ORACLE_CHUNK, in which the leading groups hold a constant class and
+    each trailing group runs its classes on an axis of its own, in C order.
 
-    The classes are the Kronecker product of the groups' classes, so they
-    need no index arithmetic: they are taken in tables of at most
-    _ORACLE_CHUNK, and inside a table the leading groups hold a constant
-    class (one scalar per user) while each trailing group runs its classes
-    on an axis of its own, in C order.  A user of a trailing group is a
-    short vector on its group's axis, its scaled symbol in each class's
-    representative.  Row m of a table adds the constant users of row m,
-    then the vectors of its other users in ascending user order, by
-    broadcasting; the same additions in the same order as when every user
-    had a column over the whole table.  Row m does not depend on the axes
-    after the last one that its users lie on, so it is held over the
-    leading axes up to the last one that rows 0..m reach, and every trial
-    is scored by accumulating the squared residual of one row at a time
-    over those axes, a block of trials at a time.  When a row reaches
-    later axes, the running score is widened by a broadcast add, and axes
-    that no row reaches are widened into at the end: every class still
-    gets the sum of its rows' squared residuals, added in row order.  On
-    the 9x18 chain with unit offsets the rows are scored over 243, 729,
-    729, 6,561 and then 19,683 classes, 106,677 entries per trial instead
-    of 9 x 19,683.  Memory stays at the rows and one bounded score block
-    and its residual."""
+    A class's score is its fold: the squared residuals of rows 0, 1, ...,
+    M - 1, added in that order.  Row m's prediction adds the constant
+    groups' values, then the other groups' sums in class order (ascending
+    user order when nothing merges): the additions of a column per user
+    over the table.  Each row is held over its own groups' axes only.
+
+    The fold is computed only for the survivors of a screen.  The screen
+    scores the matched-filter form ||y - Gx||^2 - ||y||^2 = ||Gx||^2 -
+    2 Re<G^T y, x> (Verdu, Multiuser Detection, ch. 4): ||Gx||^2 of every
+    class is formed once per table from the rows, and G^T y has one value
+    per group, so a trial adds one short vector per group axis to it,
+    broadcast one axis at a time with the long axis innermost.  The table
+    is held as slabs (its leading axes) by lanes (the others): per trial,
+    ||Gx||^2 plus the lane part is formed in one buffer and its least per
+    slab kept, and the slab part is added to those.  A class survives when
+    its screen is at most the trial's least screen plus an allowance taken
+    from the forward-error bounds of the screen and the fold (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3), evaluated at
+    the fold of the screen's argmin: every class whose fold is at most
+    that one's, as every best class's is, survives.  Only the slabs whose
+    least is within the allowance are formed again and compared.  A trial
+    any of whose screen values or folds could leave the float range keeps
+    every class; the screen runs under its own errstate, so only folds
+    raise, as they would if every class were folded.  At the SNRs of
+    simulate one class per trial survives; when the received values dwarf
+    the differences between classes (offsets near 2^53, say), many do.
+
+    On the 9x18 BPSK chain with unit offsets, 3^9 = 19,683 classes stand
+    for the 2^18 hypotheses, one table of 81 slabs by 243 lanes.  A call
+    on 8 trials peaks at about 0.45 MiB of traced allocations (2.1 MiB
+    with non-integer offsets: four tables of 65,536 hypotheses)."""
     y = np.asarray(y)
     if y.shape[-1:] != (G.rows,) or y.ndim > 2:
         raise ValueError("y must have one value per resource element")
@@ -804,112 +838,215 @@ def brute_force_map_oracle(
         and bool((scaled == np.round(scaled)).all())
         and sum(int(v) for v in np.abs(scaled).max(axis=1)) <= 2**53
     )
+    # groups whose users have the same scaled symbols have the same classes,
+    # found once: only their index terms differ, digit for digit
+    found = {}
+
+    def group_classes(users, merge):
+        key = (scaled[list(users)].tobytes(), merge)
+        if key not in found:
+            found[key] = _group_classes(scaled, users, stride, merge)
+        known = found[key]
+        if known is None or known.users == users:
+            return known
+        digits = known.term[:, None] // stride[list(known.users)] % q
+        return _Classes(users, known.mult, digits @ stride[list(users)])
+
     classes = []
     for users in pattern_groups(G) if merge else [(k,) for k in range(K)]:
-        found = _group_classes(scaled, users, stride, merge)
-        if found is None:  # more sums than one table holds: enumerate user by user
-            classes += [_group_classes(scaled, (k,), stride, False) for k in users]
+        group = group_classes(users, merge)
+        if group is None:  # more sums than one table holds: enumerate user by user
+            classes += [group_classes((k,), False) for k in users]
         else:
-            classes.append(found)
+            classes.append(group)
     n_vary, chunk = 0, 1
     while n_vary < len(classes) and chunk * len(classes[-1 - n_vary].term) <= _ORACLE_CHUNK:
         n_vary += 1
         chunk *= len(classes[-n_vary].term)
-    fixed, varying = classes[: len(classes) - n_vary], classes[len(classes) - n_vary :]
-    # axis a of a table runs the classes of varying[a]; a user of that group
-    # holds its scaled symbol per class on that axis, of shape (n_a, 1, ..., 1)
-    axes = [len(c.term) for c in varying]
-    axis, vector = {}, {}
-    # per class of a table: its representative's index term and its members;
-    # unmerged, the varying users are the last ones, so these are the class's
-    # position and one, and are not built.  Both are exact integers, built
-    # from the last group up so that the long axis is the inner one
-    vary_idx, vary_mult = (np.zeros(1, np.int64), np.ones(1, np.int64)) if merge else (None, None)
-    for a, c in reversed(list(enumerate(varying))):
-        for k in c.users:
-            axis[k] = a
-            vector[k] = scaled[k, c.term // stride[k] % q].reshape((-1,) + (1,) * (n_vary - 1 - a))
-        if merge:
-            vary_idx = (c.term[:, None] + vary_idx).ravel()
-            vary_mult = (c.mult[:, None] * vary_mult).ravel()
-    # row m is held and scored over the leading axes up to the last one that
-    # rows 0..m reach: neither its prediction nor their score depends on the
-    # axes after it
-    row_users, shapes, top = [], [], -1
-    for users in (np.flatnonzero(row).tolist() for row in G.entries):
-        vary_users = [k for k in users if k in axis]
-        top = max([top] + [axis[k] for k in vary_users])
-        row_users.append(([k for k in users if k not in axis], vary_users))
-        shapes.append(tuple(axes[: top + 1]) + (1,) * (n_vary - 1 - top))
-    widths = [math.prod(shape) for shape in shapes]
-    pred = [np.empty(width, dtype=scaled.dtype) for width in widths]
+    n_fixed = len(classes) - n_vary
+    varying = classes[n_fixed:]
+    size = [len(c.term) for c in varying]
+    # per group, its members' scaled symbols summed per class: one user's
+    # symbols, or exact integer sums
+    sums = [reduce(operator.add, [scaled[k, c.term // stride[k] % q] for k in c.users]) for c in classes]
+    in_row = G.entries[:, [c.users[0] for c in classes]].astype(bool)  # (M, groups)
+
+    # row m: its fixed groups, its varying groups' sums each on an axis of
+    # its own, and how it spreads over the table's axes.  Its entries lie
+    # in `compact` from at[m] on, in C order over its varying axes: a
+    # class's is at[m] + its digits times place[:, m]
+    rows, place = [], np.zeros((n_vary, G.rows), dtype=np.int64)
+    for m, row in enumerate(in_row):
+        groups = np.flatnonzero(row).tolist()
+        fixed = [a for a in groups if a < n_fixed]
+        vary = [a - n_fixed for a in groups if a >= n_fixed]
+        extent = [size[a] for a in vary]
+        place[vary, m] = np.cumprod(extent[::-1])[::-1] // extent
+        axis = [sums[n_fixed + a].reshape((-1,) + (1,) * (len(vary) - 1 - i)) for i, a in enumerate(vary)]
+        rows.append((fixed, axis, tuple(size[a] if a in vary else 1 for a in range(n_vary))))
+    widths = [math.prod(t.shape[0] for t in axis) for _, axis, _ in rows]
+    at = np.cumsum(widths) - widths
+    compact = np.empty(sum(widths), dtype=scaled.dtype)
+
+    def fill(m, pick):
+        fixed, axis, _ = rows[m]
+        total = reduce(operator.add, [sums[a][pick[a]] for a in fixed], 0)
+        for t in axis:
+            total = total + t
+        compact[at[m] : at[m] + widths[m]] = np.ravel(total)
+
+    def power(m):  # |prediction|^2 of row m, spread over the table's axes
+        p = compact[at[m] : at[m] + widths[m]]
+        return (np.conj(p) * p).real.reshape(rows[m][2])
+
+    # a table as slabs x lanes: the leading varying axes run the slabs, the
+    # others the lanes, about as many of each.  Per slab and per lane, its
+    # part of a class's index term, members and row entries
+    n_outer, slabs = 0, 1
+    while n_outer < n_vary and (slabs * size[n_outer]) ** 2 <= chunk:
+        slabs *= size[n_outer]
+        n_outer += 1
+    lanes = chunk // slabs
+
+    def kron(axes):
+        term, mult, entry = np.zeros(1, np.int64), np.ones(1, np.int64), np.zeros((G.rows, 1), np.int64)
+        for a in axes:
+            term = (term[:, None] + varying[a].term).ravel()
+            mult = (mult[:, None] * varying[a].mult).ravel()
+            entry = (entry[:, :, None] + place[a, :, None, None] * np.arange(size[a])).reshape(G.rows, -1)
+        return term, mult, entry
+
+    slab_term, slab_mult, slab_entry = kron(range(n_outer))
+    lane_term, lane_mult, lane_entry = kron(range(n_outer, n_vary))
+    Yt = Y.T
+
+    def fold(trials, slab, lane):
+        """The fold of each (trial, class) pair, the class given by its slab
+        and lane: bit for bit its score when every class is folded."""
+        entries = compact[slab_entry[:, slab] + lane_entry[:, lane] + at[:, None]]  # (M, pairs)
+        for m in range(G.rows):
+            d = Yt[m, trials] - entries[m]
+            r = np.abs(d) if d.dtype.kind == "c" else d
+            np.multiply(r, r, out=r)
+            if m == 0:
+                s = r
+            else:
+                s += r
+        return s
+
     T = Y.shape[0]
     step = max(1, _SWEEP_VALUES // chunk)
-    score = np.empty(min(step, T) * chunk)
-    resid = np.empty(score.shape, dtype=np.result_type(Y, scaled))
-    magnitude = np.empty(score.shape) if resid.dtype.kind == "c" else None
+    # X is formed for `group` trials at a time in one buffer of at most
+    # about _SWEEP_VALUES / slabs values or one trial's: one table on the
+    # 9x18 chain, where a block-sized buffer costs more in first-touch page
+    # faults than its fewer calls save
+    group = max(1, step // slabs)
+    with np.errstate(all="ignore"):
+        Yf = Y.astype(np.result_type(Y, float), copy=False)
+        matched = Yf @ in_row  # G^T y, one value per group
+        cross = [-2 * (np.conj(matched[:, a, None]) * t).real for a, t in enumerate(sums)]
+        energy = (np.conj(Yf) * Yf).real.sum(axis=1)  # ||y||^2
+        # Y1 = sum_m |y_m|_1 A_m, where A_m bounds the |.|_1 of the sum of
+        # row m's users' symbols and |z|_1 = |Re z| + |Im z|
+        reach = G.entries @ (np.abs(scaled.real) + np.abs(scaled.imag)).max(axis=1)
+        spread = (np.abs(Yf.real) + np.abs(Yf.imag)) @ reach
+    # gamma_n for more roundings than any sum of the screen or the fold
+    # takes (M + 2K + 8), plus 16 for those of the allowance, the threshold
+    # and its per-slab shift
+    n_round = G.rows + 2 * K + 24
+    unit = np.finfo(float).eps / 2
+    gamma = n_round * unit / (1 - n_round * unit)
+    screen = np.empty(min(group, T) * chunk)
     best_score = np.full(T, math.inf)
     best_idx = np.full(T, -1, dtype=np.int64)
     ties = np.zeros(T, dtype=np.int64)
-    for n_table, pick in enumerate(itertools.product(*(range(len(c.term)) for c in fixed))):
-        value = {
-            k: scaled[k, c.term[i] // stride[k] % q] for c, i in zip(fixed, pick) for k in c.users
-        }
-        for m, (const_users, vary_users) in enumerate(row_users):
-            if n_table and not const_users:
-                continue  # varying users only: the row is the same in every table
-            total = reduce(operator.add, [value[k] for k in const_users], 0)
-            for k in vary_users:
-                total = total + vector[k]
-            pred[m].reshape(shapes[m])[...] = total
-        const_idx = sum(int(c.term[i]) for c, i in zip(fixed, pick))
-        const_mult = math.prod(int(c.mult[i]) for c, i in zip(fixed, pick))
+    # the rows of varying groups only, and their part of ||Gx||^2, are the
+    # same in every table
+    static = [m for m, (fixed, _, _) in enumerate(rows) if not fixed]
+    dynamic = [m for m, (fixed, _, _) in enumerate(rows) if fixed]
+    for m in static:
+        fill(m, ())
+    with np.errstate(all="ignore"):
+        common = np.zeros(size)
+        for m in static:
+            common += power(m)
+    for pick in itertools.product(*(range(len(c.term)) for c in classes[:n_fixed])):
+        for m in dynamic:
+            fill(m, pick)
+        const_idx = sum(int(c.term[i]) for c, i in zip(classes, pick))
+        const_mult = math.prod(int(c.mult[i]) for c, i in zip(classes, pick))
+        with np.errstate(all="ignore"):
+            norm = common.copy() if dynamic else common  # ||Gx||^2
+            for m in dynamic:
+                norm += power(m)
+            norm = norm.reshape(slabs, lanes)
+            # no screen value or fold of such a trial can leave the float range
+            safe = np.isfinite(4 * (energy + spread + norm.max()))
+            const = reduce(operator.add, [cross[a][:, i] for a, i in enumerate(pick)], np.zeros(T))
         for lo in range(0, T, step):
-            rows = slice(lo, lo + step)
+            block = slice(lo, lo + step)
             n = min(step, T - lo)
-            for m, width in enumerate(widths):
-                d = resid[: n * width].reshape(n, width)
-                np.subtract(Y[rows, m, None], pred[m], out=d)
-                r = d if magnitude is None else np.abs(d, out=magnitude[: n * width].reshape(n, width))
-                if m == 0:
-                    s = np.multiply(r, r, out=score[: n * width].reshape(n, width))
-                    continue
-                np.multiply(r, r, out=r)
-                if width == s.shape[1]:
-                    s += r
-                else:  # the row reaches later axes: widen the running score,
-                    # in r because the wider score would overlap the narrower
-                    wide = r.reshape(n, s.shape[1], -1)
-                    np.add(s[:, :, None], wide, out=wide)
-                    s = score[: n * width].reshape(n, width)
-                    s[...] = r
-            if s.shape[1] < chunk:  # axes that no row reaches (numpy copies
-                # the narrower score first, as it overlaps the wider)
-                wide = score[: n * chunk].reshape(n, s.shape[1], -1)
-                wide[...] = s[:, :, None]
-                s = wide.reshape(n, chunk)
-            first = s.argmin(axis=-1)
-            low = s[np.arange(n), first]
-            tied = s == low[:, None]
-            if not merge:  # the first minimum is the lowest tied hypothesis
-                count, rep = tied.sum(axis=-1), first
-            else:
-                count, rep = vary_mult[first], vary_idx[first]
-                many = np.flatnonzero(tied.sum(axis=-1) > 1)  # trials with tied classes
-                if many.size:
-                    tied = tied[many]
-                    count[many] = tied @ vary_mult
-                    rep[many] = np.where(tied, vary_idx, n_hyp).min(axis=-1)
-            count, rep = const_mult * count, const_idx + rep
-            # per trial: a lower minimum restarts the count and the decision;
-            # an equal one adds to the count of an earlier table and keeps
-            # the lower of the two representatives
-            better = low < best_score[rows]
-            equal = low == best_score[rows]
-            ties[rows] = np.where(better, count, ties[rows] + equal * count)
-            kept = np.where(equal, np.minimum(best_idx[rows], rep), best_idx[rows])
-            best_idx[rows] = np.where(better, rep, kept)
-            best_score[rows] = np.where(better, low, best_score[rows])
+            trials = np.arange(lo, lo + n)
+            with np.errstate(all="ignore"):
+                # -2 Re<G^T y, x> in two parts, per lane (with the constant
+                # groups) and per slab; a class's screen is ||Gx||^2 plus its
+                # lane's part, X, plus its slab's part.  X is formed a group
+                # of trials at a time, and its least per slab kept
+                lane, shift = const[block, None], np.zeros((n, 1))
+                for a in range(n_vary - 1, -1, -1):
+                    part = cross[n_fixed + a][block, :, None]
+                    if a >= n_outer:
+                        lane = (part + lane[:, None, :]).reshape(n, -1)
+                    else:
+                        shift = (part + shift[:, None, :]).reshape(n, -1)
+                in_slab = np.empty((n, slabs), dtype=np.intp)
+                least = np.empty((n, slabs))
+                for i in range(0, n, group):
+                    some = slice(i, i + group)
+                    X = np.add(norm, lane[some, None, :],
+                               out=screen[: min(group, n - i) * chunk].reshape(-1, slabs, lanes))
+                    X.argmin(axis=2, out=in_slab[some])
+                    X.min(axis=2, out=least[some])
+                per_slab = least + shift
+                slab = per_slab.argmin(axis=1)
+                low = per_slab[np.arange(n), slab]
+                lane_of = in_slab[np.arange(n), slab]
+                # a class whose fold is at most the argmin's screens within
+                # the allowance of it: both screens are within
+                # gamma (||Gx||^2 + 2 Y1) of the exact ||y - Gx||^2 - ||y||^2,
+                # up to the rounding of the predictions (2 gamma Y1 each),
+                # both folds within gamma of it, and
+                # ||Gx||^2 <= 2 ||y||^2 + 2 ||y - Gx||^2
+                best = fold(trials, slab, lane_of)
+                allowance = gamma * (6 * best + 4 * energy[block] + 8 * spread[block])
+                bound = (low + allowance)[:, None] - shift
+                # only a slab whose least X is within its bound holds
+                # survivors; its X is formed again, bit for bit
+                whole = ~safe[block]
+                t, s = np.nonzero((least <= bound) | whole[:, None])
+                hit = np.flatnonzero((norm[s] + lane[t] <= bound[t, s, None]) | whole[t, None])
+            pair, l = np.divmod(hit, lanes)
+            trial, s = t[pair], s[pair]
+            # the survivors' folds; that of a safe trial's argmin is known
+            score = best[trial]
+            fresh = ~(safe[lo + trial] & (s == slab[trial]) & (l == lane_of[trial]))
+            if fresh.any():
+                score[fresh] = fold(lo + trial[fresh], s[fresh], l[fresh])
+            heads = np.searchsorted(trial, np.arange(n))
+            low = np.minimum.reduceat(score, heads)
+            tied = score == low[trial]
+            count = np.add.reduceat(np.where(tied, const_mult * slab_mult[s] * lane_mult[l], 0), heads)
+            rep = np.minimum.reduceat(np.where(tied, const_idx + slab_term[s] + lane_term[l], n_hyp), heads)
+            # per trial: the first table's minimum, or a lower one, restarts
+            # the count and the decision (every score may be infinite); an
+            # equal one adds to the count of an earlier table and keeps the
+            # lower of the two representatives
+            better = (low < best_score[block]) | (best_idx[block] < 0)
+            equal = low == best_score[block]
+            ties[block] = np.where(better, count, ties[block] + equal * count)
+            kept = np.where(equal, np.minimum(best_idx[block], rep), best_idx[block])
+            best_idx[block] = np.where(better, rep, kept)
+            best_score[block] = np.where(better, low, best_score[block])
     symbols = constellation.symbols[(best_idx[:, None] // stride) % q]
     if y.ndim == 1:
         return symbols[0], int(ties[0])

@@ -27,11 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from collections import Counter
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from operator import itemgetter
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -79,36 +79,102 @@ def path_gain_profile(gains: Iterable, r: int) -> Mapping[Fraction, int]:
     return _path_gain_profile(tuple(sorted(_exact_gains(gains))), r)
 
 
-def _descending(term: tuple[Fraction, int]) -> tuple[float, Fraction]:
-    # float() is monotone, and the exact boost orders those that round alike
-    boost = term[0]
+def _value(num: int, den: int) -> float:
+    # int / int is correctly rounded, so this is float() of the boost
     try:
-        return boost.numerator / boost.denominator, boost
+        return num / den
     except OverflowError:
-        return math.inf, boost
+        return math.inf
+
+
+class _ProfileItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping._keys(), self._mapping._counts)
+
+
+class _Profile(Mapping):
+    """A read-only {boost: path count} in descending boost order.  Each
+    boost is held as integers (num, den) and as its float; its Fraction is
+    built when the keys are first read.  A boost is looked up by its float,
+    then exactly, so no boost is hashed as a rational: CPython hashes them
+    mod 2^61 - 1, where the powers of 2 repeat every 61."""
+
+    def __init__(self, exact: list[tuple[int, int]], values: list[float], counts: list[int]):
+        self._exact, self._values, self._counts = tuple(exact), tuple(values), tuple(counts)
+        self._boosts = None
+        self._at: dict[float, list[int]] = {}
+        for i, v in enumerate(values):
+            self._at.setdefault(v, []).append(i)
+
+    def _keys(self) -> tuple[Fraction, ...]:
+        if self._boosts is None:
+            self._boosts = tuple(Fraction(num, den) for num, den in self._exact)
+        return self._boosts
+
+    def __getitem__(self, boost):
+        try:
+            exact = Fraction(boost) if isinstance(boost, numbers.Number) else None
+        except (OverflowError, TypeError, ValueError):  # complex, NaN, infinite
+            exact = None
+        if exact is not None:
+            p, q = exact.numerator, exact.denominator
+            for i in self._at.get(_value(p, q), ()):
+                num, den = self._exact[i]
+                if num * q == p * den:
+                    return self._counts[i]
+        raise KeyError(boost)
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def items(self) -> ItemsView:
+        return _ProfileItems(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 # a `rate` sweep reads two profiles, its chain's and the SIC reference's
 @functools.lru_cache(maxsize=4)
-def _path_gain_profile(multiset: tuple[Fraction, ...], r: int) -> Mapping[Fraction, int]:
+def _path_gain_profile(multiset: tuple[Fraction, ...], r: int) -> _Profile:
     """`path_gain_profile` of a sorted gain multiset, built once over its d
     distinct gains g_i, held by c_i branches each: for each split k of r
     among them, multinomial(r; k) * prod c_i^k_i paths are boosted
-    prod g_i^k_i, and equal boosts are merged."""
+    prod g_i^k_i, and equal boosts are merged.  A split's boost is held as
+    the integers prod num_i^k_i and prod den_i^k_i, from each gain's
+    powers."""
     distinct = sorted(Counter(multiset).items(), reverse=True)
     # the boost's numerator and denominator, the path count and the
     # recursions left after each distinct gain; the last takes all left
     terms = [(1, 1, 1, r)]
     for i, (g, c) in enumerate(distinct):
-        terms = [(num * g.numerator**k, den * g.denominator**k,
-                  count * math.comb(left, k) * c**k, left - k)
+        powers = [(1, 1, 1)]
+        for _ in range(r):
+            num, den, branches = powers[-1]
+            powers.append((num * g.numerator, den * g.denominator, branches * c))
+        terms = [(num * powers[k][0], den * powers[k][1], count * math.comb(left, k) * powers[k][2], left - k)
                  for num, den, count, left in terms
                  for k in ((left,) if i == len(distinct) - 1 else range(left + 1))]
-    # splits whose boosts are equal (gains 2 and 4, say) fall side by side
-    terms = sorted(((Fraction(num, den), count) for num, den, count, _ in terms),
-                   key=_descending, reverse=True)
-    return MappingProxyType({boost: sum(count for _, count in group)
-                             for boost, group in itertools.groupby(terms, key=itemgetter(0))})
+    # descending by float(); boosts whose floats are equal, among them any
+    # equal boosts (gains 2 and 4, say), are ordered and merged by exact
+    # integer comparison
+    value = [_value(num, den) for num, den, _, _ in terms]
+    exact = functools.cmp_to_key(lambda a, b: terms[b][0] * terms[a][1] - terms[a][0] * terms[b][1])
+    boosts, values, counts = [], [], []
+    for v, run in itertools.groupby(sorted(range(len(terms)), key=value.__getitem__, reverse=True),
+                                    key=value.__getitem__):
+        for i, t in enumerate(sorted(run, key=exact)):
+            num, den, count, _ = terms[t]
+            if i and num * boosts[-1][1] == boosts[-1][0] * den:
+                counts[-1] += count
+            else:
+                boosts.append((num, den))
+                values.append(v)
+                counts.append(count)
+    return _Profile(boosts, values, counts)
 
 
 def _log_det_sums(gram: np.ndarray, weights: np.ndarray, boosts: np.ndarray,
@@ -195,9 +261,8 @@ def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float | Sequenc
 
     def profile() -> tuple[np.ndarray, np.ndarray]:
         # int / int is correctly rounded: float(Fraction(n, 2M)), float(boost)
-        terms, paths = path_gain_profile(gains, chain.r).items(), 2 * chain.M
-        return (np.array([n / paths for _, n in terms]),
-                np.array([b.numerator / b.denominator for b, _ in terms]))
+        terms, paths = path_gain_profile(gains, chain.r), 2 * chain.M
+        return np.array([n / paths for n in terms._counts]), np.array(terms._values)
 
     return _on_grid(_recursive_rates(chain.F, chain.r, snrs, max(gains), profile), scalar)
 

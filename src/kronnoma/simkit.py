@@ -152,18 +152,22 @@ def synthesize_rx(x, chain: FactorChain, noise):
     return Gx.reshape(noise.shape) + noise
 
 
-def _user_groups(chain: FactorChain) -> tuple[tuple[int, ...], ...]:
-    """pattern_groups(build_chain(chain)) from the factors, for an
+def _user_groups(chain: FactorChain) -> det._Members:
+    """pattern_groups(build_chain(chain)) from the factors, as arrays, for an
     invertible P (every chain with a design): user c_f * m_p^r + o has
     column F[:, c_f] (x) column o of P^(x)r, whose columns are distinct and
     nonzero, so users share a column when their F columns are equal and
-    they share o or that F column is zero."""
-    inner, groups = chain.m_p**chain.r, []
+    they share o or that F column is zero.  Each group of F columns gives a
+    block of groups of one size, in the order pattern_groups lists them."""
+    inner, blocks, count = chain.m_p**chain.r, {}, 0
     for outer in pattern_groups(chain.F):
-        users = np.add.outer(np.array(outer) * inner, np.arange(inner))
+        users = np.add.outer(np.array(outer, dtype=np.intp) * inner, np.arange(inner))
         zero = not chain.F.entries[:, outer[0]].any()
-        groups.extend([users.ravel()] if zero else users.T)
-    return tuple(tuple(g.tolist()) for g in groups)
+        members = users.reshape(1, -1) if zero else users.T
+        blocks.setdefault(members.shape[1], []).append((np.arange(count, count + len(members)), members))
+        count += len(members)
+    return det._Members(count, tuple((np.concatenate([p for p, _ in b]), np.concatenate([m for _, m in b]))
+                                     for b in blocks.values()))
 
 
 @dataclass(frozen=True)
@@ -346,7 +350,7 @@ def run_monte_carlo(
 
     totals = np.zeros((n_points, 4), dtype=np.int64)
     records: list[list[TrialRecord]] = [[] for _ in range(n_points)]
-    n_coup = trials * len(groups)
+    n_coup = trials * groups.count
     # an overflow anywhere in synthesis or detection would leave a meaningless
     # decision behind, so it stops the run instead of warning
     with np.errstate(over="raise", invalid="raise"):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronnoma import (
@@ -496,6 +496,24 @@ class TestPlanArrays:
         for v in leaves(plan):
             assert isinstance(v, int) or v.dtype.kind in "biuf"
 
+    def test_plan_memory_does_not_grow_with_the_hypotheses(self, P3, design3):
+        # F a 1 x 12 row of ones: 4,096 hypotheses per set.  The plan keeps
+        # one hypothesis table per distinct offsets row and each set's index
+        # into it; with a table and its weighted copy per set it retained
+        # 2.3, 5.1 and 15.2 MiB at r = 3, 4 and 5
+        F = PatternMatrix(np.ones((1, 12), dtype=np.int64))
+        for sic in (False, True):
+            cfg = _cfg(FactorChain(F, P3, 5), design3, sic=sic)
+            det._hypothesis_indices(2, 12)  # the module's cache, not the plan
+            tracemalloc.start()
+            try:
+                plan = cfg._plan
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert retained < 1 << 20
+            assert plan.plain.tables.shape == (1, 4096, 1)
+
 
 def _reference_plain(y, cfg):
     """Plain detection from first principles: the dense combining matrix,
@@ -978,6 +996,73 @@ class TestOracleReference:
         finally:
             tracemalloc.stop()
         assert peak < 7 * 2**20
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A pattern matrix of up to 7 rows and 12 BPSK or 6 QPSK users, power
+    offsets, and received vectors.  BPSK offsets are unit, integer, integer
+    times 2^40 or a dyadic ramp, so every prediction is exact in any order
+    of addition and the reference's scores are the oracle's, bit for bit;
+    its received vectors are noiseless, noisy, exact midpoints between two
+    hypotheses, or near the float range (y = Gx of about 1e155, some of
+    whose squared distances overflow).  QPSK sums round in an order of
+    their own, so its exact ties would be decided by rounding: its offsets
+    1 + 2^-(k+1) give every hypothesis a distinct prediction, and its
+    received vectors are noiseless, noisy or near the float range."""
+    con = draw(st.sampled_from([BPSK, QPSK]))
+    K = draw(st.integers(1, 12 if con is BPSK else 6))
+    M = draw(st.integers(1, 7))
+    G = PatternMatrix(np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=K, max_size=K),
+                                             min_size=M, max_size=M))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if con is BPSK:
+        kind = draw(st.sampled_from(["unit", "integer", "2^40", "ramp"]))
+        offs = {"unit": np.ones(K), "integer": rng.integers(1, 4, K).astype(float),
+                "2^40": rng.integers(1, 4, K) * 2.0**40, "ramp": 0.75 + np.arange(K) / 8}[kind]
+        received = draw(st.sampled_from(["noiseless", "noisy", "midpoint", "near-range"]))
+    else:
+        offs = 1 + 2.0 ** -np.arange(1, K + 1)
+        received = draw(st.sampled_from(["noiseless", "noisy", "near-range"]))
+    T = draw(st.integers(1, 3))
+    X = con.symbols[rng.integers(0, con.size, (T, K))]
+    if received == "midpoint":  # halfway to a hypothesis that differs in some users
+        other = X.copy()
+        flip = rng.random((T, K)) < 0.5
+        flip[np.arange(T), rng.integers(0, K, T)] = True
+        other[flip] *= -1
+        X = (X + other) / 2
+    if received == "near-range":
+        offs = offs * 2.0**515
+    Y = (X * offs) @ G.entries.T
+    if received == "noisy":
+        Y = Y + 0.6 * offs.max() * rng.standard_normal(Y.shape)
+    if received == "near-range" and draw(st.booleans()):
+        Y = Y + 2.0**-12 * offs.max() * rng.standard_normal(Y.shape)
+    if received == "noisy" and con is QPSK:
+        Y = Y + 0.6j * rng.standard_normal(Y.shape)
+    chunk = draw(st.sampled_from([det._ORACLE_CHUNK, 64, 8]))
+    return G, con, offs, Y, chunk
+
+
+@given(_oracle_cases())
+# one user that no row touches, so both hypotheses score y^2 = 2^1086,
+# beyond the float range: every score is infinite and the first one wins
+@example((PatternMatrix(np.array([[0]])), BPSK, np.array([2.0**555]), np.array([[2.0**543]]),
+          det._ORACLE_CHUNK))
+@settings(max_examples=120, deadline=None)
+def test_oracle_matches_reference_property(case):
+    """The screen keeps every best class of every table, whatever the
+    layout, offsets and received vectors, and across tables."""
+    from unittest import mock
+
+    G, con, offs, Y, chunk = case
+    with np.errstate(over="ignore"):  # near the float range squared distances overflow
+        want_sym, want_ties = _reference_oracle(Y, G, con, offs)
+        with mock.patch.object(det, "_ORACLE_CHUNK", chunk):
+            sym, ties = brute_force_map_oracle(Y, G, con, power_offsets=offs)
+    assert np.array_equal(sym, want_sym)
+    assert np.array_equal(ties, want_ties)
 
 
 class TestSic:

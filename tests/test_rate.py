@@ -199,6 +199,30 @@ _FEW_GAINS = st.sampled_from([Fraction(1), Fraction(2), Fraction(4), Fraction(1,
                               Fraction(4, 3), Fraction(2, 3)])
 
 
+def _fraction_keyed_profile(gains, r):
+    """The profile as a dict {Fraction boost: count}: every split's boost
+    a Fraction, sorted by (float, Fraction) and merged by equality, the
+    construction the integer-keyed one replaced."""
+    distinct = sorted(Counter(Fraction(g) for g in gains).items(), reverse=True)
+    terms = [(1, 1, 1, r)]
+    for i, (g, c) in enumerate(distinct):
+        terms = [(num * g.numerator**k, den * g.denominator**k,
+                  count * math.comb(left, k) * c**k, left - k)
+                 for num, den, count, left in terms
+                 for k in ((left,) if i == len(distinct) - 1 else range(left + 1))]
+
+    def descending(term):
+        try:
+            return term[0].numerator / term[0].denominator, term[0]
+        except OverflowError:
+            return math.inf, term[0]
+
+    terms = sorted(((Fraction(num, den), count) for num, den, count, _ in terms),
+                   key=descending, reverse=True)
+    return {boost: sum(count for _, count in group)
+            for boost, group in itertools.groupby(terms, key=lambda term: term[0])}
+
+
 class TestPathGainProfile:
     """`path_gain_profile` counts every path's exact boost, and
     `sum_rate_recursive` reads each (gains, r) profile once and equals a
@@ -238,6 +262,26 @@ class TestPathGainProfile:
         assert max(path_gain_profile(gains, r).values()) > 2**53
         for snr in (0.0, 1e-3, 1.0, 1e6):
             assert sum_rate_recursive(chain, gains, snr) == _pointwise_rate(chain, gains, snr)
+
+    @pytest.mark.parametrize("gains", [
+        (2, 4), (2, 4, 8), (Fraction(1, 2), 2, 1, 2), (Fraction(4, 3),) * 3,
+        (2, 3, 5), (Fraction(4, 3), Fraction(1, 2), Fraction(5, 3)), (Fraction(4, 3), 1, Fraction(1, 2)),
+    ], ids=["2-4", "2-4-8", "half-2-1-2", "equal", "primes", "distinct", "distinct-with-1"])
+    def test_equals_fraction_keyed_profile(self, gains):
+        # independent and dependent gain sets: the same keys, counts and
+        # order as the Fraction-keyed construction, and every key looks up
+        # its count, whatever its numeric type
+        for r in (0, 1, 2, 7, 40):
+            rate._path_gain_profile.cache_clear()
+            got, want = path_gain_profile(gains, r), _fraction_keyed_profile(gains, r)
+            assert list(got.items()) == list(want.items())
+            assert all(type(boost) is Fraction for boost in got)
+            assert len(got) == len(want) and all(got[boost] == count for boost, count in want.items())
+            assert all(got[float(boost)] == count for boost, count in want.items()
+                       if float(boost) == boost)
+        for missing in (Fraction(7, 9), 0, -1, 1.5, math.nan, math.inf, 1j, "2", None):
+            with pytest.raises(KeyError):
+                path_gain_profile((2, 3, 5), 2)[missing]
 
     def test_sweep_builds_profile_once(self, tmp_path, chain_9x18):
         path = tmp_path / "chain.json"

@@ -295,15 +295,35 @@ class TestSynthesizeRx:
             synthesize_rx(np.ones((2, 18)), chain_9x18, np.zeros(9))
 
 
+def _as_tuples(members) -> tuple[tuple[int, ...], ...]:
+    """Group member arrays as pattern_groups lists them: one tuple of
+    users per group, in group order."""
+    groups = [None] * members.count
+    for positions, users in members.by_size:
+        for p, u in zip(positions.tolist(), users.tolist()):
+            groups[p] = tuple(u)
+    return tuple(groups)
+
+
 class TestUserGroups:
     def test_equal_dense_groups(self, P3, P4):
         # groups from the factors against pattern_groups of the dense G
         for chain in _chains(P3, P4):
-            assert simkit._user_groups(chain) == pattern_groups(build_chain(chain))
+            assert _as_tuples(simkit._user_groups(chain)) == pattern_groups(build_chain(chain))
 
     def test_zero_column_is_one_group(self, P3):
         chain = FactorChain(PatternMatrix(np.array(SEED_FACTORS[1])), P3, 1)
-        assert simkit._user_groups(chain) == ((0,), (1,), (2,), (3, 4, 5), (6,), (7,), (8,))
+        assert _as_tuples(simkit._user_groups(chain)) == ((0,), (1,), (2,), (3, 4, 5), (6,), (7,), (8,))
+
+    def test_coupled_sums_take_either_form(self, P3, P4):
+        # the member arrays and pattern_groups' tuples give the same sums
+        rng = np.random.default_rng(31)
+        for chain in _chains(P3, P4):
+            x = rng.choice([-1.0, 1.0], size=(3, chain.K))
+            offs = rng.uniform(0.5, 1.5, chain.K)
+            groups = pattern_groups(build_chain(chain))
+            assert np.array_equal(det.coupled_sums(x, simkit._user_groups(chain), offs),
+                                  det.coupled_sums(x, groups, offs))
 
 
 class TestEstimateGain:
