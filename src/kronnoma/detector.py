@@ -440,7 +440,7 @@ def final_stage_map(sweep: _Sweep, z, counters: OpCounters) -> _Solve:
     flipped = np.where(sweep.negative[:, None], -z, z)
     best = np.empty((T, S), dtype=np.intp)
     ties = np.empty((T, S), dtype=np.intp)
-    per_set = sweep.tables[0].size
+    per_set = math.prod(sweep.tables.shape[1:])  # S = 0 (SIC with m_p = 1) has no table
     n_sets = max(1, min(S, _SWEEP_VALUES // per_set))
     step = max(1, _SWEEP_VALUES // (n_sets * per_set))
     magnitude = np.abs(sweep.weights).astype(float)
@@ -763,7 +763,9 @@ def brute_force_map_oracle(
     Symbols are equiprobable, so the MAP hypothesis is the nearest one,
     whatever the noise variance.  y holds one received vector (M,) or a
     batch (T, M).  Raises HypothesisCapExceeded above DEFAULT_ORACLE_CAP
-    hypotheses rather than attempt an infeasible sweep.  Returns (symbols,
+    hypotheses rather than attempt an infeasible sweep, and ValueError for
+    a y holding NaN or an infinity, which no hypothesis is nearest to.
+    Returns (symbols,
     tie count), of shapes (K,) and scalar for one vector or (T, K) and (T,)
     for a batch, with ties broken toward the lowest hypothesis index (first
     symbol most significant), matching the final-stage convention.
@@ -820,6 +822,8 @@ def brute_force_map_oracle(
     y = np.asarray(y)
     if y.shape[-1:] != (G.rows,) or y.ndim > 2:
         raise ValueError("y must have one value per resource element")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite: joint MAP has no answer for NaN or infinite values")
     Y = y.reshape(-1, G.rows)
     q, K = constellation.size, G.cols
     n_hyp = q**K
@@ -838,25 +842,11 @@ def brute_force_map_oracle(
         and bool((scaled == np.round(scaled)).all())
         and sum(int(v) for v in np.abs(scaled).max(axis=1)) <= 2**53
     )
-    # groups whose users have the same scaled symbols have the same classes,
-    # found once: only their index terms differ, digit for digit
-    found = {}
-
-    def group_classes(users, merge):
-        key = (scaled[list(users)].tobytes(), merge)
-        if key not in found:
-            found[key] = _group_classes(scaled, users, stride, merge)
-        known = found[key]
-        if known is None or known.users == users:
-            return known
-        digits = known.term[:, None] // stride[list(known.users)] % q
-        return _Classes(users, known.mult, digits @ stride[list(users)])
-
     classes = []
     for users in pattern_groups(G) if merge else [(k,) for k in range(K)]:
-        group = group_classes(users, merge)
+        group = _group_classes(scaled, users, stride, merge)
         if group is None:  # more sums than one table holds: enumerate user by user
-            classes += [group_classes((k,), False) for k in users]
+            classes += [_group_classes(scaled, (k,), stride, False) for k in users]
         else:
             classes.append(group)
     n_vary, chunk = 0, 1

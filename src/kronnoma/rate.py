@@ -27,11 +27,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from collections import Counter
-from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,7 +75,14 @@ def path_gain_profile(gains: Iterable, r: int) -> Mapping[Fraction, int]:
     count} in descending boost order, whose counts sum to len(gains)^r."""
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
         raise ValueError(f"r must be a nonnegative integer, not {r!r}")
-    return _path_gain_profile(tuple(sorted(_exact_gains(gains))), r)
+    return _profile_map(tuple(sorted(_exact_gains(gains))), r)
+
+
+# the map the tests and acceptance checks read; a rate reads the tuples
+@functools.lru_cache(maxsize=4)
+def _profile_map(multiset: tuple[Fraction, ...], r: int) -> Mapping[Fraction, int]:
+    boosts, _, counts = _path_gain_profile(multiset, r)
+    return MappingProxyType({Fraction(num, den): count for (num, den), count in zip(boosts, counts)})
 
 
 def _value(num: int, den: int) -> float:
@@ -87,65 +93,19 @@ def _value(num: int, den: int) -> float:
         return math.inf
 
 
-class _ProfileItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping._keys(), self._mapping._counts)
-
-
-class _Profile(Mapping):
-    """A read-only {boost: path count} in descending boost order.  Each
-    boost is held as integers (num, den) and as its float; its Fraction is
-    built when the keys are first read.  A boost is looked up by its float,
-    then exactly, so no boost is hashed as a rational: CPython hashes them
-    mod 2^61 - 1, where the powers of 2 repeat every 61."""
-
-    def __init__(self, exact: list[tuple[int, int]], values: list[float], counts: list[int]):
-        self._exact, self._values, self._counts = tuple(exact), tuple(values), tuple(counts)
-        self._boosts = None
-        self._at: dict[float, list[int]] = {}
-        for i, v in enumerate(values):
-            self._at.setdefault(v, []).append(i)
-
-    def _keys(self) -> tuple[Fraction, ...]:
-        if self._boosts is None:
-            self._boosts = tuple(Fraction(num, den) for num, den in self._exact)
-        return self._boosts
-
-    def __getitem__(self, boost):
-        try:
-            exact = Fraction(boost) if isinstance(boost, numbers.Number) else None
-        except (OverflowError, TypeError, ValueError):  # complex, NaN, infinite
-            exact = None
-        if exact is not None:
-            p, q = exact.numerator, exact.denominator
-            for i in self._at.get(_value(p, q), ()):
-                num, den = self._exact[i]
-                if num * q == p * den:
-                    return self._counts[i]
-        raise KeyError(boost)
-
-    def __iter__(self):
-        return iter(self._keys())
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def items(self) -> ItemsView:
-        return _ProfileItems(self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
 # a `rate` sweep reads two profiles, its chain's and the SIC reference's
 @functools.lru_cache(maxsize=4)
-def _path_gain_profile(multiset: tuple[Fraction, ...], r: int) -> _Profile:
-    """`path_gain_profile` of a sorted gain multiset, built once over its d
-    distinct gains g_i, held by c_i branches each: for each split k of r
-    among them, multinomial(r; k) * prod c_i^k_i paths are boosted
-    prod g_i^k_i, and equal boosts are merged.  A split's boost is held as
-    the integers prod num_i^k_i and prod den_i^k_i, from each gain's
-    powers."""
+def _path_gain_profile(multiset: tuple[Fraction, ...], r: int
+                       ) -> tuple[tuple[tuple[int, int], ...], tuple[float, ...], tuple[int, ...]]:
+    """The path-gain profile of a sorted gain multiset in descending boost
+    order: the boosts as integers (num, den), their floats and their path
+    counts.  It is built once over the multiset's d distinct gains g_i,
+    held by c_i branches each: for each split k of r among them,
+    multinomial(r; k) * prod c_i^k_i paths are boosted prod g_i^k_i, held
+    as the integers prod num_i^k_i and prod den_i^k_i from each gain's
+    powers.  Equal boosts are merged by integer comparison, so no boost is
+    hashed as a rational: CPython hashes them mod 2^61 - 1, where the
+    powers of 2 repeat every 61."""
     distinct = sorted(Counter(multiset).items(), reverse=True)
     # the boost's numerator and denominator, the path count and the
     # recursions left after each distinct gain; the last takes all left
@@ -174,7 +134,7 @@ def _path_gain_profile(multiset: tuple[Fraction, ...], r: int) -> _Profile:
                 boosts.append((num, den))
                 values.append(v)
                 counts.append(count)
-    return _Profile(boosts, values, counts)
+    return tuple(boosts), tuple(values), tuple(counts)
 
 
 def _log_det_sums(gram: np.ndarray, weights: np.ndarray, boosts: np.ndarray,
@@ -261,8 +221,9 @@ def sum_rate_recursive(chain: FactorChain, gains: Iterable, snr: float | Sequenc
 
     def profile() -> tuple[np.ndarray, np.ndarray]:
         # int / int is correctly rounded: float(Fraction(n, 2M)), float(boost)
-        terms, paths = path_gain_profile(gains, chain.r), 2 * chain.M
-        return np.array([n / paths for n in terms._counts]), np.array(terms._values)
+        _, boosts, counts = _path_gain_profile(tuple(sorted(gains)), chain.r)
+        paths = 2 * chain.M
+        return np.array([n / paths for n in counts]), np.array(boosts)
 
     return _on_grid(_recursive_rates(chain.F, chain.r, snrs, max(gains), profile), scalar)
 

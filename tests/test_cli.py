@@ -840,6 +840,19 @@ class TestSimulate:
         got = dict(zip(header.split(","), row.split(",")))
         assert (got["measured_adds"], got["measured_muls"]) == (got["bound_adds"], got["bound_muls"])
 
+    def test_sic_on_unit_factor_chain_matches_recursive(self, tmp_path, F12, capsys):
+        # P = [[1]]: cancellation decides every set and, with one class per
+        # level, reproduces combining exactly
+        chain = tmp_path / "chain.json"
+        dump_chain(FactorChain(F12, PatternMatrix(np.array([[1]])), 2), str(chain))
+        outs = []
+        for detector in ("recursive", "sic"):
+            assert main(["simulate", "--chain", str(chain), "--snr-db", "6", "--trials", "50",
+                         "--detector", detector]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[1].splitlines()[1] == "6,50,0.31,0.02,0.6,8,16,8,16"
+
     @pytest.mark.parametrize("r", [8, 9])
     def test_runs_past_the_dense_g_limit(self, tmp_path, F12, P3, capsys, r):
         # G of [1 1] (x) P3^8 has 2^26.6 entries; the receiver never forms it

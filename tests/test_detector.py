@@ -669,6 +669,14 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_map_oracle(np.zeros(2), P3, BPSK)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0)])
+    def test_non_finite_y_refused(self, P3, bad):
+        y = np.array([bad, 1.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_map_oracle(y, P3, BPSK)
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_map_oracle(np.stack([np.zeros(3, y.dtype), y]), P3, BPSK)
+
 
 def _offsets(kind: str, K: int, rng) -> np.ndarray:
     """Power offsets: unit, uniform in [0.5, 1.5], or integers from {1, 2}
@@ -1125,6 +1133,21 @@ class TestSic:
             assert fs.values[0] == 4.0 * (x[k] + x[k9])  # exact cancellation
         plain_sets = [fs for fs in res.trace.final_sets if not fs.used_sic]
         assert all(fs.gain == Fraction(16, 9) for fs in plain_sets)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_unit_inner_factor_decides_every_set_by_cancellation(self, F12, r):
+        # with P = [[1]] every path carries class m_p - 1 = 0, so the plain
+        # sweep holds no set and the cancellation decides them all
+        chain = FactorChain(F12, PatternMatrix(np.array([[1]])), r)
+        design = find_combiners(chain.P)
+        plain = _cfg(chain, design)
+        sic = _cfg(chain, design, sic=True)
+        assert sic._plan.plain.positions.size == 0
+        for y, want, ties in [(2.0, (1, 1), 1), (0.0, (-1, 1), 2), (-1.5, (-1, -1), 1), (0.3, (-1, 1), 2)]:
+            a, b = recursive_detect(np.array([y]), plain), recursive_detect(np.array([y]), sic)
+            assert a.symbols.tolist() == b.symbols.tolist() == list(want)
+            assert [fs.tie_count for fs in b.trace.final_sets] == [ties]
+            assert a.report == b.report
 
     def test_r0_with_sic_violates(self, F12, P3, design3):
         # refused when configured: no level combines a class to cancel

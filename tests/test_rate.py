@@ -273,6 +273,7 @@ class TestPathGainProfile:
         # its count, whatever its numeric type
         for r in (0, 1, 2, 7, 40):
             rate._path_gain_profile.cache_clear()
+            rate._profile_map.cache_clear()
             got, want = path_gain_profile(gains, r), _fraction_keyed_profile(gains, r)
             assert list(got.items()) == list(want.items())
             assert all(type(boost) is Fraction for boost in got)
