@@ -765,10 +765,10 @@ def brute_force_map_oracle(
     batch (T, M).  Raises HypothesisCapExceeded above DEFAULT_ORACLE_CAP
     hypotheses rather than attempt an infeasible sweep, and ValueError for
     a y holding NaN or an infinity, which no hypothesis is nearest to.
-    Returns (symbols,
-    tie count), of shapes (K,) and scalar for one vector or (T, K) and (T,)
-    for a batch, with ties broken toward the lowest hypothesis index (first
-    symbol most significant), matching the final-stage convention.
+    Returns (symbols, tie count), of shapes (K,) and scalar for one vector
+    or (T, K) and (T,) for a batch, with ties broken toward the lowest
+    hypothesis index (first symbol most significant), matching the
+    final-stage convention.
 
     Hypotheses are scored by class: a class is a set of hypotheses whose
     prediction tables are bit-identical, so it is scored once.  Users that
