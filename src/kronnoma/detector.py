@@ -716,39 +716,45 @@ def recursive_detect(y, cfg: DetectionConfig) -> DetectionResult:
 
 class _Classes(NamedTuple):
     """The oracle's classes over one group of users: per class, its number
-    of members and the term its lowest-index member adds to the hypothesis
-    index, whose digits are that member's symbol indices."""
+    of members, the sum of its members' scaled symbols, and the term its
+    lowest-index member adds to the hypothesis index, whose digits are that
+    member's symbol indices."""
 
     users: tuple[int, ...]
     mult: np.ndarray
+    sums: np.ndarray
     term: np.ndarray
 
 
-def _group_classes(scaled: np.ndarray, users: tuple[int, ...], stride: np.ndarray,
-                   merge: bool) -> _Classes | None:
-    """Classes of the digit tuples of `users`: one per tuple, or with
-    `merge` one per distinct sum of their scaled symbols, in ascending order
-    of the sum.  None when a merged group has more than _ORACLE_CHUNK sums.
+def _group_classes(rows: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Classes of the digit tuples of a group whose users' scaled symbols
+    are `rows` (one row per user, in user order): one per tuple, or with
+    `merge` one per distinct sum of their scaled symbols, in ascending
+    order of the sum.  Returns per class the digits of its lowest tuple,
+    its number of members and its sum; None when a merged group has more
+    than _ORACLE_CHUNK sums.  Each sum adds the users' symbols in user
+    order, the first one alone.
 
     The tuples are extended one user at a time.  With `merge`, only the
-    lowest-index tuple of each partial sum is kept: the lowest-index tuple
-    of a sum begins with the lowest-index tuple of its partial sum (else
-    swapping that in would give a lower one), and there are never more
-    partial sums than full ones."""
-    q = scaled.shape[1]
-    total, mult, term = np.zeros(1, scaled.dtype), np.ones(1, np.int64), np.zeros(1, np.int64)
-    for k in users:
-        total = (total[:, None] + scaled[k]).ravel()
-        mult = np.repeat(mult, q)
-        term = (term[:, None] + stride[k] * np.arange(q)).ravel()
+    lowest tuple of each partial sum is kept: the lowest tuple of a sum
+    begins with the lowest tuple of its partial sum (else swapping that in
+    would give a lower one), and there are never more partial sums than
+    full ones."""
+    q = rows.shape[1]
+    total, mult, code = rows[0], np.ones(q, np.int64), np.arange(q)
+    for i, row in enumerate(rows):
+        if i:
+            total = (total[:, None] + row).ravel()
+            mult = np.repeat(mult, q)
+            code = (code[:, None] * q + np.arange(q)).ravel()  # the tuple in base q
         if merge:
-            order = np.lexsort((term, total))
-            total, mult, term = total[order], mult[order], term[order]
+            order = np.lexsort((code, total))
+            total, mult, code = total[order], mult[order], code[order]
             first = np.flatnonzero(np.concatenate(([True], total[1:] != total[:-1])))
-            total, mult, term = total[first], np.add.reduceat(mult, first), term[first]
-            if len(term) > _ORACLE_CHUNK:
+            total, mult, code = total[first], np.add.reduceat(mult, first), code[first]
+            if len(code) > _ORACLE_CHUNK:
                 return None
-    return _Classes(users, mult, term)
+    return code[:, None] // q ** np.arange(len(rows) - 1, -1, -1) % q, mult, total
 
 
 def brute_force_map_oracle(
@@ -764,7 +770,8 @@ def brute_force_map_oracle(
     whatever the noise variance.  y holds one received vector (M,) or a
     batch (T, M).  Raises HypothesisCapExceeded above DEFAULT_ORACLE_CAP
     hypotheses rather than attempt an infeasible sweep, and ValueError for
-    a y holding NaN or an infinity, which no hypothesis is nearest to.
+    a y holding NaN or an infinity, which no hypothesis is nearest to, and
+    for power offsets that are not all finite.
     Returns (symbols, tie count), of shapes (K,) and scalar for one vector
     or (T, K) and (T,) for a batch, with ties broken toward the lowest
     hypothesis index (first symbol most significant), matching the
@@ -780,7 +787,10 @@ def brute_force_map_oracle(
     of its own and every hypothesis its own class, as is every user of a
     group with more sums than one table holds.  A class is represented by
     its lowest-index member, which is the lowest-index member of each
-    group's sum, since the index is a sum of per-group terms.  The tie
+    group's sum, since the index is a sum of per-group terms.  Groups
+    whose users have the same scaled symbols have the same classes, so
+    each distinct group's are built once per call, and a group's index
+    terms are their digits times its users' strides.  The tie
     count adds up the members of the best-scoring classes and the decision
     is the lowest representative among them; both are those of scoring
     every hypothesis, bit for bit.  The classes are the Kronecker product
@@ -796,13 +806,16 @@ def brute_force_map_oracle(
 
     The fold is computed only for the survivors of a screen.  The screen
     scores the matched-filter form ||y - Gx||^2 - ||y||^2 = ||Gx||^2 -
-    2 Re<G^T y, x> (Verdu, Multiuser Detection, ch. 4): ||Gx||^2 of every
-    class is formed once per table from the rows, and G^T y has one value
-    per group, so a trial adds one short vector per group axis to it,
-    broadcast one axis at a time with the long axis innermost.  The table
-    is held as slabs (its leading axes) by lanes (the others): per trial,
+    2 Re<G^T y, x> (Verdu, Multiuser Detection, ch. 4).  The table is
+    held as slabs (its leading axes) by lanes (the others).  ||Gx||^2 of
+    every class is formed once per table on that grid: each row's
+    |prediction|^2 is gathered onto it and added, in row order.  G^T y has
+    one value per group, so a trial adds one short vector per group axis,
+    broadcast one axis at a time with the long axis innermost.  Per trial,
     ||Gx||^2 plus the lane part is formed in one buffer and its least per
-    slab kept, and the slab part is added to those.  A class survives when
+    slab kept, and the slab part is added to those; the least's lane is
+    found in the winning slab alone, from the same additions, so it is
+    the first one, as over the whole table.  A class survives when
     its screen is at most the trial's least screen plus an allowance taken
     from the forward-error bounds of the screen and the fold (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 3), evaluated at
@@ -834,6 +847,8 @@ def brute_force_map_oracle(
     offs = np.ones(K) if power_offsets is None else np.asarray(power_offsets, dtype=float)
     if offs.shape != (K,):
         raise ValueError("power offsets must have one entry per user")
+    if not np.isfinite(offs).all():
+        raise ValueError("power offsets must be finite")
     scaled = constellation.symbols * offs[:, None]  # (K, Q): user k's symbol values
     stride = q ** np.arange(K - 1, -1, -1, dtype=np.int64)
     merge = (
@@ -842,11 +857,23 @@ def brute_force_map_oracle(
         and bool((scaled == np.round(scaled)).all())
         and sum(int(v) for v in np.abs(scaled).max(axis=1)) <= 2**53
     )
+    built = {}  # groups whose users have the same scaled symbols have the same classes
+
+    def classes_of(users, merged):
+        rows = scaled[list(users)]
+        key = rows.tobytes(), merged
+        if key not in built:
+            built[key] = _group_classes(rows, merged)
+        if built[key] is None:
+            return None
+        digits, mult, sums = built[key]
+        return _Classes(users, mult, sums, digits @ stride[list(users)])
+
     classes = []
     for users in pattern_groups(G) if merge else [(k,) for k in range(K)]:
-        group = _group_classes(scaled, users, stride, merge)
+        group = classes_of(users, merge)
         if group is None:  # more sums than one table holds: enumerate user by user
-            classes += [_group_classes(scaled, (k,), stride, False) for k in users]
+            classes += [classes_of((k,), False) for k in users]
         else:
             classes.append(group)
     n_vary, chunk = 0, 1
@@ -856,48 +883,51 @@ def brute_force_map_oracle(
     n_fixed = len(classes) - n_vary
     varying = classes[n_fixed:]
     size = [len(c.term) for c in varying]
-    # per group, its members' scaled symbols summed per class: one user's
-    # symbols, or exact integer sums
-    sums = [reduce(operator.add, [scaled[k, c.term // stride[k] % q] for k in c.users]) for c in classes]
+    sums = [c.sums for c in classes]
     in_row = G.entries[:, [c.users[0] for c in classes]].astype(bool)  # (M, groups)
 
-    # row m: its fixed groups, its varying groups' sums each on an axis of
-    # its own, and how it spreads over the table's axes.  Its entries lie
-    # in `compact` from at[m] on, in C order over its varying axes: a
-    # class's is at[m] + its digits times place[:, m]
-    rows, place = [], np.zeros((n_vary, G.rows), dtype=np.int64)
-    for m, row in enumerate(in_row):
-        groups = np.flatnonzero(row).tolist()
-        fixed = [a for a in groups if a < n_fixed]
-        vary = [a - n_fixed for a in groups if a >= n_fixed]
-        extent = [size[a] for a in vary]
-        place[vary, m] = np.cumprod(extent[::-1])[::-1] // extent
-        axis = [sums[n_fixed + a].reshape((-1,) + (1,) * (len(vary) - 1 - i)) for i, a in enumerate(vary)]
-        rows.append((fixed, axis, tuple(size[a] if a in vary else 1 for a in range(n_vary))))
-    widths = [math.prod(t.shape[0] for t in axis) for _, axis, _ in rows]
-    at = np.cumsum(widths) - widths
-    compact = np.empty(sum(widths), dtype=scaled.dtype)
-
-    def fill(m, pick):
-        fixed, axis, _ = rows[m]
-        total = reduce(operator.add, [sums[a][pick[a]] for a in fixed], 0)
-        for t in axis:
-            total = total + t
-        compact[at[m] : at[m] + widths[m]] = np.ravel(total)
-
-    def power(m):  # |prediction|^2 of row m, spread over the table's axes
-        p = compact[at[m] : at[m] + widths[m]]
-        return (np.conj(p) * p).real.reshape(rows[m][2])
-
     # a table as slabs x lanes: the leading varying axes run the slabs, the
-    # others the lanes, about as many of each.  Per slab and per lane, its
-    # part of a class's index term, members and row entries
+    # others the lanes, about as many of each
     n_outer, slabs = 0, 1
     while n_outer < n_vary and (slabs * size[n_outer]) ** 2 <= chunk:
         slabs *= size[n_outer]
         n_outer += 1
     lanes = chunk // slabs
 
+    # row m: its fixed groups and its varying groups' sums, each on an axis
+    # of its own.  Its entries lie in `compact` from at[m] on, in C order
+    # over its varying axes: a class's is at[m] + its digits times
+    # place[:, m].  tail[a, m] is the extent of its axes from a on, so
+    # tail[n_outer, m] is its width over the lanes
+    on = in_row[:, n_fixed:].T  # (n_vary, M)
+    extent = np.where(on, np.array(size, dtype=np.int64)[:, None], 1)
+    tail = np.cumprod(np.vstack([extent, np.ones((1, G.rows), np.int64)])[::-1], axis=0)[::-1]
+    place, widths = tail[1:] * on, tail[0]
+    rows = []
+    for row in in_row.tolist():
+        vary = [a for a in range(n_vary) if row[n_fixed + a]]
+        axis = [sums[n_fixed + a].reshape((-1,) + (1,) * (len(vary) - 1 - i)) for i, a in enumerate(vary)]
+        rows.append(([a for a in range(n_fixed) if row[a]], axis))
+    at = np.cumsum(widths) - widths
+    compact = np.empty(widths.sum(), dtype=scaled.dtype)
+
+    def fill(m, pick):
+        fixed, axis = rows[m]
+        total = reduce(operator.add, [sums[a][pick[a]] for a in fixed], 0)
+        for t in axis:
+            total = total + t
+        compact[at[m] : at[m] + widths[m]] = np.ravel(total)
+
+    def power(m):
+        """|prediction|^2 of row m on the table's slabs x lanes, in the
+        screen's buffer (the indices are in range; "clip" writes there
+        directly instead of through a copy)."""
+        p = compact[at[m] : at[m] + widths[m]]
+        part = np.take((np.conj(p) * p).real.reshape(-1, tail[n_outer, m]), lane_entry[m], axis=1)
+        return np.take(part, slab_row[m], axis=0, out=screen[:chunk].reshape(slabs, lanes), mode="clip")
+
+    # per slab and per lane, its part of a class's index term, members and
+    # row entries
     def kron(axes):
         term, mult, entry = np.zeros(1, np.int64), np.ones(1, np.int64), np.zeros((G.rows, 1), np.int64)
         for a in axes:
@@ -908,21 +938,19 @@ def brute_force_map_oracle(
 
     slab_term, slab_mult, slab_entry = kron(range(n_outer))
     lane_term, lane_mult, lane_entry = kron(range(n_outer, n_vary))
+    slab_row = slab_entry // tail[n_outer, :, None]  # each slab's row of a row's entries as slabs x lanes
     Yt = Y.T
 
     def fold(trials, slab, lane):
         """The fold of each (trial, class) pair, the class given by its slab
         and lane: bit for bit its score when every class is folded."""
         entries = compact[slab_entry[:, slab] + lane_entry[:, lane] + at[:, None]]  # (M, pairs)
-        for m in range(G.rows):
-            d = Yt[m, trials] - entries[m]
-            r = np.abs(d) if d.dtype.kind == "c" else d
-            np.multiply(r, r, out=r)
-            if m == 0:
-                s = r
-            else:
-                s += r
-        return s
+        d = Yt[:, trials] - entries
+        r = np.abs(d) if d.dtype.kind == "c" else d
+        np.multiply(r, r, out=r)
+        for m in range(1, G.rows):
+            r[0] += r[m]
+        return r[0]
 
     T = Y.shape[0]
     step = max(1, _SWEEP_VALUES // chunk)
@@ -946,18 +974,18 @@ def brute_force_map_oracle(
     n_round = G.rows + 2 * K + 24
     unit = np.finfo(float).eps / 2
     gamma = n_round * unit / (1 - n_round * unit)
-    screen = np.empty(min(group, T) * chunk)
+    screen = np.empty(max(1, min(group, T)) * chunk)
     best_score = np.full(T, math.inf)
     best_idx = np.full(T, -1, dtype=np.int64)
     ties = np.zeros(T, dtype=np.int64)
     # the rows of varying groups only, and their part of ||Gx||^2, are the
     # same in every table
-    static = [m for m, (fixed, _, _) in enumerate(rows) if not fixed]
-    dynamic = [m for m, (fixed, _, _) in enumerate(rows) if fixed]
+    static = [m for m, (fixed, _) in enumerate(rows) if not fixed]
+    dynamic = [m for m, (fixed, _) in enumerate(rows) if fixed]
     for m in static:
         fill(m, ())
     with np.errstate(all="ignore"):
-        common = np.zeros(size)
+        common = np.zeros((slabs, lanes))
         for m in static:
             common += power(m)
     for pick in itertools.product(*(range(len(c.term)) for c in classes[:n_fixed])):
@@ -969,7 +997,6 @@ def brute_force_map_oracle(
             norm = common.copy() if dynamic else common  # ||Gx||^2
             for m in dynamic:
                 norm += power(m)
-            norm = norm.reshape(slabs, lanes)
             # no screen value or fold of such a trial can leave the float range
             safe = np.isfinite(4 * (energy + spread + norm.max()))
             const = reduce(operator.add, [cross[a][:, i] for a, i in enumerate(pick)], np.zeros(T))
@@ -981,7 +1008,9 @@ def brute_force_map_oracle(
                 # -2 Re<G^T y, x> in two parts, per lane (with the constant
                 # groups) and per slab; a class's screen is ||Gx||^2 plus its
                 # lane's part, X, plus its slab's part.  X is formed a group
-                # of trials at a time, and its least per slab kept
+                # of trials at a time, and its least per slab kept; the
+                # lane of the least is found in the winning slab alone,
+                # from the same additions
                 lane, shift = const[block, None], np.zeros((n, 1))
                 for a in range(n_vary - 1, -1, -1):
                     part = cross[n_fixed + a][block, :, None]
@@ -989,18 +1018,16 @@ def brute_force_map_oracle(
                         lane = (part + lane[:, None, :]).reshape(n, -1)
                     else:
                         shift = (part + shift[:, None, :]).reshape(n, -1)
-                in_slab = np.empty((n, slabs), dtype=np.intp)
                 least = np.empty((n, slabs))
                 for i in range(0, n, group):
                     some = slice(i, i + group)
                     X = np.add(norm, lane[some, None, :],
                                out=screen[: min(group, n - i) * chunk].reshape(-1, slabs, lanes))
-                    X.argmin(axis=2, out=in_slab[some])
                     X.min(axis=2, out=least[some])
                 per_slab = least + shift
                 slab = per_slab.argmin(axis=1)
                 low = per_slab[np.arange(n), slab]
-                lane_of = in_slab[np.arange(n), slab]
+                lane_of = (norm[slab] + lane).argmin(axis=1)
                 # a class whose fold is at most the argmin's screens within
                 # the allowance of it: both screens are within
                 # gamma (||Gx||^2 + 2 Y1) of the exact ||y - Gx||^2 - ||y||^2,

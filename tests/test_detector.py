@@ -677,6 +677,13 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="finite"):
             brute_force_map_oracle(np.stack([np.zeros(3, y.dtype), y]), P3, BPSK)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offsets_refused(self, P3, bad):
+        # a NaN offset used to decide (-1, -1, -1) with no tie, and an
+        # infinite one to tie all 8 hypotheses
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_map_oracle(np.array([1.0, 0.0, 2.0]), P3, BPSK, power_offsets=[bad, 1.0, 1.0])
+
 
 def _offsets(kind: str, K: int, rng) -> np.ndarray:
     """Power offsets: unit, uniform in [0.5, 1.5], or integers from {1, 2}
@@ -854,9 +861,9 @@ class TestClassOracle:
         merged = []
         real_classes = detector._group_classes
 
-        def spy(scaled, users, stride, merge):
+        def spy(rows, merge):
             merged.append(merge)
-            return real_classes(scaled, users, stride, merge)
+            return real_classes(rows, merge)
 
         monkeypatch.setattr(detector, "_group_classes", spy)
         for chunk, values in ((1 << 16, 1 << 17), (6561, 1 << 40), (729, 1)):
@@ -866,6 +873,55 @@ class TestClassOracle:
             assert np.array_equal(sym, want_sym)
             assert np.array_equal(ties, want_ties)
         assert set(merged) == {offsets in ("unit", "integer", "at-2^53")}
+
+    @pytest.mark.parametrize("con", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    @pytest.mark.parametrize("offsets", ["unit", "halves", "integer"])
+    def test_groups_with_equal_symbols_share_one_build(self, chain_9x18, chain_3x6, con, offsets,
+                                                       monkeypatch):
+        # groups whose users have the same scaled symbols share their
+        # classes: unit offsets give one build (the nine merged groups of
+        # 9x18 took nine); offsets 0.75 on the first half of the users and
+        # 1.0 on the rest merge nothing and give two builds for all users;
+        # integers from {1, 2} merge BPSK groups (j, j + half), one build per
+        # distinct pair of offsets.  QPSK never merges, and its 4^18
+        # hypotheses on 9x18 are above the cap, so it takes 3x6
+        from kronnoma import detector
+
+        G = build_chain(chain_9x18 if con is BPSK else chain_3x6)
+        half = G.cols // 2
+        offs = {"unit": np.ones(G.cols), "halves": np.r_[np.full(half, 0.75), np.ones(half)],
+                "integer": np.random.default_rng(29).integers(1, 3, G.cols).astype(float)}[offsets]
+        merge = con is BPSK and offsets != "halves"
+        if merge:
+            n_builds = len({(offs[j], offs[j + half]) for j in range(half)})
+        else:
+            n_builds = len(set(offs.tolist()))
+        if offsets != "unit":  # some groups share a build and some do not
+            assert 1 < n_builds < (half if merge else G.cols)
+        rng = np.random.default_rng(31)
+        X = con.symbols[rng.integers(0, con.size, (6, G.cols))]
+        Y = (X * offs) @ G.entries.T
+        noisy = Y + 0.6 * rng.standard_normal(Y.shape)
+        if con is QPSK:
+            noisy = noisy + 0.6j * rng.standard_normal(Y.shape)
+        Y = np.concatenate([Y[:2], noisy[2:]])  # two noiseless rows: coupled users tie
+        want_sym, want_ties = _per_hypothesis_oracle(Y, G, con, offs)
+        builds = []
+        real_classes = detector._group_classes
+
+        def spy(rows, merge):
+            builds.append(merge)
+            return real_classes(rows, merge)
+
+        monkeypatch.setattr(detector, "_group_classes", spy)
+        for chunk, values in ((1 << 16, 1 << 17), (6561, 1 << 40), (729, 1)):
+            monkeypatch.setattr(detector, "_ORACLE_CHUNK", chunk)
+            monkeypatch.setattr(detector, "_SWEEP_VALUES", values)
+            builds.clear()
+            sym, ties = brute_force_map_oracle(Y, G, con, power_offsets=offs)
+            assert np.array_equal(sym, want_sym)
+            assert np.array_equal(ties, want_ties)
+            assert builds == [merge] * n_builds
 
     def test_lower_index_scored_later_wins(self, chain_9x18, monkeypatch):
         # users 0 and 9 share a column; with offsets 1 and 2 the class of
