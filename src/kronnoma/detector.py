@@ -821,7 +821,9 @@ def brute_force_map_oracle(
     Accuracy and Stability of Numerical Algorithms, ch. 3), evaluated at
     the fold of the screen's argmin: every class whose fold is at most
     that one's, as every best class's is, survives.  Only the slabs whose
-    least is within the allowance are formed again and compared.  A trial
+    least is within the allowance are formed again and compared, for a
+    piece of the trials at a time that needs at most _SWEEP_VALUES of
+    their values.  A trial
     any of whose screen values or folds could leave the float range keeps
     every class; the screen runs under its own errstate, so only folds
     raise, as they would if every class were folded.  At the SNRs of
@@ -829,9 +831,16 @@ def brute_force_map_oracle(
     the differences between classes (offsets near 2^53, say), many do.
 
     On the 9x18 BPSK chain with unit offsets, 3^9 = 19,683 classes stand
-    for the 2^18 hypotheses, one table of 81 slabs by 243 lanes.  A call
-    on 8 trials peaks at about 0.45 MiB of traced allocations (2.1 MiB
-    with non-integer offsets: four tables of 65,536 hypotheses)."""
+    for the 2^18 hypotheses, one table of 81 slabs by 243 lanes, and the
+    nine groups share one build.  A call there costs 0.7-1.4 ms of set-up
+    (classes, rows, ||Gx||^2 and the slab and lane tables) and 0.02-0.06
+    ms per trial; with non-integer offsets (four tables of 65,536
+    hypotheses) 4.4-6.8 ms and 0.8-1.0 ms (in-process medians, 2 vCPUs,
+    the host's speed varying by about 2x).  A call on 8 trials peaks at
+    about 0.45 MiB of traced allocations, 2.1 MiB with non-integer
+    offsets; no array of table size is added beyond ||Gx||^2 and the
+    screen's buffer, through which each row's |prediction|^2 is
+    gathered."""
     y = np.asarray(y)
     if y.shape[-1:] != (G.rows,) or y.ndim > 2:
         raise ValueError("y must have one value per resource element")
@@ -953,12 +962,15 @@ def brute_force_map_oracle(
         return r[0]
 
     T = Y.shape[0]
-    step = max(1, _SWEEP_VALUES // chunk)
-    # X is formed for `group` trials at a time in one buffer of at most
-    # about _SWEEP_VALUES / slabs values or one trial's: one table on the
-    # 9x18 chain, where a block-sized buffer costs more in first-touch page
-    # faults than its fewer calls save
-    group = max(1, step // slabs)
+    # a block takes as many trials as _SWEEP_VALUES values of the table
+    # hold, or more while each of its arrays indexed by trial and lane,
+    # slab or row holds at most one table's values and _SWEEP_VALUES (81
+    # trials on the 9x18 chain), or one trial.  X is formed for `group`
+    # trials at a time in one buffer of at most about _SWEEP_VALUES / slabs
+    # values or one trial's: one table on the 9x18 chain, where a larger
+    # buffer costs more in first-touch page faults than its fewer calls save
+    step = max(1, _SWEEP_VALUES // chunk, min(chunk, _SWEEP_VALUES) // max(slabs, lanes, G.rows))
+    group = max(1, _SWEEP_VALUES // chunk // slabs)
     with np.errstate(all="ignore"):
         Yf = Y.astype(np.result_type(Y, float), copy=False)
         matched = Yf @ in_row  # G^T y, one value per group
@@ -1038,32 +1050,44 @@ def brute_force_map_oracle(
                 allowance = gamma * (6 * best + 4 * energy[block] + 8 * spread[block])
                 bound = (low + allowance)[:, None] - shift
                 # only a slab whose least X is within its bound holds
-                # survivors; its X is formed again, bit for bit
+                # survivors (every trial's argmin among them)
                 whole = ~safe[block]
                 t, s = np.nonzero((least <= bound) | whole[:, None])
-                hit = np.flatnonzero((norm[s] + lane[t] <= bound[t, s, None]) | whole[t, None])
-            pair, l = np.divmod(hit, lanes)
-            trial, s = t[pair], s[pair]
-            # the survivors' folds; that of a safe trial's argmin is known
-            score = best[trial]
-            fresh = ~(safe[lo + trial] & (s == slab[trial]) & (l == lane_of[trial]))
-            if fresh.any():
-                score[fresh] = fold(lo + trial[fresh], s[fresh], l[fresh])
-            heads = np.searchsorted(trial, np.arange(n))
-            low = np.minimum.reduceat(score, heads)
-            tied = score == low[trial]
-            count = np.add.reduceat(np.where(tied, const_mult * slab_mult[s] * lane_mult[l], 0), heads)
-            rep = np.minimum.reduceat(np.where(tied, const_idx + slab_term[s] + lane_term[l], n_hyp), heads)
-            # per trial: the first table's minimum, or a lower one, restarts
-            # the count and the decision (every score may be infinite); an
-            # equal one adds to the count of an earlier table and keeps the
-            # lower of the two representatives
-            better = (low < best_score[block]) | (best_idx[block] < 0)
-            equal = low == best_score[block]
-            ties[block] = np.where(better, count, ties[block] + equal * count)
-            kept = np.where(equal, np.minimum(best_idx[block], rep), best_idx[block])
-            best_idx[block] = np.where(better, rep, kept)
-            best_score[block] = np.where(better, low, best_score[block])
+            # the X of those slabs is formed again, bit for bit, for a piece
+            # of trials at a time that needs at most _SWEEP_VALUES of it, or
+            # one trial
+            per = max(1, _SWEEP_VALUES // (lanes * int(np.bincount(t).max())))
+            for a in range(0, n, per):
+                b = min(n, a + per)
+                c = slice(*np.searchsorted(t, [a, b]))
+                with np.errstate(all="ignore"):
+                    X = norm[s[c]]
+                    np.add(X, lane[t[c]], out=X)
+                    hit = np.flatnonzero((X <= bound[t[c], s[c], None]) | whole[t[c], None])
+                pair, l = np.divmod(hit, lanes)
+                trial, sl = t[c][pair], s[c][pair]
+                # the survivors' folds; that of a safe trial's argmin is known
+                score = best[trial]
+                fresh = ~(safe[lo + trial] & (sl == slab[trial]) & (l == lane_of[trial]))
+                if fresh.any():
+                    score[fresh] = fold(lo + trial[fresh], sl[fresh], l[fresh])
+                heads = np.searchsorted(trial, np.arange(a, b))
+                low = np.minimum.reduceat(score, heads)
+                tied = score == low[trial - a]
+                count = np.add.reduceat(np.where(tied, const_mult * slab_mult[sl] * lane_mult[l], 0), heads)
+                index = np.where(tied, const_idx + slab_term[sl] + lane_term[l], n_hyp)
+                rep = np.minimum.reduceat(index, heads)
+                # per trial: the first table's minimum, or a lower one,
+                # restarts the count and the decision (every score may be
+                # infinite); an equal one adds to the count of an earlier
+                # table and keeps the lower of the two representatives
+                done = slice(lo + a, lo + b)
+                better = (low < best_score[done]) | (best_idx[done] < 0)
+                equal = low == best_score[done]
+                ties[done] = np.where(better, count, ties[done] + equal * count)
+                kept = np.where(equal, np.minimum(best_idx[done], rep), best_idx[done])
+                best_idx[done] = np.where(better, rep, kept)
+                best_score[done] = np.where(better, low, best_score[done])
     symbols = constellation.symbols[(best_idx[:, None] // stride) % q]
     if y.ndim == 1:
         return symbols[0], int(ties[0])
