@@ -833,14 +833,14 @@ def brute_force_map_oracle(
     On the 9x18 BPSK chain with unit offsets, 3^9 = 19,683 classes stand
     for the 2^18 hypotheses, one table of 81 slabs by 243 lanes, and the
     nine groups share one build.  A call there costs 0.7-1.4 ms of set-up
-    (classes, rows, ||Gx||^2 and the slab and lane tables) and 0.02-0.06
+    (classes, rows, ||Gx||^2 and the slab and lane tables) and about 0.03
     ms per trial; with non-integer offsets (four tables of 65,536
-    hypotheses) 4.4-6.8 ms and 0.8-1.0 ms (in-process medians, 2 vCPUs,
+    hypotheses) 4.3-6.8 ms and about 0.3 ms (in-process medians, 2 vCPUs,
     the host's speed varying by about 2x).  A call on 8 trials peaks at
-    about 0.45 MiB of traced allocations, 2.1 MiB with non-integer
-    offsets; no array of table size is added beyond ||Gx||^2 and the
-    screen's buffer, through which each row's |prediction|^2 is
-    gathered."""
+    about 0.45 MiB of traced allocations, 2.2 MiB with non-integer
+    offsets; beyond ||Gx||^2 and the screen's buffer, through which each
+    row's |prediction|^2 is gathered, no array holds more than one
+    table's values."""
     y = np.asarray(y)
     if y.shape[-1:] != (G.rows,) or y.ndim > 2:
         raise ValueError("y must have one value per resource element")
