@@ -10,7 +10,6 @@ search stays cheap.
     python3 scripts/oracle_agreement.py --trials 2000
 """
 
-import argparse
 import sys
 
 import numpy as np
@@ -23,31 +22,34 @@ from kronnoma import (
     find_combiners,
     run_monte_carlo,
 )
-from kronnoma.cli import RunConfig, _attach_negative_values, _float_list, db_to_linear
+from kronnoma.cli import Option, RunConfig, _float_list, db_to_linear, parse_flags
 
 P3 = PatternMatrix(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
 
 
-def parse_args(argv):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument(
-        "--snr-db", default="0,5,10,15,20",
-        help="comma list of dB points, ascending",
-    )
-    return ap.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+# a later flag overrides an earlier one (parse_flags's last_wins), so a
+# caller can put its defaults first
+_OPTIONS = [
+    Option("oracle_agreement", "--trials", "trials", int, "2000", False, "trials per point"),
+    Option("oracle_agreement", "--seed", "seed", int, "0", False, "seed of the trial streams"),
+    Option("oracle_agreement", "--snr-db", "snr_db", str, "0,5,10,15,20", False,
+           "comma list of dB points, ascending"),
+]
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    usage = f"usage: oracle_agreement.py [options]\n\n{__doc__.splitlines()[0]}"
     try:
+        args = parse_flags(_OPTIONS, argv, usage, last_wins=True)
+        if args is None:
+            return 0
         # the table needs at least one trial per point; the grid and the seed
         # follow the rules of `kronnoma simulate`
-        if args.trials < 1:
+        if args["trials"] < 1:
             raise ValueError("trial count must be at least 1")
-        run = RunConfig("simulate", snr_db_grid=_float_list(args.snr_db), trials=args.trials,
-                        seed=args.seed)
+        run = RunConfig("simulate", snr_db_grid=_float_list(args["snr_db"]), trials=args["trials"],
+                        seed=args["seed"])
         snrs = [db_to_linear(db) for db in run.snr_db_grid]
         chain = FactorChain(PatternMatrix(np.array([[1, 1]])), P3, 1)
         cfg = DetectionConfig(chain, find_combiners(P3), BPSK)

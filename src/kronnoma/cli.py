@@ -11,17 +11,16 @@ Conventions fixed here, at the boundary only:
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .combiner import CapExceeded, CombinerDesign, find_combiners, run_algorithm1
 from .detector import BPSK, QPSK, DetectionConfig
-from .pattern import FactorChain, PatternMatrix, build_chain, json_fields, load_chain
+from .pattern import FactorChain, PatternMatrix, build_chain, json_fields, json_object, load_chain
 from .rate import (
     sum_rate_oma,
     sum_rate_pdma,
@@ -114,7 +113,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=json_object)
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
@@ -343,62 +342,13 @@ def cmd_count_ops(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "search": cmd_search,
-    "design": cmd_design,
-    "rate": cmd_rate,
-    "simulate": cmd_simulate,
-    "count-ops": cmd_count_ops,
+_COMMANDS = {
+    "search": (cmd_search, "exhaustive square-factor + combiner search"),
+    "design": (cmd_design, "solve combining coefficients for a given square factor"),
+    "rate": (cmd_rate, "closed-form sum-rate curves over an SNR grid"),
+    "simulate": (cmd_simulate, "seeded Monte Carlo error-rate measurement"),
+    "count-ops": (cmd_count_ops, "closed-form operation bounds for a chain"),
 }
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process: parsing
-    leaves it unchanged, and only in-process callers (scripts, tests, the
-    benchmark worker) call `main` more than once."""
-    parser = argparse.ArgumentParser(
-        prog="kronnoma",
-        description="Design, rate, and simulate Kronecker-factorized code-domain NOMA.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("search", help="exhaustive square-factor + combiner search")
-    p.add_argument("--mp", type=int, required=True, help="square factor size m_p")
-    p.add_argument("--ref-snr-db", type=float, default=10.0, help="scoring SNR in dB")
-    p.add_argument("--top", type=int, default=None, help="keep only the best N designs")
-    p.add_argument("--json-out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("design", help="solve combining coefficients for a given square factor")
-    p.add_argument("--p", dest="p_path", required=True, help="square factor JSON path")
-    p.add_argument("--json-out", default=None)
-
-    p = sub.add_parser("rate", help="closed-form sum-rate curves over an SNR grid")
-    p.add_argument("--chain", dest="chain_path", required=True, help="factor chain JSON path")
-    p.add_argument("--gains", dest="gains_path", default=None, help="design JSON (search output)")
-    p.add_argument("--snr-db-min", type=float, default=0.0)
-    p.add_argument("--snr-db-max", type=float, default=30.0)
-    p.add_argument("--snr-db-step", type=float, default=1.0)
-    p.add_argument("--baselines", default="pdma,oma,example4", help="comma list of pdma,oma,example4")
-    p.add_argument("--csv-out", default=None)
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo error-rate measurement")
-    p.add_argument("--chain", dest="chain_path", required=True)
-    p.add_argument("--snr-db", required=True, help="comma list of dB points, ascending")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--detector", choices=("recursive", "oracle", "sic"), default="recursive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--design", dest="design_path", default=None, help="design JSON (search output)")
-    p.add_argument("--power-offsets", default=None, help="comma list, one per user")
-    p.add_argument("--constellation", choices=sorted(_CONSTELLATIONS), default="bpsk")
-    p.add_argument("--csv-out", default=None)
-
-    p = sub.add_parser("count-ops", help="closed-form operation bounds for a chain")
-    p.add_argument("--chain", dest="chain_path", required=True)
-    p.add_argument("--constellation", choices=sorted(_CONSTELLATIONS), default="bpsk")
-    p.add_argument("--sic", action="store_true", help="budget a cancellation final stage")
-
-    return parser
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -420,64 +370,144 @@ def _range_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(int(span) + 1))
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    kw = {"subcommand": ns.subcommand}
-    if ns.subcommand == "search":
-        kw.update(mp=ns.mp, ref_snr_db=ns.ref_snr_db, top=ns.top, json_out=ns.json_out)
-    elif ns.subcommand == "design":
-        kw.update(p_path=ns.p_path, json_out=ns.json_out)
-    elif ns.subcommand == "rate":
-        kw.update(
-            chain_path=ns.chain_path,
-            gains_path=ns.gains_path,
-            snr_db_grid=_range_grid(ns.snr_db_min, ns.snr_db_max, ns.snr_db_step),
-            baselines=tuple(b.strip() for b in ns.baselines.split(",") if b.strip()),
-            csv_out=ns.csv_out,
-        )
-    elif ns.subcommand == "simulate":
-        kw.update(
-            chain_path=ns.chain_path,
-            snr_db_grid=_float_list(ns.snr_db),
-            trials=ns.trials,
-            seed=ns.seed,
-            detector=ns.detector,
-            design_path=ns.design_path,
-            power_offsets=_float_list(ns.power_offsets) if ns.power_offsets else None,
-            constellation=ns.constellation,
-            csv_out=ns.csv_out,
-        )
-    else:
-        kw.update(chain_path=ns.chain_path, constellation=ns.constellation,
-                  detector="sic" if ns.sic else "recursive")
-    return RunConfig(**kw)
+class Option(NamedTuple):
+    """A flag of the space-separated `commands`: `convert` turns its text
+    into the value of `field`, and `default`, when not None, is the text
+    taken when the flag is absent.  A switch takes no text; its `convert`
+    is the value it sets.  `field` names a RunConfig field, except for the
+    three ends of a `rate` grid, which `_range_grid` turns into one."""
+
+    commands: str
+    flag: str
+    field: str
+    convert: Callable[[str], object] | str
+    default: str | None
+    required: bool
+    help: str
 
 
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_OPTIONS = [Option(*row) for row in (
+    ("search", "--mp", "mp", int, None, True, "square factor size m_p"),
+    ("search", "--ref-snr-db", "ref_snr_db", float, "10", False, "scoring SNR in dB"),
+    ("search", "--top", "top", int, None, False, "keep only the best N designs"),
+    ("design", "--p", "p_path", str, None, True, "square factor JSON path"),
+    ("search design", "--json-out", "json_out", str, None, False, "output path (default stdout)"),
+    ("rate simulate count-ops", "--chain", "chain_path", str, None, True, "factor chain JSON path"),
+    ("rate", "--gains", "gains_path", str, None, False, "design JSON (search output)"),
+    ("rate", "--snr-db-min", "snr_db_min", float, "0", False, "first grid point in dB"),
+    ("rate", "--snr-db-max", "snr_db_max", float, "30", False, "last grid point in dB"),
+    ("rate", "--snr-db-step", "snr_db_step", float, "1", False, "grid step in dB"),
+    ("rate", "--baselines", "baselines",
+     lambda text: tuple(b.strip() for b in text.split(",") if b.strip()),
+     "pdma,oma,example4", False, "comma list of pdma,oma,example4"),
+    ("simulate", "--snr-db", "snr_db_grid", _float_list, None, True,
+     "comma list of dB points, ascending"),
+    ("simulate", "--trials", "trials", int, None, True, "trials per point"),
+    ("simulate", "--detector", "detector", str, "recursive", False, "recursive, oracle or sic"),
+    ("simulate", "--seed", "seed", int, "0", False, "seed of the trial streams"),
+    ("simulate", "--design", "design_path", str, None, False, "design JSON (search output)"),
+    ("simulate", "--power-offsets", "power_offsets",
+     lambda text: _float_list(text) if text else None, None, False, "comma list, one per user"),
+    ("simulate count-ops", "--constellation", "constellation", str, "bpsk", False, "bpsk or qpsk"),
+    ("rate simulate", "--csv-out", "csv_out", str, None, False, "output path (default stdout)"),
+    ("count-ops", "--sic", "detector", "sic", None, False, "budget a cancellation final stage"),
+)]
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """argparse reads a value that starts with '-' as an option unless it is a
-    plain number, so `--snr-db -3,0,5` fails; rewrite it as `--snr-db=-3,0,5`.
-    No option name starts with a digit, so this never swallows a flag."""
-    out: list[str] = []
-    for tok in argv:
-        prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(tok):
-            out[-1] = f"{prev}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _help(usage: str, options) -> str:
+    rows = [("-h, --help", "show this help and exit")]
+    for o in options:
+        note = " (required)" if o.required else f" (default {o.default})" if o.default else ""
+        name = o.flag if isinstance(o.convert, str) else f"{o.flag} {o.field.upper()}"
+        rows.append((name, o.help + note))
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [usage, "", "options:", *(f"  {name:<{width}}{text}" for name, text in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _convert(o: Option, text: str):
+    if isinstance(o.convert, str):
+        return o.convert
+    try:
+        return o.convert(text)
+    except ValueError as exc:
+        why = f"invalid {o.convert.__name__} value: {text!r}" if o.convert in (int, float) else exc
+        raise ValueError(f"argument {o.flag}: {why}") from None
+
+
+def parse_flags(options, argv: list[str], usage: str, last_wins: bool = False) -> dict | None:
+    """The values of the flags in `argv` by field, or None once `-h` or
+    `--help` has printed `usage` and the flags.  A flag is named in full or
+    by a unique prefix and takes its value from the next token or after
+    `=`; a value is taken verbatim unless it starts with "--" (as argparse
+    reads them: one with a space that names no flag is a value).  A repeated
+    flag is refused unless `last_wins`.  A usage error raises ValueError
+    naming the flag."""
+    flags = {o.flag: o for o in options}
+
+    def resolve(name: str) -> str | None:
+        if name in flags or name == "--help":
+            return name
+        found = [f for f in (*flags, "--help") if len(name) > 2 and f.startswith(name)]
+        if len(found) > 1:
+            raise ValueError(f"argument {name}: ambiguous, could match {', '.join(found)}")
+        return found[0] if found else None
+
+    values, given, tokens = {}, set(), iter(argv)
+    for tok in tokens:
+        name, eq, text = tok.partition("=")
+        flag = resolve(name) if tok.startswith("--") else "--help" if tok == "-h" else None
+        if flag is None:
+            raise ValueError(f"argument {tok}: unrecognized")
+        if flag == "--help" or isinstance(flags[flag].convert, str):
+            if eq:
+                raise ValueError(f"argument {flag}: takes no value")
+            if flag == "--help":
+                sys.stdout.write(_help(usage, options))
+                return None
+        elif not eq:
+            text = next(tokens, None)
+            flag_like = text is not None and text.startswith("--")
+            if text is None or flag_like and (" " not in text or resolve(text.partition("=")[0])):
+                raise ValueError(f"argument {flag}: expected one argument")
+        if flag in given and not last_wins:
+            raise ValueError(f"argument {flag}: given more than once")
+        given.add(flag)
+        values[flags[flag].field] = _convert(flags[flag], text)
+    missing = [o.flag for o in options if o.required and o.flag not in given]
+    if missing:
+        raise ValueError(f"argument {', '.join(missing)}: required")
+    values.update((o.field, _convert(o, o.default)) for o in options
+                  if o.flag not in given and o.default is not None)
+    return values
+
+
+def _parse(argv: list[str]) -> RunConfig | None:
+    """The run configuration of the command line `argv`, or None once help
+    has been printed."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        usage = "\n".join([f"usage: kronnoma {{{','.join(_COMMANDS)}}} ...", "",
+                           "Design, rate, and simulate Kronecker-factorized code-domain NOMA.", "",
+                           "subcommands:", *(f"  {c:<12}{h}" for c, (_, h) in _COMMANDS.items())])
+        if command and command.startswith("-") and parse_flags((), [command], usage) is None:
+            return None
+        why = "required" if command is None else f"invalid choice {command!r}"
+        raise ValueError(f"argument subcommand: {why}; choose from {', '.join(_COMMANDS)}")
+    options = [o for o in _OPTIONS if command in o.commands.split()]
+    usage = f"usage: kronnoma {command} [options]\n\n{_COMMANDS[command][1]}"
+    kw = parse_flags(options, argv[1:], usage)
+    if kw is not None and command == "rate":
+        grid = kw.pop("snr_db_min"), kw.pop("snr_db_max"), kw.pop("snr_db_step")
+        kw["snr_db_grid"] = _range_grid(*grid)
+    return None if kw is None else RunConfig(command, **kw)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _build_parser().parse_args(_attach_negative_values(argv))
-    except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
-        return int(exc.code or 0)
-    try:
-        cfg = _config_from_args(ns)
-        return _DISPATCH[cfg.subcommand](cfg)
+        cfg = _parse(argv)
+        return 0 if cfg is None else _COMMANDS[cfg.subcommand][0](cfg)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -46,6 +46,17 @@ def json_fields(obj, what: str, *keys: str) -> list:
     return [obj[key] for key in keys]
 
 
+def json_object(pairs: list) -> dict:
+    """A decoded JSON object, as `json.load`'s object_pairs_hook: a key given
+    twice is refused rather than left to the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"a JSON object gives the key {key!r} twice")
+        obj[key] = value
+    return obj
+
+
 def json_int(value, what: str) -> int:
     """A 64-bit integer read from JSON; floats and booleans are refused,
     not truncated."""
@@ -237,4 +248,4 @@ def pattern_groups(G: PatternMatrix) -> tuple[tuple[int, ...], ...]:
 
 def load_chain(path: str) -> FactorChain:
     with open(path, "r", encoding="utf-8") as fh:
-        return FactorChain.from_json_dict(json.load(fh))
+        return FactorChain.from_json_dict(json.load(fh, object_pairs_hook=json_object))

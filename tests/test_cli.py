@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -1018,6 +1019,139 @@ class TestCountOps:
             )
 
 
+_GRID_0_30 = tuple(map(float, range(31)))
+
+
+class TestGrammar:
+    """Command line -> RunConfig.  The expected configurations were read
+    through the argparse parser that the option table replaced."""
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["search", "--mp", "3"], {"mp": 3}),
+        (["search", "--mp=3", "--ref-snr-db=-5", "--top=2", "--json-out=o.json"],
+         {"mp": 3, "ref_snr_db": -5.0, "top": 2, "json_out": "o.json"}),
+        (["search", "--mp", "2", "--ref-snr-db", "-3.5"], {"mp": 2, "ref_snr_db": -3.5}),
+        (["search", "--m", "2", "--ref", "7", "--t", "4", "--j", "o.json"],
+         {"mp": 2, "ref_snr_db": 7.0, "top": 4, "json_out": "o.json"}),
+        (["design", "--p", "p.json"], {"p_path": "p.json"}),
+        (["design", "--p=p.json", "--json-out=-"], {"p_path": "p.json", "json_out": "-"}),
+        (["design", "--p", "p.json", "--j", "o.json"], {"p_path": "p.json", "json_out": "o.json"}),
+        (["rate", "--chain", "c.json"], {"chain_path": "c.json", "snr_db_grid": _GRID_0_30}),
+        (["rate", "--chain=c.json", "--snr-db-min=-3", "--snr-db-max", "-1", "--snr-db-step", "0.5"],
+         {"chain_path": "c.json", "snr_db_grid": (-3.0, -2.5, -2.0, -1.5, -1.0)}),
+        (["rate", "--ch", "c.json", "--g", "g.json", "--snr-db-mi", "-2", "--snr-db-ma", "0",
+          "--snr-db-s", "1", "--b", "oma, pdma", "--cs", "o.csv"],
+         {"chain_path": "c.json", "gains_path": "g.json", "snr_db_grid": (-2.0, -1.0, 0.0),
+          "baselines": ("oma", "pdma"), "csv_out": "o.csv"}),
+        (["rate", "--chain", "c.json", "--baselines="],
+         {"chain_path": "c.json", "snr_db_grid": _GRID_0_30, "baselines": ()}),
+        (["simulate", "--chain", "c.json", "--snr-db", "0", "--trials", "5"],
+         {"chain_path": "c.json", "snr_db_grid": (0.0,), "trials": 5}),
+        (["simulate", "--chain", "c.json", "--snr-db", "-3,0,5", "--trials", "5", "--seed", "7",
+          "--power-offsets", "0.5,1.5", "--constellation", "qpsk", "--detector", "sic"],
+         {"chain_path": "c.json", "snr_db_grid": (-3.0, 0.0, 5.0), "trials": 5, "seed": 7,
+          "detector": "sic", "power_offsets": (0.5, 1.5), "constellation": "qpsk"}),
+        (["simulate", "--chain=c.json", "--snr-db=-3,0,5", "--trials=5", "--seed=7",
+          "--power-offsets=0.5,1.5", "--constellation=qpsk", "--detector=oracle",
+          "--csv-out=o.csv", "--design=d.json"],
+         {"chain_path": "c.json", "design_path": "d.json", "snr_db_grid": (-3.0, 0.0, 5.0),
+          "trials": 5, "seed": 7, "detector": "oracle", "power_offsets": (0.5, 1.5),
+          "constellation": "qpsk", "csv_out": "o.csv"}),
+        (["simulate", "--ch", "c.json", "--sn", "-.5", "--tr", "0", "--se", "3", "--det", "oracle",
+          "--des", "d.json", "--po", "2", "--co", "qpsk", "--cs", "o.csv"],
+         {"chain_path": "c.json", "design_path": "d.json", "snr_db_grid": (-0.5,), "seed": 3,
+          "detector": "oracle", "power_offsets": (2.0,), "constellation": "qpsk",
+          "csv_out": "o.csv"}),
+        (["simulate", "--chain", "c.json", "--snr-db", "0", "--trials", "5", "--power-offsets", ""],
+         {"chain_path": "c.json", "snr_db_grid": (0.0,), "trials": 5}),
+        (["simulate", "--chain", "c.json", "--snr-db", "0", "--trials", "5", "--power-offsets", ","],
+         {"chain_path": "c.json", "snr_db_grid": (0.0,), "trials": 5, "power_offsets": ()}),
+        (["simulate", "--chain", "-1", "--snr-db", "-5", "--trials", "5"],
+         {"chain_path": "-1", "snr_db_grid": (-5.0,), "trials": 5}),
+        (["count-ops", "--chain", "c.json"], {"chain_path": "c.json"}),
+        (["count-ops", "--chain=c.json", "--sic", "--constellation=qpsk"],
+         {"chain_path": "c.json", "detector": "sic", "constellation": "qpsk"}),
+        (["count-ops", "--co", "qpsk", "--s", "--ch", "c.json"],
+         {"chain_path": "c.json", "detector": "sic", "constellation": "qpsk"}),
+    ])
+    def test_argv_to_config(self, argv, fields):
+        assert cli._parse(argv) == cli.RunConfig(argv[0], **fields)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "argument subcommand: required; choose from search, design, rate, simulate, count-ops"),
+        (["serch"], "argument subcommand: invalid choice 'serch'; "
+                    "choose from search, design, rate, simulate, count-ops"),
+        (["rate", "--chain", "c.json", "--snr-db", "5"],
+         "argument --snr-db: ambiguous, could match --snr-db-min, --snr-db-max, --snr-db-step"),
+        (["simulate", "--chain", "c.json", "--s", "5", "--trials", "1"],
+         "argument --s: ambiguous, could match --snr-db, --seed"),
+        (["simulate", "--chain", "c.json", "--trials", "1"], "argument --snr-db: required"),
+        (["simulate", "--snr-db", "0"], "argument --chain, --trials: required"),
+        (["search", "--mp", "x"], "argument --mp: invalid int value: 'x'"),
+        (["search", "--mp", "2", "--ref-snr-db=ten"], "argument --ref-snr-db: invalid float value: 'ten'"),
+        (["simulate", "--chain", "c.json", "--snr-db", "0,x", "--trials", "1"],
+         "argument --snr-db: could not convert string to float: 'x'"),
+        (["simulate", "--chain", "c.json", "--snr-db", "0", "--trials", "1", "--detector", "greedy"],
+         "detector must be recursive, oracle, or sic"),
+        (["count-ops", "--chain", "c.json", "--constellation", "8psk"],
+         "constellation must be bpsk or qpsk"),
+        (["count-ops", "--chain", "c.json", "--sic=1"], "argument --sic: takes no value"),
+        (["simulate", "--chain", "--snr-db", "0"], "argument --chain: expected one argument"),
+        (["search", "--mp", "2", "--depth", "3"], "argument --depth: unrecognized"),
+        (["search", "--mp", "2", "extra"], "argument extra: unrecognized"),
+        (["search", "--mp", "2", "-5"], "argument -5: unrecognized"),
+    ])
+    def test_usage_error_exit_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["search", "--mp", "2", "--top", "1", "--top", "3"], "--top"),
+        (["design", "--p", "a.json", "--p=b.json"], "--p"),
+        (["rate", "--chain", "c.json", "--snr-db-max", "5", "--snr-db-ma", "9"], "--snr-db-max"),
+        (["simulate", "--chain", "c.json", "--snr-db", "0", "--trials", "1", "--snr-db", "5"],
+         "--snr-db"),
+        (["count-ops", "--chain", "c.json", "--sic", "--sic"], "--sic"),
+    ])
+    def test_repeated_flag_exit_2(self, argv, flag, capsys):
+        # argparse kept the last value silently: `--snr-db 0 --snr-db 5` ran 5 dB only
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: argument {flag}: given more than once\n"
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["search", "--help"], ["--mp", "--ref-snr-db", "--top", "--json-out"]),
+        (["design", "-h"], ["--p", "--json-out"]),
+        (["rate", "--he"], ["--chain", "--gains", "--snr-db-min", "--snr-db-max", "--snr-db-step",
+                            "--baselines", "--csv-out"]),
+        (["simulate", "--chain", "c.json", "--help"],
+         ["--chain", "--snr-db", "--trials", "--detector", "--seed", "--design",
+          "--power-offsets", "--constellation", "--csv-out"]),
+        (["count-ops", "--help"], ["--chain", "--constellation", "--sic"]),
+        (["-h"], ["search", "design", "rate", "simulate", "count-ops"]),
+    ])
+    def test_help_lists_every_flag(self, argv, flags, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: kronnoma")
+        assert "--help" in out and all(f"  {flag} " in out for flag in flags)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["rate", "--chain", "CHAIN"], "r"),
+        (["simulate", "--chain", "CHAIN", "--snr-db", "0", "--trials", "1"], "r"),
+        (["count-ops", "--chain", "CHAIN"], "rows"),
+        (["design", "--p", "P"], "rows"),
+    ])
+    def test_repeated_json_key_exit_2(self, tmp_path, chain_9x18, argv, key, capsys):
+        # json.load kept the last value silently: a chain with "r": 1, "r": 2 ran r = 2
+        files = {"CHAIN": chain_9x18.to_json_dict(), "P": chain_9x18.P.to_json_dict()}
+        for name, obj in files.items():
+            files[name] = tmp_path / f"{name}.json"
+            text = re.sub(rf'("{key}": [^,}}]+)', r"\1, \1", json.dumps(obj), count=1)
+            files[name].write_text(text)
+        assert main([str(files.get(a, a)) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: a JSON object gives the key {key!r} twice\n")
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         proc = subprocess.run(
@@ -1034,10 +1168,9 @@ class TestEntryPoint:
     def test_help_exit_0(self):
         assert main(["--help"]) == 0
 
-    def test_parser_is_built_once_and_reused(self, chain_file, capsys):
-        # a usage error, then another subcommand, through the one parser:
-        # each call parses as a first call would
-        cli._build_parser.cache_clear()
+    def test_each_call_parses_as_a_first_call(self, chain_file, capsys):
+        # a usage error, then other subcommands, in one process: each call
+        # parses as a first call would
         assert main(["rate", "--chain", chain_file, "--snr-db-step"]) == 2
         assert "--snr-db-step: expected one argument" in capsys.readouterr().err
         assert main(["count-ops", "--chain", chain_file]) == 0
@@ -1045,4 +1178,3 @@ class TestEntryPoint:
         assert "m_p=3\n" in out and "r=2\n" in out
         assert main(["search", "--mp", "1", "--top", "1"]) == 0
         assert json.loads(capsys.readouterr().out)[0]["weights"] == [1]
-        assert cli._build_parser.cache_info().misses == 1

@@ -8,6 +8,8 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -89,6 +91,12 @@ def test_oracle_agreement_takes_negative_points(capsys):
     assert capsys.readouterr().out.splitlines()[1].split()[0] == "-3.0"
 
 
+def test_oracle_agreement_usage_error_exit_2(capsys):
+    # the script reads its flags through the CLI's option parser
+    assert _load_oracle_agreement().main(["--trials", "x"]) == 2
+    assert capsys.readouterr() == ("", "error: argument --trials: invalid int value: 'x'\n")
+
+
 def test_tracer_books_the_final_stages(F12, P3):
     # the Monte Carlo forms its received values through synthesize_rx and
     # the kernel calls its final MAP and its cancellation through the
@@ -147,3 +155,11 @@ def test_imports_sit_at_module_top():
             if any(alias.name == "TYPE_CHECKING" for alias in node.names):
                 found.append(f"{path.name}:{node.lineno} imports TYPE_CHECKING")
     assert found == []
+
+
+def test_cli_import_loads_no_argparse():
+    # argparse and the gettext it pulls in cost every CLI process some
+    # milliseconds to import and first use; the CLI parses its own table
+    code = "import sys, kronnoma.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
