@@ -439,10 +439,10 @@ def parse_flags(options, argv: list[str], usage: str, last_wins: bool = False) -
     """The values of the flags in `argv` by field, or None once `-h` or
     `--help` has printed `usage` and the flags.  A flag is named in full or
     by a unique prefix and takes its value from the next token or after
-    `=`; a value is taken verbatim unless it starts with "--" (as argparse
-    reads them: one with a space that names no flag is a value).  A repeated
-    flag is refused unless `last_wins`.  A usage error raises ValueError
-    naming the flag."""
+    `=`; a value is taken verbatim unless it starts with "--" and, as
+    argparse read it, holds no space or names a flag.  A repeated flag is
+    refused unless `last_wins`.  A usage error raises ValueError naming
+    the flag."""
     flags = {o.flag: o for o in options}
 
     def resolve(name: str) -> str | None:
@@ -467,8 +467,8 @@ def parse_flags(options, argv: list[str], usage: str, last_wins: bool = False) -
                 return None
         elif not eq:
             text = next(tokens, None)
-            flag_like = text is not None and text.startswith("--")
-            if text is None or flag_like and (" " not in text or resolve(text.partition("=")[0])):
+            if text is None or text.startswith("--") and (
+                    " " not in text or resolve(text.partition("=")[0])):
                 raise ValueError(f"argument {flag}: expected one argument")
         if flag in given and not last_wins:
             raise ValueError(f"argument {flag}: given more than once")
